@@ -1,25 +1,33 @@
 #include "profile/conflict_profile.hpp"
 
-#include <list>
+#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "profile/fenwick.hpp"
 #include "tracestore/trace_source.hpp"
 
 namespace xoridx::profile {
+
+namespace {
+
+// Checked before the table is allocated: a rejected width must not first
+// cost a 2^n-entry allocation.
+std::size_t table_size(int hashed_bits) {
+  if (hashed_bits < 1 || hashed_bits > 24)
+    throw std::invalid_argument(
+        "hashed_bits must be in [1, 24] for the dense table");
+  return std::size_t{1} << hashed_bits;
+}
+
+}  // namespace
 
 ConflictProfile::ConflictProfile(int hashed_bits,
                                  std::uint32_t capacity_blocks)
     : n_(hashed_bits),
       capacity_blocks_(capacity_blocks),
-      table_(std::size_t{1} << hashed_bits, 0) {
-  if (hashed_bits < 1 || hashed_bits > 24)
-    throw std::invalid_argument(
-        "hashed_bits must be in [1, 24] for the dense table");
-}
+      table_(table_size(hashed_bits), 0) {}
 
 namespace {
 
@@ -157,72 +165,144 @@ std::size_t ConflictProfile::distinct_vectors() const {
 
 namespace {
 
+/// Every block seen so far, with whether it is inside the profiler's
+/// window. Open addressing with linear probing; blocks are never removed,
+/// so there are no tombstones.
+class SeenBlocks {
+ public:
+  enum State : std::uint8_t { kAbsent, kOutside, kInside };
+
+  /// Mark `block` inside the window; returns its previous state.
+  State enter(std::uint64_t block) {
+    std::size_t i = find(block);
+    const State was = slots_[i].state;
+    if (was == kAbsent) {
+      if (2 * (size_ + 1) > slots_.size()) {
+        grow();
+        i = find(block);
+      }
+      slots_[i].block = block;
+      ++size_;
+    }
+    slots_[i].state = kInside;
+    return was;
+  }
+
+  /// Mark a block already seen as outside the window.
+  void leave(std::uint64_t block) { slots_[find(block)].state = kOutside; }
+
+ private:
+  struct Slot {
+    std::uint64_t block = 0;
+    State state = kAbsent;
+  };
+
+  std::size_t find(std::uint64_t block) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (block * 0x9E3779B97F4A7C15ull) >> hash_shift_);
+    while (slots_[i].state != kAbsent && slots_[i].block != block)
+      i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+    --hash_shift_;
+    for (const Slot& s : old)
+      if (s.state != kAbsent) slots_[find(s.block)] = s;
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(1024);
+  int hash_shift_ = 64 - 10;
+  std::size_t size_ = 0;
+};
+
 /// Figure 1 as a per-access state machine, so the in-memory and streaming
 /// overloads run the exact same sequence of steps (and therefore produce
 /// identical profiles).
+///
+/// A block's reuse distance is its depth on the LRU stack, and Figure 1
+/// drops every reference whose distance exceeds the cache size L (in
+/// blocks). So only the top L+1 stack entries can ever matter, and they
+/// are the whole state: a flat window of the L+1 most recently used
+/// blocks, plus one flag per block ever seen saying whether it is inside
+/// the window. The scan that finds a block in the window is the scan that
+/// emits its conflict pairs, and it moves the block to the top on the way.
+/// Memory scales with L and the footprint, never with trace length.
 class ProfileBuildState {
  public:
   ProfileBuildState(ConflictProfile& profile,
-                    const cache::CacheGeometry& geometry, int hashed_bits,
-                    std::uint64_t total_refs)
+                    const cache::CacheGeometry& geometry, int hashed_bits)
       : profile_(profile),
         mask_(gf2::mask_of(hashed_bits)),
         shift_(geometry.offset_bits()),
-        // Figure 1: a reference whose reuse distance exceeds the cache
-        // size (in blocks) is a capacity miss and contributes no conflict
-        // vectors.
-        limit_(geometry.num_blocks()),
-        marks_(static_cast<std::size_t>(total_refs)) {}
+        window_size_(std::size_t{geometry.num_blocks()} + 1),
+        // Twice the window, so the live range is recompacted to the front
+        // only once per window_size_ pushes.
+        buf_(2 * window_size_) {}
 
   void step(std::uint64_t addr) {
     const std::uint64_t block = addr >> shift_;
     ++profile_.references;
-    const auto it = where_.find(block);
-    if (it == where_.end()) {
+    const SeenBlocks::State was = seen_.enter(block);
+    if (was == SeenBlocks::kAbsent) {
       ++profile_.compulsory_refs;
-      stack_.push_front(block);
-      where_[block] = stack_.begin();
+      push(block);
+    } else if (was == SeenBlocks::kOutside) {
+      ++profile_.capacity_filtered_refs;
+      push(block);
     } else {
-      const std::size_t prev = last_pos_[block];
-      const auto distance = static_cast<std::uint64_t>(
-          marks_.total() - marks_.prefix(prev + 1));
-      if (distance > limit_) {
-        ++profile_.capacity_filtered_refs;
-      } else {
-        ++profile_.profiled_refs;
-        // The `distance` blocks above this one on the stack are exactly
-        // the distinct blocks referenced since its previous use.
-        auto walker = stack_.begin();
-        for (std::uint64_t i = 0; i < distance; ++i, ++walker) {
-          profile_.add((block ^ *walker) & mask_);
-          ++profile_.pair_count;
-        }
+      ++profile_.profiled_refs;
+      // Walk down from the top (most recent last in buf_): every block
+      // passed is one referenced since the previous use of `block`. Each
+      // slides one down, and `block` lands on top.
+      std::uint64_t* slot = buf_.data() + end_;
+      std::uint64_t carry = block;
+      std::uint64_t pairs = 0;
+      for (;;) {
+        const std::uint64_t above = *--slot;
+        *slot = carry;
+        if (above == block) break;
+        profile_.add((block ^ above) & mask_);
+        ++pairs;
+        carry = above;
       }
-      stack_.splice(stack_.begin(), stack_, it->second);
-      marks_.add(prev, -1);
+      profile_.pair_count += pairs;
     }
-    marks_.add(pos_, +1);
-    last_pos_[block] = pos_;
-    ++pos_;
   }
 
  private:
+  // Put a block that is outside the window on top, evicting the bottom
+  // entry once the window is full.
+  void push(std::uint64_t block) {
+    if (end_ - begin_ == window_size_) seen_.leave(buf_[begin_++]);
+    if (end_ == buf_.size()) {
+      std::copy(buf_.begin() + begin_, buf_.end(), buf_.begin());
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    buf_[end_++] = block;
+  }
+
   ConflictProfile& profile_;
   const gf2::Word mask_;
   const int shift_;
-  const std::uint64_t limit_;
-
-  // LRU stack (front = most recently used) with an exact reuse-distance
-  // precheck: a Fenwick tree over reference timestamps counts the blocks
-  // more recent than the previous use, so deep references cost O(log N)
-  // instead of a full capacity-length walk.
-  std::list<std::uint64_t> stack_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      where_;
-  std::unordered_map<std::uint64_t, std::size_t> last_pos_;
-  Fenwick marks_;
-  std::size_t pos_ = 0;
+  const std::size_t window_size_;
+  std::vector<std::uint64_t> buf_;  // window = buf_[begin_, end_), top last
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  SeenBlocks seen_;
 };
+
+/// Figure 1's accounting: every reference is compulsory, capacity-filtered
+/// or profiled, and every emitted pair lands in exactly one counter.
+[[maybe_unused]] bool accounting_holds(const ConflictProfile& p) {
+  return p.references ==
+             p.compulsory_refs + p.capacity_filtered_refs + p.profiled_refs &&
+         p.misses(0) + p.total_mass() == p.pair_count;
+}
 
 }  // namespace
 
@@ -230,8 +310,9 @@ ConflictProfile build_conflict_profile(const trace::Trace& t,
                                        const cache::CacheGeometry& geometry,
                                        int hashed_bits) {
   ConflictProfile profile(hashed_bits, geometry.num_blocks());
-  ProfileBuildState state(profile, geometry, hashed_bits, t.size());
+  ProfileBuildState state(profile, geometry, hashed_bits);
   for (const trace::Access& a : t) state.step(a.addr);
+  assert(accounting_holds(profile));
   return profile;
 }
 
@@ -240,9 +321,10 @@ ConflictProfile build_conflict_profile(tracestore::TraceSource& source,
                                        int hashed_bits) {
   ConflictProfile profile(hashed_bits, geometry.num_blocks());
   source.reset();
-  ProfileBuildState state(profile, geometry, hashed_bits, source.size());
+  ProfileBuildState state(profile, geometry, hashed_bits);
   tracestore::for_each_access(
       source, [&state](const trace::Access& a) { state.step(a.addr); });
+  assert(accounting_holds(profile));
   return profile;
 }
 

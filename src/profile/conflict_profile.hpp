@@ -130,16 +130,21 @@ class ConflictProfile {
 /// Run Figure 1 over a trace: push compulsory references, skip references
 /// whose reuse distance exceeds the cache capacity, and accumulate
 /// conflict vectors for the rest. Addresses are converted to block
-/// addresses with geometry.offset_bits().
+/// addresses with geometry.offset_bits(). A reference is profiled exactly
+/// when it would hit in a fully-associative LRU cache of num_blocks() + 1
+/// blocks (reuse distance <= num_blocks()).
+///
+/// Working state is the top num_blocks() + 1 entries of the LRU stack
+/// plus one flag per distinct block: it scales with the cache and the
+/// footprint, not with the trace length.
 [[nodiscard]] ConflictProfile build_conflict_profile(
     const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 /// Streaming variant: a single pass pulled from a TraceSource (the source
 /// is reset first), byte-identical to the in-memory overload. Decoded
-/// trace state stays bounded by the source's batch/chunk size; only the
-/// profiling structures themselves (LRU stack, Fenwick tree) scale with
-/// the trace.
+/// trace state stays bounded by the source's batch/chunk size, so a
+/// streamed trace of any length profiles in bounded memory.
 [[nodiscard]] ConflictProfile build_conflict_profile(
     tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
     int hashed_bits);

@@ -1,16 +1,58 @@
-// Tests for the Figure-1 conflict profiler, the LRU stack and reuse
-// distances — including hand-traced examples of the paper's algorithm.
+// Tests for the Figure-1 conflict profiler — hand-traced examples of the
+// paper's algorithm, a differential oracle, its accounting identities and
+// its streaming memory bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <random>
 
 #include "cache/fully_associative.hpp"
 #include "cache/simulate.hpp"
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
-#include "profile/lru_stack.hpp"
-#include "profile/reuse_distance.hpp"
 #include "trace/generators.hpp"
+#include "tracestore/trace_source.hpp"
+
+// Live and peak heap bytes of this test binary, for the memory-bound test.
+// Each block carries its size in a header so unsized deletes can subtract.
+namespace heap {
+namespace {
+std::atomic<std::size_t> live{0};
+std::atomic<std::size_t> high{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+}  // namespace
+
+/// Restart peak tracking from the current live size, which is returned.
+std::size_t reset_peak() {
+  const std::size_t now = live.load();
+  high.store(now);
+  return now;
+}
+std::size_t peak() { return high.load(); }
+}  // namespace heap
+
+void* operator new(std::size_t size) {
+  auto* base = static_cast<unsigned char*>(std::malloc(size + heap::kHeader));
+  if (base == nullptr) throw std::bad_alloc();
+  *reinterpret_cast<std::size_t*>(base) = size;
+  const std::size_t now = heap::live.fetch_add(size) + size;
+  std::size_t seen = heap::high.load();
+  while (now > seen && !heap::high.compare_exchange_weak(seen, now)) {
+  }
+  return base + heap::kHeader;
+}
+
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  auto* base = static_cast<unsigned char*>(p) - heap::kHeader;
+  heap::live.fetch_sub(*reinterpret_cast<std::size_t*>(base));
+  std::free(base);
+}
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace xoridx::profile {
 namespace {
@@ -22,44 +64,6 @@ Trace block_sequence(std::initializer_list<std::uint64_t> blocks) {
   Trace t;
   for (std::uint64_t b : blocks) t.append(b * 4, AccessKind::read);
   return t;
-}
-
-TEST(LruStack, FirstTouchPushes) {
-  LruStack s;
-  const auto r = s.reference(7, 100);
-  EXPECT_TRUE(r.first_touch);
-  EXPECT_EQ(s.contents(), std::vector<std::uint64_t>{7});
-}
-
-TEST(LruStack, CollectsBlocksAbove) {
-  LruStack s;
-  s.reference(1, 100);
-  s.reference(2, 100);
-  s.reference(3, 100);
-  const auto r = s.reference(1, 100);
-  EXPECT_FALSE(r.first_touch);
-  EXPECT_FALSE(r.deep);
-  EXPECT_EQ(r.above, (std::vector<std::uint64_t>{3, 2}));
-  EXPECT_EQ(s.contents(), (std::vector<std::uint64_t>{1, 3, 2}));
-}
-
-TEST(LruStack, DeepWhenBeyondLimit) {
-  LruStack s;
-  for (std::uint64_t b = 0; b < 10; ++b) s.reference(b, 100);
-  const auto r = s.reference(0, 4);  // 9 blocks above, limit 4
-  EXPECT_TRUE(r.deep);
-  EXPECT_TRUE(r.above.empty());
-  // Block still moves to the top.
-  EXPECT_EQ(s.contents().front(), 0u);
-}
-
-TEST(LruStack, RepeatAccessHasNothingAbove) {
-  LruStack s;
-  s.reference(5, 10);
-  const auto r = s.reference(5, 10);
-  EXPECT_FALSE(r.first_touch);
-  EXPECT_FALSE(r.deep);
-  EXPECT_TRUE(r.above.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -189,76 +193,131 @@ TEST(ConflictProfile, RejectsBadWidths) {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse distances
+// Differential oracle and accounting identities
 // ---------------------------------------------------------------------------
 
-TEST(ReuseDistance, SimplePattern) {
-  // A B A: A's second access has distance 1; B never repeats.
-  const Trace t = block_sequence({0, 1, 0});
-  const ReuseHistogram h = reuse_distance_histogram(t, 2, 16);
-  EXPECT_EQ(h.first_touches, 2u);
-  EXPECT_EQ(h.bucket[1], 1u);
-}
-
-TEST(ReuseDistance, RepeatIsDistanceZero) {
-  const Trace t = block_sequence({5, 5, 5});
-  const ReuseHistogram h = reuse_distance_histogram(t, 2, 16);
-  EXPECT_EQ(h.bucket[0], 2u);
-}
-
-TEST(ReuseDistance, DistinctBlocksNotReferences) {
-  // A B B B A: distance of the second A is 1 (one distinct block).
-  const Trace t = block_sequence({0, 1, 1, 1, 0});
-  const ReuseHistogram h = reuse_distance_histogram(t, 2, 16);
-  EXPECT_EQ(h.bucket[1], 1u);
-  EXPECT_EQ(h.bucket[0], 2u);
-}
-
-TEST(ReuseDistance, LruMissesMatchSimulator) {
-  const Trace t = trace::random_trace(0, 400, 4, 8000, 77);
-  const ReuseHistogram h = reuse_distance_histogram(t, 2, 4096);
-  for (const std::size_t capacity : {16u, 64u, 256u}) {
-    cache::FullyAssociativeCache fa(static_cast<std::uint32_t>(capacity));
-    for (const trace::Access& a : t) fa.access(a.addr >> 2);
-    EXPECT_EQ(h.lru_misses(capacity), fa.stats().misses)
-        << "capacity=" << capacity;
+// Figure 1 written out literally: the whole LRU stack (most recent first),
+// searched linearly. Quadratic, and plainly right.
+ConflictProfile naive_profile(const Trace& t, const cache::CacheGeometry& geom,
+                              int hashed_bits) {
+  ConflictProfile p(hashed_bits, geom.num_blocks());
+  const gf2::Word mask = gf2::mask_of(hashed_bits);
+  std::vector<std::uint64_t> stack;
+  for (const trace::Access& a : t) {
+    const std::uint64_t block = a.addr >> geom.offset_bits();
+    ++p.references;
+    const auto it = std::find(stack.begin(), stack.end(), block);
+    if (it == stack.end()) {
+      ++p.compulsory_refs;
+    } else {
+      if (it - stack.begin() > std::ptrdiff_t{geom.num_blocks()}) {
+        ++p.capacity_filtered_refs;
+      } else {
+        ++p.profiled_refs;
+        for (auto above = stack.begin(); above != it; ++above) {
+          p.add((block ^ *above) & mask);
+          ++p.pair_count;
+        }
+      }
+      stack.erase(it);
+    }
+    stack.insert(stack.begin(), block);
   }
+  return p;
 }
 
-TEST(ReuseDistance, DeeperBucketCounts) {
-  Trace t;
-  for (int rep = 0; rep < 2; ++rep)
-    for (std::uint64_t b = 0; b < 100; ++b)
-      t.append(b * 4, AccessKind::read);
-  const ReuseHistogram h = reuse_distance_histogram(t, 2, 50);
-  EXPECT_EQ(h.deeper, 100u);  // all reuses at distance 99 >= 50
-}
+// Geometries whose window is far smaller than, close to, and larger than
+// the random traces' 600-block footprint.
+const cache::CacheGeometry kDifferentialGeometries[] = {
+    {256, 4}, {1024, 4}, {1024, 16}, {4096, 4}};
 
-// Differential test: the production profiler against a straightforward
-// LruStack-based implementation of Figure 1.
 class ProfilerDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ProfilerDifferential, MatchesNaiveImplementation) {
-  const std::uint64_t seed = GetParam();
-  const cache::CacheGeometry geom(1024, 4);
-  const Trace t = trace::random_trace(0, 600, 4, 6000, seed);
-
-  const ConflictProfile fast = build_conflict_profile(t, geom, 12);
-
-  ConflictProfile naive(12, geom.num_blocks());
-  LruStack stack;
-  for (const trace::Access& a : t) {
-    const std::uint64_t block = a.addr >> 2;
-    const auto r = stack.reference(block, geom.num_blocks());
-    if (r.first_touch || r.deep) continue;
-    for (std::uint64_t y : r.above) naive.add((block ^ y) & 0xfff);
+  const Trace t = trace::random_trace(0, 600, 4, 6000, GetParam());
+  for (const cache::CacheGeometry& geom : kDifferentialGeometries) {
+    const ConflictProfile fast = build_conflict_profile(t, geom, 12);
+    EXPECT_TRUE(fast == naive_profile(t, geom, 12)) << geom.to_string();
   }
-  for (gf2::Word v = 0; v < 4096; ++v)
-    ASSERT_EQ(fast.misses(v), naive.misses(v)) << "v=" << v;
+}
+
+TEST_P(ProfilerDifferential, AccountingIdentities) {
+  const Trace t = trace::random_trace(0, 600, 4, 6000, GetParam());
+  for (const cache::CacheGeometry& geom : kDifferentialGeometries) {
+    const ConflictProfile p = build_conflict_profile(t, geom, 12);
+    EXPECT_EQ(p.references, t.size());
+    EXPECT_EQ(p.references,
+              p.compulsory_refs + p.capacity_filtered_refs + p.profiled_refs);
+    EXPECT_EQ(p.misses(0) + p.total_mass(), p.pair_count);
+    // Reuse distance <= L is a hit in an LRU cache of L + 1 blocks (one
+    // more than Figure 1's "exceeds the cache size" suggests).
+    cache::FullyAssociativeCache fa(geom.num_blocks() + 1);
+    for (const trace::Access& a : t) fa.access(a.addr >> geom.offset_bits());
+    EXPECT_EQ(p.profiled_refs, fa.stats().hits()) << geom.to_string();
+    EXPECT_EQ(p.compulsory_refs + p.capacity_filtered_refs,
+              fa.stats().misses)
+        << geom.to_string();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfilerDifferential,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ---------------------------------------------------------------------------
+// Streaming memory bound
+// ---------------------------------------------------------------------------
+
+// `count` pseudo-random block references over `footprint` blocks, made on
+// the fly so the trace itself is never resident.
+class SyntheticStream final : public tracestore::TraceSource {
+ public:
+  SyntheticStream(std::uint64_t count, std::uint64_t footprint)
+      : count_(count), footprint_(footprint) {}
+
+  std::size_t next_batch(std::span<trace::Access> out) override {
+    const auto n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(out.size(), left_));
+    for (std::size_t i = 0; i < n; ++i) {
+      state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+      out[i] = {((state_ >> 33) % footprint_) * 4, AccessKind::read};
+    }
+    left_ -= n;
+    return n;
+  }
+  void reset() override {
+    left_ = count_;
+    state_ = 0;
+  }
+  [[nodiscard]] std::uint64_t size() const override { return count_; }
+
+ private:
+  std::uint64_t count_;
+  std::uint64_t footprint_;
+  std::uint64_t left_ = 0;
+  std::uint64_t state_ = 0;
+};
+
+TEST(ConflictProfileMemory, StreamedStateIsIndependentOfTraceLength) {
+  const cache::CacheGeometry geom(1024, 4);
+  const auto peak_build_bytes = [&](std::uint64_t count) {
+    SyntheticStream stream(count, 4096);
+    const std::size_t before = heap::reset_peak();
+    const ConflictProfile p = build_conflict_profile(stream, geom, 12);
+    EXPECT_EQ(p.references, count);
+    return heap::peak() - before;
+  };
+#ifdef NDEBUG
+  constexpr std::uint64_t kLong = 100'000'000;
+#else
+  constexpr std::uint64_t kLong = 10'000'000;  // unoptimized: ~50x slower
+#endif
+  const std::size_t short_run = peak_build_bytes(1'000'000);
+  const std::size_t long_run = peak_build_bytes(kLong);
+  EXPECT_LE(long_run, short_run);
+  // Window, flags for 4096 blocks, the 2^12 table and one decode batch;
+  // 8 bytes per reference would be 800 MB at 10^8 references.
+  EXPECT_LT(long_run, std::size_t{1} << 20);
+}
 
 }  // namespace
 }  // namespace xoridx::profile
