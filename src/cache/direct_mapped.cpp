@@ -2,36 +2,58 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace xoridx::cache {
 
 DirectMappedCache::DirectMappedCache(const CacheGeometry& geometry,
                                      const hash::IndexFunction& index_fn)
+    : DirectMappedCache(geometry, hash::CompiledIndex(index_fn)) {}
+
+DirectMappedCache::DirectMappedCache(const CacheGeometry& geometry,
+                                     hash::CompiledIndex index)
     : geometry_(geometry),
-      index_fn_(index_fn),
-      tags_(geometry.num_sets(), 0),
-      valid_(geometry.num_sets(), false) {
+      index_(std::move(index)),
+      lines_(geometry.num_sets()) {
   if (geometry.associativity != 1)
     throw std::invalid_argument("DirectMappedCache requires associativity 1");
-  if (index_fn.index_bits() != geometry.index_bits())
+  if (index_.index_bits() != geometry.index_bits())
     throw std::invalid_argument(
         "index function width does not match cache geometry");
 }
 
-bool DirectMappedCache::access(std::uint64_t block_addr) {
-  const auto set = static_cast<std::size_t>(index_fn_.index(block_addr));
-  assert(set < tags_.size());
-  const std::uint64_t tag = index_fn_.tag(block_addr);
-  ++stats_.accesses;
-  if (valid_[set] && tags_[set] == tag) return true;
-  ++stats_.misses;
-  valid_[set] = true;
-  tags_[set] = tag;
-  return false;
+std::size_t DirectMappedCache::run(std::span<const std::uint64_t> blocks,
+                                   std::uint64_t stop_at) {
+  // Locals, so the loop does not reload members after each line store.
+  const hash::CompiledIndex::Lookup index = index_.lookup();
+  Line* const lines = lines_.data();
+  std::uint64_t misses = stats_.misses;
+  std::size_t i = 0;
+  while (misses < stop_at && i < blocks.size()) {
+    const std::uint64_t block = blocks[i++];
+    const std::uint32_t set = index(block);
+    assert(set < lines_.size());
+    Line& line = lines[set];
+    // Branch-free: a hit rewrites the line with what it already holds.
+    misses += !(line.valid & (line.block == block));
+    line = {block, true};
+  }
+  stats_.accesses += i;
+  stats_.misses = misses;
+  return i;
+}
+
+void DirectMappedCache::reconfigure(hash::CompiledIndex index) {
+  if (index.index_bits() != geometry_.index_bits())
+    throw std::invalid_argument(
+        "index function width does not match cache geometry");
+  index_ = std::move(index);
+  flush();
+  stats_ = {};
 }
 
 void DirectMappedCache::flush() {
-  valid_.assign(valid_.size(), false);
+  for (Line& line : lines_) line.valid = false;
 }
 
 }  // namespace xoridx::cache

@@ -1,20 +1,47 @@
 #include "cache/simulate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
+#include <vector>
 
 #include "cache/direct_mapped.hpp"
 #include "cache/fully_associative.hpp"
+#include "obs/metrics.hpp"
 #include "tracestore/trace_source.hpp"
 
 namespace xoridx::cache {
+
+namespace {
+
+/// One simulation pass, counted once per driver call.
+void count_pass(std::uint64_t accesses) {
+  XORIDX_OBS_COUNT("simulate.passes", 1);
+  XORIDX_OBS_COUNT("simulate.accesses", accesses);
+  (void)accesses;
+}
+
+/// Run accesses through the cache's run loop as block addresses, one
+/// chunk at a time.
+void run_accesses(DirectMappedCache& cache,
+                  std::span<const trace::Access> accesses, int shift) {
+  std::array<std::uint64_t, 1024> blocks;
+  for (std::size_t at = 0; at < accesses.size(); at += blocks.size()) {
+    const std::size_t n = std::min(blocks.size(), accesses.size() - at);
+    for (std::size_t i = 0; i < n; ++i)
+      blocks[i] = accesses[at + i].addr >> shift;
+    cache.run(std::span<const std::uint64_t>(blocks.data(), n));
+  }
+}
+
+}  // namespace
 
 CacheStats simulate_direct_mapped(const trace::Trace& t,
                                   const CacheGeometry& geometry,
                                   const hash::IndexFunction& index_fn) {
   DirectMappedCache cache(geometry, index_fn);
-  const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) cache.access(a.addr >> shift);
+  run_accesses(cache, t.accesses(), geometry.offset_bits());
+  count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
@@ -22,7 +49,8 @@ CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
                                          const CacheGeometry& geometry,
                                          const hash::IndexFunction& index_fn) {
   DirectMappedCache cache(geometry, index_fn);
-  for (std::uint64_t b : blocks) cache.access(b);
+  cache.run(blocks);
+  count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
@@ -31,6 +59,7 @@ CacheStats simulate_fully_associative(const trace::Trace& t,
   FullyAssociativeCache cache(geometry.num_blocks());
   const int shift = geometry.offset_bits();
   for (const trace::Access& a : t) cache.access(a.addr >> shift);
+  count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
@@ -58,6 +87,7 @@ MissBreakdown classify_misses(const trace::Trace& t,
     else
       ++out.conflict;
   }
+  count_pass(out.accesses);
   return out;
 }
 
@@ -66,10 +96,10 @@ CacheStats simulate_direct_mapped(tracestore::TraceSource& source,
                                   const hash::IndexFunction& index_fn) {
   source.reset();
   DirectMappedCache cache(geometry, index_fn);
-  const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    cache.access(a.addr >> shift);
-  });
+  std::vector<trace::Access> batch(4096);
+  while (const std::size_t got = source.next_batch(batch))
+    run_accesses(cache, std::span(batch).first(got), geometry.offset_bits());
+  count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
@@ -81,6 +111,7 @@ CacheStats simulate_fully_associative(tracestore::TraceSource& source,
   tracestore::for_each_access(source, [&](const trace::Access& a) {
     cache.access(a.addr >> shift);
   });
+  count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
@@ -112,6 +143,7 @@ MissBreakdown classify_misses(tracestore::TraceSource& source,
     else
       ++out.conflict;
   });
+  count_pass(out.accesses);
   return out;
 }
 

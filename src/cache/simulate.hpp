@@ -1,4 +1,8 @@
 // Trace-driven simulation drivers and 3C miss classification.
+//
+// The direct-mapped drivers all run DirectMappedCache, the one exact
+// direct-mapped kernel. Each driver call adds one pass and the accesses
+// it simulated to the `simulate.passes` / `simulate.accesses` counters.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +24,8 @@ namespace xoridx::cache {
     const trace::Trace& t, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
 
-/// Same, over a pre-extracted block-address sequence (fast path for the
-/// exhaustive bit-selecting search).
+/// Same, over block addresses already shifted by the offset bits: one
+/// DirectMappedCache::run over the span.
 [[nodiscard]] CacheStats simulate_direct_mapped_blocks(
     std::span<const std::uint64_t> blocks, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);

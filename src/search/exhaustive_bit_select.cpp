@@ -1,14 +1,16 @@
 #include "search/exhaustive_bit_select.hpp"
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "cache/direct_mapped.hpp"
 #include "cache/simulate.hpp"
 #include "gf2/enumerate.hpp"
+#include "hash/compiled_index.hpp"
+#include "obs/metrics.hpp"
 #include "search/estimator.hpp"
 #include "tracestore/trace_source.hpp"
 
@@ -18,43 +20,6 @@ namespace {
 
 using gf2::Word;
 
-/// Software parallel-bit-extract for 16-bit masks: two 256-entry byte
-/// tables, so per-access index extraction is two loads, a shift and an or.
-class Pext16 {
- public:
-  explicit Pext16(std::uint32_t mask) {
-    const std::uint32_t lo_mask = mask & 0xffu;
-    const std::uint32_t hi_mask = (mask >> 8) & 0xffu;
-    lo_width_ = std::popcount(lo_mask);
-    for (std::uint32_t b = 0; b < 256; ++b) {
-      lo_[b] = static_cast<std::uint16_t>(extract_byte(b, lo_mask));
-      hi_[b] = static_cast<std::uint16_t>(extract_byte(b, hi_mask));
-    }
-  }
-
-  [[nodiscard]] std::uint32_t operator()(std::uint32_t bits) const {
-    return lo_[bits & 0xffu] |
-           (static_cast<std::uint32_t>(hi_[(bits >> 8) & 0xffu]) << lo_width_);
-  }
-
- private:
-  static std::uint32_t extract_byte(std::uint32_t value, std::uint32_t mask) {
-    std::uint32_t out = 0;
-    int pos = 0;
-    for (int i = 0; i < 8; ++i) {
-      if ((mask >> i) & 1u) {
-        out |= ((value >> i) & 1u) << pos;
-        ++pos;
-      }
-    }
-    return out;
-  }
-
-  std::array<std::uint16_t, 256> lo_{};
-  std::array<std::uint16_t, 256> hi_{};
-  int lo_width_ = 0;
-};
-
 std::vector<int> mask_to_positions(Word mask) {
   std::vector<int> pos;
   while (mask != 0) {
@@ -62,27 +27,6 @@ std::vector<int> mask_to_positions(Word mask) {
     mask &= mask - 1;
   }
   return pos;
-}
-
-/// Exact direct-mapped miss count for one bit selection. Stores the full
-/// block address per line, which is equivalent to a (tag, index) check
-/// because tag+index are jointly injective for bit selection.
-std::uint64_t simulate_selection(std::span<const std::uint64_t> blocks,
-                                 std::uint32_t mask, int index_bits,
-                                 std::vector<std::uint64_t>& lines) {
-  const Pext16 extract(mask);
-  lines.assign(std::size_t{1} << index_bits, ~std::uint64_t{0});
-  std::uint64_t misses = 0;
-  for (const std::uint64_t block : blocks) {
-    const std::uint32_t set = extract(static_cast<std::uint32_t>(block & 0xffffu));
-    // Blocks differing only above bit 16 share a set; the stored block
-    // address disambiguates them exactly as a hardware tag would.
-    if (lines[set] != block) {
-      ++misses;
-      lines[set] = block;
-    }
-  }
-  return misses;
 }
 
 using gf2::for_each_combination;
@@ -108,16 +52,24 @@ ExhaustiveBitSelectResult optimal_bit_select_blocks(
 
   ExhaustiveBitSelectResult result{
       hash::BitSelectFunction::conventional(n, m), ~std::uint64_t{0}, 0};
-  std::vector<std::uint64_t> lines;
   std::uint32_t best_mask = (1u << m) - 1;
+  cache::DirectMappedCache cache(geometry,
+                                 hash::CompiledIndex::bit_select(n, best_mask));
+  std::uint64_t simulated = 0;
   for_each_combination(n, m, [&](std::uint32_t mask) {
-    const std::uint64_t misses = simulate_selection(blocks, mask, m, lines);
+    cache.reconfigure(hash::CompiledIndex::bit_select(n, mask));
+    // Once a candidate's misses reach the best so far it can at most tie,
+    // and a tie keeps the earlier candidate: stop simulating it there.
+    simulated += cache.run(blocks, result.misses);
     ++result.candidates;
-    if (misses < result.misses) {
-      result.misses = misses;
+    if (cache.stats().misses < result.misses) {
+      result.misses = cache.stats().misses;
       best_mask = mask;
     }
   });
+  XORIDX_OBS_COUNT("simulate.passes", result.candidates);
+  XORIDX_OBS_COUNT("simulate.accesses", simulated);
+  (void)simulated;
   result.function = hash::BitSelectFunction(n, mask_to_positions(best_mask));
   return result;
 }

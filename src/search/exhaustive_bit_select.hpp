@@ -5,9 +5,18 @@
 // The bit-selecting design space has only C(n, m) members, so — unlike
 // XOR functions — every candidate can be simulated exactly. The paper
 // notes the optimal algorithm is "very slow" and applies it only to the
-// short PowerStone traces; this implementation keeps that regime fast by
-// pre-extracting block addresses once and using a two-table parallel-bit-
-// extract per candidate (n <= 16).
+// short PowerStone traces. This implementation extracts block addresses
+// once and runs every candidate on cache::DirectMappedCache, the same
+// exact kernel as every other direct-mapped simulation, with the
+// candidate's index tables built straight from its selection mask.
+//
+// Candidates are visited in Gosper order (ascending masks, conventional
+// first) and each one stops as soon as its running miss count reaches
+// the best count so far: from there it can at most tie, and a tie keeps
+// the earlier candidate. The winner and its misses are therefore those of
+// a full simulation of every candidate; most candidates just stop after
+// a short prefix of the trace. `simulate.accesses` counts the accesses
+// actually simulated.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +37,14 @@ namespace xoridx::search {
 struct ExhaustiveBitSelectResult {
   hash::BitSelectFunction function;
   std::uint64_t misses = 0;       ///< exact simulated misses of the winner
-  std::uint64_t candidates = 0;   ///< C(n, m) selections simulated
+  /// Selections considered: C(n, m), whether a candidate was simulated to
+  /// the end of the trace or stopped at the running best.
+  std::uint64_t candidates = 0;
 };
 
-/// Simulate every m-out-of-n bit selection on the trace and return the one
-/// with the fewest *exact* direct-mapped misses. `hashed_bits` must be at
-/// most 16 (the paper's n).
+/// Return the m-out-of-n bit selection with the fewest *exact*
+/// direct-mapped misses on the trace (the first in Gosper order among
+/// ties). `hashed_bits` must be at most 16 (the paper's n).
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select(
     const trace::Trace& t, const cache::CacheGeometry& geometry,
     int hashed_bits);

@@ -11,6 +11,8 @@
 #include "cache/set_associative.hpp"
 #include "cache/simulate.hpp"
 #include "cache/skewed.hpp"
+#include "hash/bit_select_function.hpp"
+#include "hash/compiled_index.hpp"
 #include "hash/permutation_function.hpp"
 #include "hash/xor_function.hpp"
 #include "trace/generators.hpp"
@@ -81,28 +83,118 @@ TEST(DirectMapped, WidthMismatchRejected) {
                std::invalid_argument);
 }
 
-TEST(DirectMapped, HashedIndexEquivalentToFullBlockTags) {
-  // Storing f.tag(block) must behave exactly like storing the whole
-  // block address (tag+index injectivity): compare against a reference.
-  std::mt19937_64 rng(3);
-  gf2::Matrix g = gf2::Matrix::random(8, 8, rng);
-  const hash::PermutationFunction f(16, 8, g);
-  const CacheGeometry geom(1024, 4);
-  DirectMappedCache cache(geom, f);
+/// Test-local reference: a textbook tag store (valid bit + f.tag() per
+/// set), independent of the compiled kernel's full-address lines.
+class TagStoreReference {
+ public:
+  explicit TagStoreReference(const hash::IndexFunction& f)
+      : f_(f), tags_(std::size_t{1} << f.index_bits()),
+        valid_(tags_.size(), false) {}
 
-  std::vector<std::uint64_t> ref(geom.num_sets(), ~0ull);
-  std::uint64_t ref_misses = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t block = rng() % 5000;
-    const auto set = static_cast<std::size_t>(f.index(block));
-    const bool ref_hit = ref[set] == block;
-    if (!ref_hit) {
-      ++ref_misses;
-      ref[set] = block;
-    }
-    EXPECT_EQ(cache.access(block), ref_hit);
+  bool access(std::uint64_t block) {
+    const auto set = static_cast<std::size_t>(f_.index(block));
+    const std::uint64_t tag = f_.tag(block);
+    if (valid_[set] && tags_[set] == tag) return true;
+    valid_[set] = true;
+    tags_[set] = tag;
+    ++misses;
+    return false;
   }
-  EXPECT_EQ(cache.stats().misses, ref_misses);
+
+  std::uint64_t misses = 0;
+
+ private:
+  const hash::IndexFunction& f_;
+  std::vector<std::uint64_t> tags_;
+  std::vector<bool> valid_;
+};
+
+TEST(DirectMapped, MatchesTagStoreReferenceForEveryFunctionClass) {
+  std::mt19937_64 rng(23);
+  const int n = 12;
+  const CacheGeometry geom(256, 4);  // m = 6
+  const int m = geom.index_bits();
+  const XorFunction xor_fn{gf2::Matrix::random_full_rank(n, m, rng)};
+  const hash::PermutationFunction perm_fn(n, m,
+                                          gf2::Matrix::random(n - m, m, rng));
+  const hash::BitSelectFunction select_fn(n, {1, 3, 4, 7, 9, 11});
+  // Blocks share a small low-n-bit pool and differ above bit n too, so
+  // equal indices with different tags (and different high bits) recur.
+  const std::uint64_t highs[] = {0, std::uint64_t{1} << n,
+                                 std::uint64_t{5} << n,
+                                 std::uint64_t{1} << 63};
+  for (const hash::IndexFunction* f :
+       {static_cast<const hash::IndexFunction*>(&xor_fn),
+        static_cast<const hash::IndexFunction*>(&perm_fn),
+        static_cast<const hash::IndexFunction*>(&select_fn)}) {
+    SCOPED_TRACE(f->describe());
+    DirectMappedCache cache(geom, *f);
+    TagStoreReference ref(*f);
+    for (int i = 0; i < 30000; ++i) {
+      const std::uint64_t block = (rng() % 300) | highs[rng() % 4];
+      ASSERT_EQ(cache.access(block), ref.access(block)) << "i=" << i;
+    }
+    EXPECT_EQ(cache.stats().misses, ref.misses);
+    EXPECT_EQ(cache.stats().accesses, 30000u);
+  }
+}
+
+TEST(DirectMapped, FirstTouchOfTheAllOnesBlockMisses) {
+  // Lines start invalid, not holding some block address: 2^64 - 1 is a
+  // block address like any other (1-byte blocks reach it).
+  const hash::BitSelectFunction f = hash::BitSelectFunction::conventional(8, 4);
+  DirectMappedCache cache(CacheGeometry(16, 1), f);
+  EXPECT_FALSE(cache.access(~std::uint64_t{0}));
+  EXPECT_TRUE(cache.access(~std::uint64_t{0}));
+  const std::vector<std::uint64_t> blocks = {~std::uint64_t{0}, 0};
+  cache.flush();
+  EXPECT_EQ(cache.run(blocks), 2u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(DirectMapped, RunStopsWhenMissesReachTheBound) {
+  const XorFunction f = XorFunction::conventional(16, 8);
+  const CacheGeometry geom(1024, 4);
+  std::mt19937_64 rng(29);
+  std::vector<std::uint64_t> blocks(5000);
+  for (std::uint64_t& b : blocks) b = rng() % 3000;
+
+  DirectMappedCache full(geom, f);
+  EXPECT_EQ(full.run(blocks), blocks.size());
+  const std::uint64_t total = full.stats().misses;
+  ASSERT_GT(total, 100u);
+
+  // Stopping at k misses simulates exactly the prefix that ends on the
+  // k-th miss.
+  DirectMappedCache bounded(geom, f);
+  const std::size_t consumed = bounded.run(blocks, 100);
+  EXPECT_EQ(bounded.stats().misses, 100u);
+  EXPECT_EQ(bounded.stats().accesses, consumed);
+  DirectMappedCache prefix(geom, f);
+  for (std::size_t i = 0; i < consumed; ++i) prefix.access(blocks[i]);
+  EXPECT_EQ(prefix.stats().misses, 100u);
+  // A bound already reached simulates nothing; one above the total runs
+  // to the end.
+  EXPECT_EQ(bounded.run(blocks, 100), 0u);
+  DirectMappedCache unbounded(geom, f);
+  EXPECT_EQ(unbounded.run(blocks, total + 1), blocks.size());
+  EXPECT_EQ(unbounded.stats().misses, total);
+}
+
+TEST(DirectMapped, ReconfigureFlushesAndZeroesCounters) {
+  const CacheGeometry geom(1024, 4);
+  DirectMappedCache cache(geom, XorFunction::conventional(16, 8));
+  cache.access(7);
+  cache.access(7);
+  cache.reconfigure(hash::CompiledIndex::bit_select(16, 0xff00));
+  EXPECT_EQ(cache.stats().accesses, 0u);
+  EXPECT_FALSE(cache.access(7));
+  EXPECT_TRUE(cache.access(7));
+  // Differs from block 7 only above bit n: same set, so it evicts 7.
+  EXPECT_FALSE(cache.access((1u << 16) | 7u));
+  EXPECT_FALSE(cache.access(7));
+  EXPECT_THROW(cache.reconfigure(hash::CompiledIndex::bit_select(16, 0xf)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

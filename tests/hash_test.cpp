@@ -1,11 +1,16 @@
 // Tests for index-function classes, the Eq.-5 permutation property, tag
-// soundness and the Table-1 hardware cost model.
+// soundness, the compiled (byte-sliced) index form and the Table-1
+// hardware cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "hash/bit_select_function.hpp"
+#include "hash/compiled_index.hpp"
 #include "hash/function_properties.hpp"
 #include "hash/hardware_cost.hpp"
 #include "hash/permutation_function.hpp"
@@ -306,6 +311,76 @@ TEST(CloneSupport, ClonesBehaveIdentically) {
     EXPECT_EQ(clone->index(x), f.index(x));
     EXPECT_EQ(clone->tag(x), f.tag(x));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compiled (byte-sliced) form
+// ---------------------------------------------------------------------------
+
+/// Random addresses of three kinds: inside the low n bits, with random
+/// bits above n, and single high bits.
+std::vector<Word> probe_addresses(int n, std::mt19937_64& rng) {
+  std::vector<Word> xs;
+  const Word low = gf2::mask_of(n);
+  for (int i = 0; i < 400; ++i) {
+    const Word x = rng();
+    xs.push_back(x & low);
+    xs.push_back(x);
+  }
+  for (int b = 0; b < 64; ++b) xs.push_back(Word{1} << b);
+  xs.push_back(~Word{0});
+  return xs;
+}
+
+void expect_compiled_matches(const IndexFunction& f, std::mt19937_64& rng) {
+  const CompiledIndex compiled(f);
+  EXPECT_EQ(compiled.input_bits(), f.input_bits());
+  EXPECT_EQ(compiled.index_bits(), f.index_bits());
+  for (const Word x : probe_addresses(f.input_bits(), rng))
+    ASSERT_EQ(compiled(x), f.index(x))
+        << f.describe() << " n=" << f.input_bits() << " x=" << x;
+}
+
+TEST(CompiledIndex, MatchesIndexForEveryFunctionClass) {
+  std::mt19937_64 rng(41);
+  for (const int n : {5, 8, 12, 16, 20, 24}) {
+    for (const int m : {1, n / 2, n - 1}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+      expect_compiled_matches(XorFunction{Matrix::random_full_rank(n, m, rng)},
+                              rng);
+      expect_compiled_matches(
+          PermutationFunction(n, m, Matrix::random(n - m, m, rng)), rng);
+      std::vector<int> positions(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) positions[static_cast<std::size_t>(i)] = i;
+      std::shuffle(positions.begin(), positions.end(), rng);
+      positions.resize(static_cast<std::size_t>(m));
+      expect_compiled_matches(BitSelectFunction(n, positions), rng);
+    }
+  }
+}
+
+TEST(CompiledIndex, BitSelectFromMaskMatchesBitSelectFunction) {
+  std::mt19937_64 rng(43);
+  for (const int n : {5, 8, 12, 16, 20, 24}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const Word mask = rng() & gf2::mask_of(n);
+      if (mask == 0) continue;
+      std::vector<int> positions;
+      for (int i = 0; i < n; ++i)
+        if ((mask >> i) & 1u) positions.push_back(i);
+      const BitSelectFunction f(n, positions);
+      const CompiledIndex compiled = CompiledIndex::bit_select(n, mask);
+      EXPECT_EQ(compiled.index_bits(), f.index_bits());
+      for (const Word x : probe_addresses(n, rng))
+        ASSERT_EQ(compiled(x), f.index(x)) << "mask=" << mask << " x=" << x;
+    }
+  }
+}
+
+TEST(CompiledIndex, RejectsWidthsBeyondTheTables) {
+  EXPECT_THROW((void)CompiledIndex::bit_select(65, 1), std::invalid_argument);
+  EXPECT_THROW((void)CompiledIndex::bit_select(40, gf2::mask_of(33)),
+               std::invalid_argument);
 }
 
 }  // namespace

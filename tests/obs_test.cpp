@@ -32,7 +32,9 @@
 #include <thread>
 #include <vector>
 
+#include "cache/simulate.hpp"
 #include "search/bit_select_search.hpp"
+#include "search/exhaustive_bit_select.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
 #include "trace/generators.hpp"
@@ -404,6 +406,42 @@ TEST(Instrumentation, SearchEvaluationsCounterMatchesSearchStats) {
   // SearchStats::evaluations each entry point reports — in an OBS=OFF
   // build it does not advance at all.
   EXPECT_EQ(after - before, compiled() ? stats_total : 0u);
+}
+
+TEST(Instrumentation, SimulateCountersCountPassesAndSimulatedAccesses) {
+  SwitchGuard guard;
+  set_metrics_enabled(true);
+  const trace::Trace t = trace::random_trace(0, 300, 4, 4000, 22);
+  const cache::CacheGeometry geom(256, 4);
+  const auto conventional =
+      hash::XorFunction::conventional(12, geom.index_bits());
+  const auto counters = [] {
+    const Snapshot snap = registry().snapshot();
+    return std::pair{snap.counter("simulate.passes"),
+                     snap.counter("simulate.accesses")};
+  };
+
+  const auto [passes0, accesses0] = counters();
+  (void)cache::simulate_direct_mapped(t, geom, conventional);
+  (void)cache::simulate_fully_associative(t, geom);
+  (void)cache::classify_misses(t, geom, conventional);
+  const auto [passes1, accesses1] = counters();
+  EXPECT_EQ(passes1 - passes0, compiled() ? 3u : 0u);
+  EXPECT_EQ(accesses1 - accesses0, compiled() ? 3 * t.size() : 0u);
+
+  // The exhaustive sweep adds one pass per candidate, but only the
+  // accesses it simulated before each candidate reached the running best.
+  const search::ExhaustiveBitSelectResult best =
+      search::optimal_bit_select(t, geom, 12);
+  const auto [passes2, accesses2] = counters();
+  if (compiled()) {
+    EXPECT_EQ(passes2 - passes1, best.candidates);
+    EXPECT_GE(accesses2 - accesses1, t.size());
+    EXPECT_LT(accesses2 - accesses1, best.candidates * t.size());
+  } else {
+    EXPECT_EQ(passes2, passes1);
+    EXPECT_EQ(accesses2, accesses1);
+  }
 }
 
 // --------------------------------------------------- progress reporter

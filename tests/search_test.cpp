@@ -2,10 +2,14 @@
 // the exhaustive optimal bit-select baseline and the optimizer facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
+#include <vector>
 
 #include "cache/simulate.hpp"
 #include "gf2/counting.hpp"
+#include "gf2/enumerate.hpp"
 #include "hash/function_properties.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/bit_select_search.hpp"
@@ -244,6 +248,105 @@ TEST(OptimalBitSelect, EstimatedVariantReturnsValidFunction) {
   // The estimator-guided optimum can lose to the exact one, never win.
   const auto exact = optimal_bit_select(t, geom, 12);
   EXPECT_GE(est.misses, exact.misses);
+}
+
+TEST(OptimalBitSelect, FirstTouchOfTheAllOnesBlockIsAMiss) {
+  // 1-byte blocks make 2^64 - 1 a reachable block address; a sweep whose
+  // lines started out holding it counted its first touch as a hit.
+  Trace t;
+  t.append(0xFFFF'FFFF'FFFF'FFFFull, AccessKind::read);
+  t.append(0x0, AccessKind::read);
+  const CacheGeometry geom(16, 1);
+  const auto optimal = optimal_bit_select(t, geom, 8);
+  EXPECT_EQ(optimal.misses, 2u);
+  EXPECT_EQ(optimal.misses,
+            cache::simulate_direct_mapped(t, geom, optimal.function).misses);
+}
+
+/// Test-local unbounded sweep: simulate every selection to the end of the
+/// trace with a textbook tag store, keep the first strict minimum.
+ExhaustiveBitSelectResult unbounded_sweep(const std::vector<std::uint64_t>& blocks,
+                                          const CacheGeometry& geom, int n) {
+  const int m = geom.index_bits();
+  ExhaustiveBitSelectResult best{hash::BitSelectFunction::conventional(n, m),
+                                 ~std::uint64_t{0}, 0};
+  gf2::for_each_combination(n, m, [&](std::uint32_t mask) {
+    std::vector<int> positions;
+    for (int i = 0; i < n; ++i)
+      if ((mask >> i) & 1u) positions.push_back(i);
+    const hash::BitSelectFunction f(n, positions);
+    std::vector<std::uint64_t> tags(std::size_t{1} << m);
+    std::vector<bool> valid(tags.size(), false);
+    std::uint64_t misses = 0;
+    for (const std::uint64_t b : blocks) {
+      const auto set = static_cast<std::size_t>(f.index(b));
+      if (valid[set] && tags[set] == f.tag(b)) continue;
+      valid[set] = true;
+      tags[set] = f.tag(b);
+      ++misses;
+    }
+    ++best.candidates;
+    if (misses < best.misses) {
+      best.misses = misses;
+      best.function = f;
+    }
+  });
+  return best;
+}
+
+void expect_same_sweep(const std::vector<std::uint64_t>& blocks,
+                       const CacheGeometry& geom, int n) {
+  const ExhaustiveBitSelectResult want = unbounded_sweep(blocks, geom, n);
+  const ExhaustiveBitSelectResult got =
+      optimal_bit_select_blocks(blocks, geom, n);
+  EXPECT_EQ(got.function.positions(), want.function.positions());
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.candidates, gf2::binomial_exact(n, geom.index_bits()));
+}
+
+TEST(OptimalBitSelect, BoundedSweepMatchesUnboundedOnRandomTraces) {
+  std::mt19937_64 rng(31);
+  for (const int n : {6, 9, 12}) {
+    for (const std::uint32_t sets : {4u, 16u}) {
+      const CacheGeometry geom(sets * 4, 4);
+      if (geom.index_bits() > n) continue;
+      std::vector<std::uint64_t> blocks(1500);
+      // Small footprints with bits above n, so candidates conflict.
+      for (std::uint64_t& b : blocks)
+        b = (rng() % 40) * (1 + rng() % 7) + ((rng() % 3) << n);
+      SCOPED_TRACE("n=" + std::to_string(n) + " sets=" + std::to_string(sets));
+      expect_same_sweep(blocks, geom, n);
+    }
+  }
+}
+
+TEST(OptimalBitSelect, ConflictFreeTraceKeepsTheConventionalSelection) {
+  // Every block is touched once: every candidate misses on every access,
+  // all tie, and the first in Gosper order (the low m bits) must win.
+  std::vector<std::uint64_t> blocks;
+  for (std::uint64_t b = 0; b < 200; ++b) blocks.push_back(b * 37);
+  const CacheGeometry geom(64, 4);  // m = 4
+  expect_same_sweep(blocks, geom, 10);
+  const auto optimal = optimal_bit_select_blocks(blocks, geom, 10);
+  EXPECT_EQ(optimal.function.positions(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(optimal.misses, blocks.size());
+}
+
+TEST(OptimalBitSelect, BestSelectionLastInGosperOrderIsFound) {
+  // The 2^m blocks vary only in the top m of the n bits: only the last
+  // selection in Gosper order maps them to distinct sets.
+  const int n = 10;
+  const CacheGeometry geom(32, 4);  // m = 3
+  const int m = geom.index_bits();
+  std::vector<std::uint64_t> blocks;
+  for (int rep = 0; rep < 20; ++rep)
+    for (std::uint64_t k = 0; k < (1u << m); ++k)
+      blocks.push_back(k << (n - m));
+  expect_same_sweep(blocks, geom, n);
+  const auto optimal = optimal_bit_select_blocks(blocks, geom, n);
+  EXPECT_EQ(optimal.function.positions(), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(optimal.misses, std::uint64_t{1} << m);
 }
 
 // ---------------------------------------------------------------------------
