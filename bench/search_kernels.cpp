@@ -1,7 +1,8 @@
 // Search-kernel microbenchmark: the Eq.-4 hot paths before and after the
-// algebraic kernels (zeta-transform bit-select, coset-delta hill
-// climbing, parallel neighborhood scans), with exact equivalence checks
-// between every fast kernel and its naive-enumeration reference. The
+// algebraic kernels (zeta-transform bit-select, coset-delta permutation
+// climbing, parallel neighborhood scans, Walsh-Hadamard general-XOR
+// neighborhoods), with exact equivalence checks between every fast
+// kernel and its naive-enumeration reference. The
 // binary exits nonzero if any equivalence check fails — CI runs it as the
 // perf-smoke gate (no wall-time gating, only correctness).
 //
@@ -30,6 +31,7 @@
 #include "search/estimator.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
+#include "tests/xor_climb_oracle.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -453,49 +455,57 @@ int main(int argc, char** argv) {
                               stats_equal(parallel->stats, fast->stats));
   }
 
-  // ------------------------------------------------ 16-in general XOR
-  // The ROADMAP hot case: the general-XOR neighborhood at d = 8 is ~130k
-  // candidates per iteration — the scan the thread pool chunking targets.
-  {
-    const int m = 8;
-    search::SearchOptions serial_opt;
-    serial_opt.max_iterations = small ? 3 : 6;
-    bench::StopWatch serial_watch;
-    const search::SubspaceSearchResult serial =
-        search::search_general_xor(profile, m, serial_opt);
-    const double serial_ms = serial_watch.ms();
+  // ------------------------------------- general-XOR neighborhood pricing
+  // The general-XOR climb scans (2^d - 1) * 2(2^(n-d) - 1) neighbors per
+  // iteration. The coset-enumeration oracle pays 2^(d-1) lookups per
+  // neighbor; the library prices the whole neighborhood from one
+  // Walsh-Hadamard transform of the profile table. Same searches, same
+  // iteration cap: the function, null space and stats must be identical.
+  for (const int d : {6, 8}) {
+    const int m = n_bits - d;
+    search::SearchOptions opt;
+    opt.max_iterations = small ? 2 : 5;
+    opt.random_restarts = 1;
 
-    search::SearchOptions par_opt = serial_opt;
-    par_opt.threads = static_cast<int>(pool_threads);
-    bench::StopWatch par_watch;
-    const search::SubspaceSearchResult parallel =
-        search::search_general_xor(profile, m, par_opt);
-    const double par_ms = par_watch.ms();
-    check(parallel.function.describe() == serial.function.describe() &&
-              stats_equal(parallel.stats, serial.stats),
-          "threads=K general-XOR search != serial scan");
+    bench::StopWatch naive_watch;
+    const search::SubspaceSearchResult naive =
+        search::oracle::coset_search_general_xor(profile, m, opt);
+    const double naive_ms = naive_watch.ms();
 
+    std::optional<search::SubspaceSearchResult> fast;
+    double fast_ms = 1e30;  // best of reps: one search is a few ms
+    for (int rep = 0; rep < (small ? 3 : 10); ++rep) {
+      bench::StopWatch fast_watch;
+      fast = search::search_general_xor(profile, m, opt);
+      fast_ms = std::min(fast_ms, fast_watch.ms());
+    }
+    const bool identical = fast->null_space == naive.null_space &&
+                           fast->function.describe() ==
+                               naive.function.describe() &&
+                           stats_equal(fast->stats, naive.stats);
+    check(identical,
+          "transform general-XOR search != coset-enumeration oracle "
+          "(function/null space/stats)");
+
+    const std::uint64_t evals = fast->stats.evaluations;
     std::fprintf(out,
-                 "general XOR search 16-in, m=8 (%llu evaluations):\n"
-                 "  serial scan          %9.3f ms  (%.3g evals/s)\n"
-                 "  threads=%-2u           %9.3f ms  (%.2fx)\n\n",
-                 static_cast<unsigned long long>(serial.stats.evaluations),
-                 serial_ms,
-                 bench::per_second(serial.stats.evaluations, serial_ms),
-                 pool_threads, par_ms, serial_ms / par_ms);
-    report.row("xor-search-16in-threads")
+                 "general XOR search, d=%d, %d iterations/climb, restarts=1 "
+                 "(%llu evaluations):\n"
+                 "  coset enumeration    %9.3f ms  (%.3g evals/s)\n"
+                 "  transform            %9.3f ms  (%.3g evals/s, %.2fx)\n\n",
+                 d, opt.max_iterations, static_cast<unsigned long long>(evals),
+                 naive_ms, bench::per_second(evals, naive_ms), fast_ms,
+                 bench::per_second(evals, fast_ms), naive_ms / fast_ms);
+    report.row("xor-neighborhood-transform")
+        .num("d", d)
         .num("m", m)
-        .num("threads", static_cast<std::uint64_t>(pool_threads))
-        .num("hardware_threads", static_cast<std::uint64_t>(hardware))
-        .num("evaluations", serial.stats.evaluations)
-        .num("serial_wall_ms", serial_ms)
-        .num("wall_ms", par_ms)
-        .num("evals_per_s",
-             bench::per_second(serial.stats.evaluations, par_ms))
-        .num("speedup", serial_ms / par_ms)
-        .boolean("identical", parallel.function.describe() ==
-                                  serial.function.describe() &&
-                              stats_equal(parallel.stats, serial.stats));
+        .num("max_iterations", opt.max_iterations)
+        .num("evaluations", evals)
+        .num("naive_wall_ms", naive_ms)
+        .num("wall_ms", fast_ms)
+        .num("evals_per_s", bench::per_second(evals, fast_ms))
+        .num("speedup", naive_ms / fast_ms)
+        .boolean("identical", identical);
   }
 
   if (hardware < 2)

@@ -228,7 +228,8 @@ Result<Strategy> parse_strategy(std::string_view spec) {
         out.label, search::FunctionClass::permutation, fanin, options.revert,
         restarts, seed, threads);
   } else if (name == "xor") {
-    if (Status s = reject_option(spec, name, options, true, true, false, true);
+    // The null-space search has no fan-in constraint to apply.
+    if (Status s = reject_option(spec, name, options, false, true, false, true);
         !s.ok())
       return s;
     out.config = engine::FunctionConfig::optimize(
@@ -289,8 +290,9 @@ const std::vector<StrategyInfo>& strategy_registry() {
       {"3c", "", "3C miss breakdown under the conventional index"},
       {"perm", "[:fanin=N][:revert][:restarts=N][:seed=S][:threads=K]",
        "permutation-based XOR search (paper Section 4)"},
-      {"xor", "[:fanin=N][:revert][:restarts=N][:seed=S][:threads=K]",
-       "general XOR search (null-space search)"},
+      {"xor", "[:revert][:restarts=N][:seed=S][:threads=K]",
+       "general XOR search (null-space search; threads=K is accepted "
+       "but the scan is one serial transform)"},
       {"bitselect",
        "[:revert][:restarts=N][:seed=S][:threads=K] | [:exact|:est]",
        "bit-selecting search; ':exact'/':est' run the exhaustive "

@@ -11,7 +11,7 @@
 // Grammar:   spec  := name (":" opt)*
 //            opt   := key "=" value | flag | integer (fan-in shorthand)
 // (options are ':'-separated so specs compose into comma-separated
-// lists: "base,perm:2,xor:fanin=4:revert")
+// lists: "base,perm:2,xor:restarts=2:revert")
 //
 //   name        options                      meaning
 //   base        —                            conventional modulo index
@@ -21,9 +21,8 @@
 //   perm        fanin=N, revert, N,          permutation-based XOR search
 //               restarts=N, seed=S,          (alias: permutation)
 //               threads=K
-//   xor         fanin=N, revert,             general XOR search (alias:
-//               restarts=N, seed=S,          general)
-//               threads=K
+//   xor         revert, restarts=N, seed=S,  general XOR search (alias:
+//               threads=K                    general)
 //   bitselect   revert, restarts=N, seed=S,  heuristic 1-in search
 //               threads=K
 //   bitselect   exact | est                  exhaustive optimal bit-select
@@ -32,17 +31,21 @@
 // The hill-climbing strategies take "restarts=N" (seeded random starting
 // points beyond the conventional index) and "seed=S"; results stay a
 // deterministic function of the spec, which campaign sharding relies on.
-// "threads=K" splits the neighborhood scans inside one search across K
-// workers (0 = one per hardware thread) — a pure wall-clock knob: the
-// chosen function, estimates and stats are bit-identical for every K.
-// Each optimize cell spawns its own K-worker pool, so inside a parallel
-// campaign the thread counts multiply — pair threads=K with a reduced
-// engine --threads (or a sharded run) rather than stacking both at full
-// width. bitselect accepts the option for grammar uniformity but its
-// scan stays serial: zeta-view candidates are O(1), far too cheap to
-// amortize a pool dispatch.
+// "threads=K" splits the neighborhood scans inside one perm search
+// across K workers (0 = one per hardware thread) — a pure wall-clock
+// knob: the chosen function, estimates and stats are bit-identical for
+// every K. Each perm cell spawns its own K-worker pool, so inside a
+// parallel campaign the thread counts multiply — pair threads=K with a
+// reduced engine --threads (or a sharded run) rather than stacking both
+// at full width. xor and bitselect accept the option for grammar
+// uniformity, but it no longer changes how they run: xor prices a whole
+// neighborhood from one serial Walsh-Hadamard transform, and zeta-view
+// bitselect candidates are O(1), both far too cheap to amortize a pool
+// dispatch. Their results were always identical for every K. xor takes
+// no fan-in option: the null-space search has no fan-in constraint, so
+// "xor:fanin=N" is a parse error.
 //
-// Examples: "base", "perm:fanin=2", "perm:2", "xor:fanin=4:revert",
+// Examples: "base", "perm:fanin=2", "perm:2", "xor:revert",
 // "perm:restarts=4:seed=7", "bitselect:exact", "3c". A strategy's label
 // defaults to its spec string so result tables read back the spec that
 // produced each column.

@@ -6,10 +6,16 @@
 //
 //   - bit-select candidates answer in O(1) from the profile's cached
 //     zeta-transform view (estimate_misses_bit_select);
-//   - hill-climbing neighbors that extend a shared d-1 dimensional core
+//   - permutation neighbors that extend a shared d-1 dimensional core
 //     cost one coset sum of 2^(d-1) terms instead of a 2^d re-enumeration
 //     (coset_sum / coset_sums), because for w outside span(W)
 //         estimate(span(W + w)) = estimate(W) + sum_{v in W} misses(v ^ w);
+//   - a general-XOR iteration prices all of its neighbors from one
+//     Walsh-Hadamard transform H_c(alpha) of the table in coordinates
+//     (a, c) over the null space and a complement: a neighbor with core
+//     U = ker(alpha) and coset {c(v) = c, alpha . a(v) = eps} estimates
+//         (H_0(0) + H_0(alpha)) / 2 + (H_c(0) + (-1)^eps H_c(alpha)) / 2
+//     (subspace_search.cpp);
 //   - a one-vector swap inside an enumerated basis re-evaluates in one
 //     fused Gray pass over the unchanged core (estimate_misses_swap).
 //

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "hash/xor_function.hpp"
+#include "obs/metrics.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
@@ -54,10 +55,16 @@ OptimizationResult pick_function(const cache::CacheGeometry& geometry,
 }
 
 /// Fill in the exact baseline/winner numbers and apply revert_if_worse.
+/// Records the chosen function's Eq.-4 error against its exact misses,
+/// before any revert, once per optimize call.
 void finalize(OptimizationResult& result, const cache::CacheStats& base,
               const cache::CacheStats& opt,
               const hash::XorFunction& conventional,
               const OptimizeOptions& options) {
+  XORIDX_OBS_HIST("estimator.abs_error",
+                  result.estimated_misses > opt.misses
+                      ? result.estimated_misses - opt.misses
+                      : opt.misses - result.estimated_misses);
   result.baseline_misses = base.misses;
   result.optimized_misses = opt.misses;
   result.accesses = base.accesses;

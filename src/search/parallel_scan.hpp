@@ -1,7 +1,6 @@
 // Deterministic chunked parallelization of a neighborhood scan.
 //
-// A hill-climbing iteration prices every neighbor independently — the
-// "embarrassingly parallel, dominates 16-in searches" hot loop. This
+// A permutation-climb iteration prices every neighbor independently. This
 // helper splits the candidate index range into contiguous chunks and runs
 // them on an engine::ThreadPool (the pool's per-worker deques were built
 // for exactly this job granularity). Determinism contract: each chunk

@@ -18,8 +18,10 @@ struct SearchOptions {
   FunctionClass function_class = FunctionClass::permutation;
 
   /// Maximum inputs per XOR gate ("2-in"/"4-in" of Table 2). The value
-  /// `unlimited` reproduces the paper's "16-in" columns. Ignored for
-  /// bit-select (always 1).
+  /// `unlimited` reproduces the paper's "16-in" columns. Read by the
+  /// permutation search only: bit-select is always 1-in, and the general
+  /// XOR search has no fan-in constraint (the strategy grammar rejects
+  /// "xor:fanin=N").
   int max_fan_in = unlimited;
 
   /// Number of additional random starting points beyond the conventional
@@ -33,14 +35,17 @@ struct SearchOptions {
   /// full neighborhood; convergence is typically < 30 iterations).
   int max_iterations = 1000;
 
-  /// Worker threads for the neighborhood scan inside one search
-  /// (intra-search parallelism). 1 = serial on the calling thread
+  /// Worker threads for the permutation neighborhood scan inside one
+  /// search (intra-search parallelism). 1 = serial on the calling thread
   /// (default), 0 = one worker per hardware thread, K > 1 = K workers on
   /// a private engine::ThreadPool. The chosen function, every estimate
   /// and the full SearchStats are bit-identical for every value: chunks
   /// carry the serial scan rank of their local winner and the reduction
   /// picks the (estimate, rank)-lexicographic minimum — exactly the
-  /// candidate the serial first-strict-improvement scan selects.
+  /// candidate the serial first-strict-improvement scan selects. General
+  /// XOR no longer reads it: its scan is one serial Walsh-Hadamard
+  /// transform per iteration, and its results were always identical for
+  /// every value. Bit-select candidates are O(1), so it stays serial too.
   int threads = 1;
 
   static constexpr int unlimited = std::numeric_limits<int>::max();

@@ -1,6 +1,21 @@
+// General-XOR hill climb: each iteration prices its whole neighborhood
+// from one Walsh-Hadamard transform of the profile table.
+//
+// Write v in coordinates (a, c) over the current null space's basis and
+// the complement basis, and let H_c(alpha) = sum_a (-1)^(alpha . a)
+// misses(a, c) (a length-2^d transform per c). The neighbor for
+// hyperplane alpha, complement member c and epsilon has core
+// U = ker(alpha) and coset {v : c(v) = c, alpha . a(v) = epsilon}, so
+//   estimate(U)  = (H_0(0) + H_0(alpha)) / 2
+//   coset mass   = (H_c(0) + (-1)^epsilon H_c(alpha)) / 2
+// and its estimate is the sum — exact integer identities. One iteration
+// costs 2^n gathers and d * 2^n butterflies instead of a 2^(d-1)-lookup
+// coset sum per neighbor.
 #include "search/subspace_search.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -23,129 +38,100 @@ struct ClimbOutcome {
   int iterations = 0;
 };
 
-/// Per-chunk outcome of one neighborhood scan over a range of hyperplane
-/// selectors alpha.
-struct AlphaScan {
-  ScanBest best;
-  std::vector<Word> winner;  ///< basis of the winning candidate subspace
-  std::uint64_t evaluations = 0;
-};
-
-/// Candidates per hyperplane: new direction w = c (+ optionally k0) over
-/// the nonzero complement members, two epsilon variants each.
-constexpr std::size_t coset_batch = 16;
+/// Basis of the hyperplane U = ker(alpha) of span(basis), where alpha is
+/// a nonzero functional on the basis coordinates: untouched basis vectors
+/// where alpha_i = 0, and b_i ^ k0 where alpha_i = 1 (i != j), with the
+/// pivot k0 = b_j, j = ctz(alpha), the basis vector outside U.
+std::vector<Word> hyperplane_basis(const std::vector<Word>& basis,
+                                   Word alpha) {
+  const int j = std::countr_zero(alpha);
+  const Word k0 = basis[static_cast<std::size_t>(j)];
+  std::vector<Word> core;
+  for (int i = 0; i < static_cast<int>(basis.size()); ++i) {
+    if (i == j) continue;
+    const Word b = basis[static_cast<std::size_t>(i)];
+    core.push_back(gf2::get_bit(alpha, i) ? (b ^ k0) : b);
+  }
+  return core;
+}
 
 /// One steepest-descent run from `start`.
 ClimbOutcome climb(const profile::ConflictProfile& profile, Subspace start,
-                   int max_iterations, engine::ThreadPool* pool) {
+                   int max_iterations) {
   XORIDX_SPAN("search", "climb_general_xor");
   const int n = profile.hashed_bits();
   const int d = start.dim();
+  const std::size_t hyperplanes = (std::size_t{1} << d) - 1;
+  const std::size_t row = std::size_t{1} << (n - d);  // complement members
+  // Serial candidate order: alpha ascending, then the Gray-code walk over
+  // nonzero complement members c = gray(ci), epsilon innermost.
+  const std::ptrdiff_t per_alpha = 2 * (static_cast<std::ptrdiff_t>(row) - 1);
 
   ClimbOutcome out{std::move(start), 0, 0, 0};
   out.estimate = estimate_misses_basis(profile, out.space.basis());
   out.evaluations = 1;
 
-  std::vector<AlphaScan> chunks;
+  // h[(a << (n - d)) | c] = misses(a, c), transformed in place along a
+  // to H_c(alpha); row alpha is contiguous over c. Every value is a
+  // signed sum of at most pair_count, so int64 is exact.
+  std::vector<std::int64_t> h(std::size_t{1} << n);
   for (int iter = 0; iter < max_iterations; ++iter) {
     const std::vector<Word>& basis = out.space.basis();
-    const std::vector<Word> comp = out.space.complement_basis();
-    assert(static_cast<int>(comp.size()) == n - d);
-    const std::size_t comp_count = std::size_t{1} << comp.size();
-    // Serial candidate order: alpha ascending, then the Gray-code walk
-    // over nonzero complement members, epsilon innermost.
-    const std::ptrdiff_t per_alpha =
-        2 * (static_cast<std::ptrdiff_t>(comp_count) - 1);
+    std::vector<Word> coords = out.space.complement_basis();
+    assert(static_cast<int>(coords.size()) == n - d);
+    coords.insert(coords.end(), basis.begin(), basis.end());
 
-    // Every candidate of one hyperplane alpha shares the d-1 dimensional
-    // core U = ker(alpha): price estimate(U) once, then each new
-    // direction w is one coset sum over U's 2^(d-1) members (batched over
-    // a single Gray-code enumeration) instead of a 2^d re-enumeration.
-    scan_chunks(pool, (std::size_t{1} << d) - 1, chunks,
-                [&](std::size_t chunk, std::size_t alpha_begin,
-                    std::size_t alpha_end) {
-      AlphaScan& local = chunks[chunk];
-      local.best.estimate = out.estimate;
-      std::vector<Word> core(static_cast<std::size_t>(d > 0 ? d - 1 : 0));
-      std::vector<Word> ws;
-      std::vector<std::ptrdiff_t> ranks;
-      std::vector<std::uint64_t> sums;
-      std::uint64_t core_estimate = 0;
-
-      const auto flush = [&] {
-        if (ws.empty()) return;
-        sums.assign(ws.size(), 0);
-        coset_sums(profile, core, ws, sums);
-        local.evaluations += ws.size();
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-          const std::uint64_t est = core_estimate + sums[i];
-          if (est < local.best.estimate) {
-            local.best.estimate = est;
-            local.best.rank = ranks[i];
-            local.winner.assign(core.begin(), core.end());
-            local.winner.push_back(ws[i]);
-          }
+    Word v = 0;
+    h[0] = static_cast<std::int64_t>(profile.misses(0));
+    for (std::size_t i = 1; i < h.size(); ++i) {
+      v ^= coords[static_cast<std::size_t>(std::countr_zero(i))];
+      h[i ^ (i >> 1)] = static_cast<std::int64_t>(profile.misses(v));
+    }
+    for (std::size_t half = row; half < h.size(); half <<= 1)
+      for (std::size_t base = 0; base < h.size(); base += 2 * half)
+        for (std::size_t k = base; k < base + half; ++k) {
+          const std::int64_t x = h[k];
+          const std::int64_t y = h[k + half];
+          h[k] = x + y;
+          h[k + half] = x - y;
         }
-        ws.clear();
-        ranks.clear();
-      };
+    assert(static_cast<std::uint64_t>(h[0]) == out.estimate);
 
-      for (std::size_t a = alpha_begin; a < alpha_end; ++a) {
-        const Word alpha = static_cast<Word>(a) + 1;
-        // Pivot basis vector outside the hyperplane U = ker(alpha).
-        const int j = std::countr_zero(alpha);
-        const Word k0 = basis[static_cast<std::size_t>(j)];
-        // Basis of U: untouched basis vectors where alpha_i = 0, and
-        // b_i ^ b_j where alpha_i = 1 (i != j).
-        int u_count = 0;
-        for (int i = 0; i < d; ++i) {
-          if (i == j) continue;
-          const Word b = basis[static_cast<std::size_t>(i)];
-          core[static_cast<std::size_t>(u_count++)] =
-              gf2::get_bit(alpha, i) ? (b ^ k0) : b;
-        }
-        core_estimate = estimate_misses_basis(profile, core);
-        // New direction w = c ^ eps * k0 over nonzero complement members
-        // c (Gray code over comp). Every such w lies outside U: c is
-        // outside span(basis) and k0 is inside, so the span(U + w)
-        // candidates all have dimension d and the coset identity is
-        // exact.
-        Word c = 0;
-        const std::ptrdiff_t alpha_rank_base =
-            static_cast<std::ptrdiff_t>(a) * per_alpha;
-        for (std::size_t ci = 1; ci < comp_count; ++ci) {
-          c ^= comp[static_cast<std::size_t>(std::countr_zero(ci))];
-          for (int eps = 0; eps < 2; ++eps) {
-            ws.push_back(eps == 0 ? c : (c ^ k0));
-            ranks.push_back(alpha_rank_base +
-                            2 * (static_cast<std::ptrdiff_t>(ci) - 1) + eps);
-            if (ws.size() == coset_batch) flush();
-          }
-        }
-        flush();  // batches never straddle hyperplanes: core changes here
-      }
-    });
-
+    // Candidate (alpha, ci, eps) is span(U + w) with U = ker(alpha) and
+    // w = gray(ci) . C ^ eps * k0: its coset w + U has c(v) = gray(ci).
     ScanBest best;
     best.estimate = out.estimate;
-    const std::vector<Word>* winner = nullptr;
-    std::uint64_t scan_evaluations = 0;
-    for (const AlphaScan& chunk : chunks) {
-      if (chunk.best.rank >= 0 && chunk.best.estimate < best.estimate) {
-        best = chunk.best;
-        winner = &chunk.winner;
+    for (std::size_t alpha = 1; alpha <= hyperplanes; ++alpha) {
+      const std::int64_t* h_alpha = h.data() + alpha * row;
+      const std::int64_t core = (h[0] + h_alpha[0]) / 2;
+      std::ptrdiff_t rank = static_cast<std::ptrdiff_t>(alpha - 1) * per_alpha;
+      for (std::size_t ci = 1; ci < row; ++ci, rank += 2) {
+        const std::size_t c = ci ^ (ci >> 1);
+        const std::int64_t sum = h[c];
+        const std::int64_t corr = h_alpha[c];
+        best.offer(static_cast<std::uint64_t>(core + (sum + corr) / 2), rank);
+        best.offer(static_cast<std::uint64_t>(core + (sum - corr) / 2),
+                   rank + 1);
       }
-      scan_evaluations += chunk.evaluations;
     }
-    out.evaluations += scan_evaluations;
     // Evaluation-count convention (SearchStats::evaluations): exactly one
-    // per (alpha, complement member, epsilon) candidate, independent of
-    // evaluation strategy and chunking.
-    assert(scan_evaluations ==
-           ((std::uint64_t{1} << d) - 1) * static_cast<std::uint64_t>(per_alpha));
+    // per (alpha, complement member, epsilon) candidate, however priced.
+    out.evaluations += static_cast<std::uint64_t>(hyperplanes) *
+                       static_cast<std::uint64_t>(per_alpha);
 
-    if (winner == nullptr) break;  // local optimum
-    out.space = Subspace::span_of(n, *winner);
+    if (best.rank < 0) break;  // local optimum
+    // Rebuild the winner alone from its rank.
+    const Word alpha = static_cast<Word>(best.rank / per_alpha) + 1;
+    const std::size_t ci =
+        static_cast<std::size_t>(best.rank % per_alpha) / 2 + 1;
+    std::vector<Word> winner = hyperplane_basis(basis, alpha);
+    Word w = (best.rank % 2 != 0)
+                 ? basis[static_cast<std::size_t>(std::countr_zero(alpha))]
+                 : 0;
+    for (std::size_t g = ci ^ (ci >> 1); g != 0; g &= g - 1)
+      w ^= coords[static_cast<std::size_t>(std::countr_zero(g))];
+    winner.push_back(w);
+    out.space = Subspace::span_of(n, winner);
     assert(out.space.dim() == d);
     out.estimate = best.estimate;
     ++out.iterations;
@@ -163,17 +149,13 @@ SubspaceSearchResult search_general_xor(
   const int d = n - m;
   assert(d >= 0);
 
-  // One private pool serves every climb; nullptr keeps scans serial.
-  const std::unique_ptr<engine::ThreadPool> pool = make_scan_pool(options);
-
   // Null space of the conventional index: the high-order directions.
   std::vector<Word> high;
   high.reserve(static_cast<std::size_t>(d));
   for (int i = m; i < n; ++i) high.push_back(gf2::unit(i));
   const Subspace conventional = Subspace::span_of(n, high);
 
-  ClimbOutcome best =
-      climb(profile, conventional, options.max_iterations, pool.get());
+  ClimbOutcome best = climb(profile, conventional, options.max_iterations);
 
   SearchStats stats;
   stats.evaluations = best.evaluations;
@@ -183,8 +165,7 @@ SubspaceSearchResult search_general_xor(
   std::mt19937_64 rng(options.seed);
   for (int r = 0; r < options.random_restarts; ++r) {
     ClimbOutcome candidate =
-        climb(profile, gf2::random_subspace(n, d, rng), options.max_iterations,
-              pool.get());
+        climb(profile, gf2::random_subspace(n, d, rng), options.max_iterations);
     stats.evaluations += candidate.evaluations;
     ++stats.restarts_used;
     if (candidate.estimate < best.estimate) best = std::move(candidate);

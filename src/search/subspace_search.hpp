@@ -12,7 +12,8 @@
 //     outside U.
 // For a fixed U these (c, ε) pairs give pairwise distinct K', and
 // U = K' ∩ K is recoverable from K', so no candidate repeats across
-// hyperplanes. Each candidate costs one 2^d Gray-code sweep (Eq. 4).
+// hyperplanes. One Walsh-Hadamard transform per iteration prices every
+// candidate (subspace_search.cpp); the search is serial.
 #pragma once
 
 #include "gf2/subspace.hpp"

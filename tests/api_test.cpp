@@ -115,13 +115,25 @@ TEST(StrategyGrammar, PermFanInFormsAreEquivalent) {
 }
 
 TEST(StrategyGrammar, RevertAndClassAliases) {
-  const Result<Strategy> xr = parse_strategy("xor:fanin=4:revert");
+  const Result<Strategy> xr = parse_strategy("xor:revert");
   ASSERT_TRUE(xr.ok());
   const auto* job = as_optimize(*xr);
   ASSERT_NE(job, nullptr);
   EXPECT_EQ(job->function_class, search::FunctionClass::general_xor);
-  EXPECT_EQ(job->max_fan_in, 4);
   EXPECT_TRUE(job->revert_if_worse);
+
+  // The general-XOR search has no fan-in constraint: a fan-in option is
+  // a parse error rather than a silently ignored value, in every form
+  // and through the legacy alias.
+  for (const char* bad : {"xor:fanin=4:revert", "xor:fanin=2", "xor:4",
+                          "general:fanin=2"}) {
+    const Result<Strategy> parsed = parse_strategy(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "' should not parse";
+    EXPECT_EQ(parsed.status().code(), StatusCode::parse_error);
+    EXPECT_NE(parsed.status().to_string().find("takes no fan-in option"),
+              std::string::npos)
+        << parsed.status().to_string();
+  }
 
   // Legacy aliases stay accepted: general, classify, opt, opt-est,
   // permutation.

@@ -2,12 +2,15 @@
 // view and the coset-delta incremental evaluators must agree *exactly*
 // with naive null-space enumeration on arbitrary profiles — the table2
 // CSV byte-identity and the shard determinism guarantees both rest on
-// that — and a threads=K neighborhood scan must return the same function,
-// estimate and stats as the serial scan.
+// that — a threads=K neighborhood scan must return the same function,
+// estimate and stats as the serial scan, and the general-XOR climb's
+// Walsh-Hadamard neighborhood pricing must pick exactly what the
+// coset-enumeration oracle (tests/xor_climb_oracle.hpp) picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "cache/geometry.hpp"
@@ -17,6 +20,7 @@
 #include "search/estimator.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
+#include "xor_climb_oracle.hpp"
 #include "workloads/workload.hpp"
 
 namespace xoridx::search {
@@ -216,6 +220,13 @@ TEST(ParallelScanIdentity, GeneralXorWithRestartsOverTable2Subset) {
           << name << " @ " << geom.to_string();
       EXPECT_TRUE(stats_equal(xs.stats, xp.stats))
           << name << " @ " << geom.to_string();
+
+      const SubspaceSearchResult xo =
+          oracle::coset_search_general_xor(p, geom.index_bits(), serial);
+      EXPECT_EQ(xs.null_space, xo.null_space)
+          << name << " @ " << geom.to_string();
+      EXPECT_TRUE(stats_equal(xs.stats, xo.stats))
+          << name << " @ " << geom.to_string();
     }
   }
 }
@@ -230,6 +241,77 @@ TEST(ParallelScanIdentity, ThreadsZeroMeansHardwareAndStaysIdentical) {
   const PermutationSearchResult b = search_permutation(p, 6, hw);
   EXPECT_EQ(a.function.describe(), b.function.describe());
   EXPECT_TRUE(stats_equal(a.stats, b.stats));
+}
+
+// ---------------------------------------------------------------------------
+// General-XOR climb: Walsh-Hadamard pricing vs the coset-enumeration oracle
+// ---------------------------------------------------------------------------
+
+void expect_matches_oracle(const profile::ConflictProfile& p, int m,
+                           const SearchOptions& options,
+                           const std::string& what) {
+  const SubspaceSearchResult fast = search_general_xor(p, m, options);
+  const SubspaceSearchResult slow =
+      oracle::coset_search_general_xor(p, m, options);
+  EXPECT_EQ(fast.function.describe(), slow.function.describe()) << what;
+  EXPECT_EQ(fast.null_space, slow.null_space) << what;
+  EXPECT_TRUE(stats_equal(fast.stats, slow.stats))
+      << what << ": evaluations " << fast.stats.evaluations << " vs "
+      << slow.stats.evaluations << ", iterations " << fast.stats.iterations
+      << " vs " << slow.stats.iterations << ", best "
+      << fast.stats.best_estimate << " vs " << slow.stats.best_estimate;
+}
+
+TEST(XorTransformDifferential, RandomProfilesEveryNullSpaceDimension) {
+  std::mt19937_64 rng(29);
+  for (const int n : {6, 8, 12, 16}) {
+    const profile::ConflictProfile p = random_profile(n, rng);
+    std::vector<int> dims;
+    if (n == 16) {
+      dims = {4, 6, 8};
+    } else {
+      for (int d = 1; d < n; ++d) dims.push_back(d);
+    }
+    for (const int d : dims) {
+      SearchOptions options;
+      options.random_restarts = 2;
+      options.seed = rng();
+      expect_matches_oracle(p, n - d, options,
+                            "n=" + std::to_string(n) +
+                                " d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(XorTransformDifferential, TiesKeepTheEarliestCandidate) {
+  // Every nonzero entry equal, with the whole conventional null space
+  // conflicting: most neighbors of the start tie at the same estimate,
+  // so the winner of each iteration is decided by scan rank alone.
+  std::mt19937_64 rng(31);
+  for (const int n : {8, 12}) {
+    for (const int d : {2, n / 2, n - 2}) {
+      const int m = n - d;
+      profile::ConflictProfile p(n, 64);
+      for (Word v = 1; v < (Word{1} << n); ++v)
+        if ((v & gf2::mask_of(m)) == 0 || rng() % 8 == 0) p.add(v, 5);
+      SearchOptions options;
+      options.random_restarts = 3;
+      expect_matches_oracle(p, m, options,
+                            "ties n=" + std::to_string(n) +
+                                " d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(XorTransformDifferential, EmptyProfileStaysAtTheStart) {
+  const profile::ConflictProfile empty(12, 64);
+  for (const int d : {1, 6, 11}) {
+    SearchOptions options;
+    options.random_restarts = 1;
+    expect_matches_oracle(empty, 12 - d, options,
+                          "empty d=" + std::to_string(d));
+    EXPECT_EQ(search_general_xor(empty, 12 - d, options).stats.iterations, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@
 #include "cache/simulate.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/exhaustive_bit_select.hpp"
+#include "search/optimizer.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
 #include "trace/generators.hpp"
+#include "tracestore/trace_source.hpp"
 #include "workloads/workload.hpp"
 #include "xoridx/api.hpp"
 #include "xoridx/obs.hpp"
@@ -406,6 +408,44 @@ TEST(Instrumentation, SearchEvaluationsCounterMatchesSearchStats) {
   // SearchStats::evaluations each entry point reports — in an OBS=OFF
   // build it does not advance at all.
   EXPECT_EQ(after - before, compiled() ? stats_total : 0u);
+}
+
+TEST(Instrumentation, EstimatorAbsErrorRecordedOncePerOptimizeCall) {
+  SwitchGuard guard;
+  set_metrics_enabled(true);
+  const trace::Trace t = trace::random_trace(0, 300, 4, 5000, 23);
+  const cache::CacheGeometry geom(256, 4);
+  search::OptimizeOptions options;
+  options.hashed_bits = 12;
+  const profile::ConflictProfile profile =
+      profile::build_conflict_profile(t, geom, options.hashed_bits);
+  const auto abs_error = [] {
+    for (const auto& [name, hist] : registry().snapshot().histograms)
+      if (name == "estimator.abs_error") return hist;
+    return HistogramSnapshot{};
+  };
+  const auto expected = [](const search::OptimizationResult& r) {
+    return r.estimated_misses > r.optimized_misses
+               ? r.estimated_misses - r.optimized_misses
+               : r.optimized_misses - r.estimated_misses;
+  };
+
+  const HistogramSnapshot h0 = abs_error();
+  const search::OptimizationResult in_memory =
+      search::optimize_index_with_profile(t, geom, profile, options);
+  const HistogramSnapshot h1 = abs_error();
+  tracestore::MemorySource source(t);
+  const search::OptimizationResult streamed =
+      search::optimize_index_with_profile(source, geom, profile, options);
+  const HistogramSnapshot h2 = abs_error();
+  if (compiled()) {
+    EXPECT_EQ(h1.count - h0.count, 1u);
+    EXPECT_EQ(h1.sum - h0.sum, expected(in_memory));
+    EXPECT_EQ(h2.count - h1.count, 1u);
+    EXPECT_EQ(h2.sum - h1.sum, expected(streamed));
+  } else {
+    EXPECT_EQ(h2.count, 0u);
+  }
 }
 
 TEST(Instrumentation, SimulateCountersCountPassesAndSimulatedAccesses) {

@@ -303,7 +303,7 @@ api::ExplorationRequest random_request(std::uint64_t seed) {
       ++g;
   }
   const char* pool[] = {"base",         "fa",        "3c",
-                        "perm:2",       "perm",      "xor:fanin=2",
+                        "perm:2",       "perm",      "xor:revert",
                         "bitselect",    "bitselect:est"};
   const std::size_t strategies = 2 + rng() % 3;
   for (std::size_t s = 0; s < strategies; ++s)
