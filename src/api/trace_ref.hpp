@@ -1,12 +1,12 @@
 // TraceRef: one value type naming a trace wherever it lives.
 //
-// The internal layers take a trace three different ways — an in-memory
-// trace::Trace, a v1/v2 file path, or a streaming tracestore::TraceSource
-// — and before the API existed every caller picked an overload pair per
-// operation. A TraceRef collapses those: callers build one ref (memory /
-// file / streaming / custom source) and every API operation accepts it,
-// lowering to the right internal overload. Refs are cheap to copy; an
-// in-memory ref shares ownership of its trace.
+// A trace can live in memory (trace::Trace), in a v1/v2 file, or behind
+// a streaming tracestore::TraceSource. A TraceRef names any of them:
+// callers build one ref (memory / file / streaming / custom source) and
+// every API operation accepts it. The one-shot operations open the ref as
+// a source and hand it to the internal consumers, which take a
+// tracestore::TraceInput; sweeps lower it to an engine::TraceEntry. Refs
+// are cheap to copy; an in-memory ref shares ownership of its trace.
 #pragma once
 
 #include <functional>

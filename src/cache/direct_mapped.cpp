@@ -22,8 +22,12 @@ DirectMappedCache::DirectMappedCache(const CacheGeometry& geometry,
         "index function width does not match cache geometry");
 }
 
-std::size_t DirectMappedCache::run(std::span<const std::uint64_t> blocks,
-                                   std::uint64_t stop_at) {
+// Cache-line aligned: the loop below is most of an exhaustive sweep, and
+// where the linker happens to place it otherwise moves its speed by 10-15%
+// (measured on Sapphire Rapids) whenever unrelated library code changes
+// size.
+[[gnu::aligned(64)]] std::size_t DirectMappedCache::run(
+    std::span<const std::uint64_t> blocks, std::uint64_t stop_at) {
   // Locals, so the loop does not reload members after each line store.
   const hash::CompiledIndex::Lookup index = index_.lookup();
   Line* const lines = lines_.data();

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <unordered_set>
-#include <vector>
 
 #include "cache/direct_mapped.hpp"
 #include "cache/fully_associative.hpp"
 #include "obs/metrics.hpp"
-#include "tracestore/trace_source.hpp"
 
 namespace xoridx::cache {
 
@@ -36,11 +34,13 @@ void run_accesses(DirectMappedCache& cache,
 
 }  // namespace
 
-CacheStats simulate_direct_mapped(const trace::Trace& t,
+CacheStats simulate_direct_mapped(tracestore::TraceInput t,
                                   const CacheGeometry& geometry,
                                   const hash::IndexFunction& index_fn) {
   DirectMappedCache cache(geometry, index_fn);
-  run_accesses(cache, t.accesses(), geometry.offset_bits());
+  t.for_each_batch([&](std::span<const trace::Access> batch) {
+    run_accesses(cache, batch, geometry.offset_bits());
+  });
   count_pass(cache.stats().accesses);
   return cache.stats();
 }
@@ -54,94 +54,46 @@ CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
   return cache.stats();
 }
 
-CacheStats simulate_fully_associative(const trace::Trace& t,
+CacheStats simulate_fully_associative(tracestore::TraceInput t,
                                       const CacheGeometry& geometry) {
   FullyAssociativeCache cache(geometry.num_blocks());
   const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) cache.access(a.addr >> shift);
-  count_pass(cache.stats().accesses);
-  return cache.stats();
-}
-
-MissBreakdown classify_misses(const trace::Trace& t,
-                              const CacheGeometry& geometry,
-                              const hash::IndexFunction& index_fn) {
-  DirectMappedCache dm(geometry, index_fn);
-  FullyAssociativeCache fa(geometry.num_blocks());
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(t.size());  // distinct blocks <= references
-  MissBreakdown out;
-  const int shift = geometry.offset_bits();
-  for (const trace::Access& a : t) {
-    const std::uint64_t block = a.addr >> shift;
-    ++out.accesses;
-    const bool dm_hit = dm.access(block);
-    const bool fa_hit = fa.access(block);
-    const bool first_touch = seen.insert(block).second;
-    if (dm_hit) continue;
-    ++out.misses;
-    if (first_touch)
-      ++out.compulsory;
-    else if (!fa_hit)
-      ++out.capacity;
-    else
-      ++out.conflict;
-  }
-  count_pass(out.accesses);
-  return out;
-}
-
-CacheStats simulate_direct_mapped(tracestore::TraceSource& source,
-                                  const CacheGeometry& geometry,
-                                  const hash::IndexFunction& index_fn) {
-  source.reset();
-  DirectMappedCache cache(geometry, index_fn);
-  std::vector<trace::Access> batch(4096);
-  while (const std::size_t got = source.next_batch(batch))
-    run_accesses(cache, std::span(batch).first(got), geometry.offset_bits());
-  count_pass(cache.stats().accesses);
-  return cache.stats();
-}
-
-CacheStats simulate_fully_associative(tracestore::TraceSource& source,
-                                      const CacheGeometry& geometry) {
-  source.reset();
-  FullyAssociativeCache cache(geometry.num_blocks());
-  const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    cache.access(a.addr >> shift);
+  t.for_each_batch([&](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) cache.access(a.addr >> shift);
   });
   count_pass(cache.stats().accesses);
   return cache.stats();
 }
 
-MissBreakdown classify_misses(tracestore::TraceSource& source,
+MissBreakdown classify_misses(tracestore::TraceInput t,
                               const CacheGeometry& geometry,
                               const hash::IndexFunction& index_fn) {
-  source.reset();
   DirectMappedCache dm(geometry, index_fn);
   FullyAssociativeCache fa(geometry.num_blocks());
   std::unordered_set<std::uint64_t> seen;
-  // Distinct blocks <= references, but for huge streamed traces cap the
-  // upfront bucket reservation; the set still grows to the footprint.
+  // Distinct blocks <= references, but cap the upfront bucket reservation
+  // so it does not grow with trace length; the set still grows to the
+  // footprint.
   seen.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(source.size(), std::uint64_t{1} << 22)));
+      std::min<std::uint64_t>(t.size(), std::uint64_t{1} << 22)));
   MissBreakdown out;
   const int shift = geometry.offset_bits();
-  tracestore::for_each_access(source, [&](const trace::Access& a) {
-    const std::uint64_t block = a.addr >> shift;
-    ++out.accesses;
-    const bool dm_hit = dm.access(block);
-    const bool fa_hit = fa.access(block);
-    const bool first_touch = seen.insert(block).second;
-    if (dm_hit) return;
-    ++out.misses;
-    if (first_touch)
-      ++out.compulsory;
-    else if (!fa_hit)
-      ++out.capacity;
-    else
-      ++out.conflict;
+  t.for_each_batch([&](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) {
+      const std::uint64_t block = a.addr >> shift;
+      ++out.accesses;
+      const bool dm_hit = dm.access(block);
+      const bool fa_hit = fa.access(block);
+      const bool first_touch = seen.insert(block).second;
+      if (dm_hit) continue;
+      ++out.misses;
+      if (first_touch)
+        ++out.compulsory;
+      else if (!fa_hit)
+        ++out.capacity;
+      else
+        ++out.conflict;
+    }
   });
   count_pass(out.accesses);
   return out;

@@ -1,5 +1,8 @@
 // Trace-driven simulation drivers and 3C miss classification.
 //
+// Each driver takes a tracestore::TraceInput — an in-memory Trace (walked
+// in place) or a TraceSource (reset, then pulled in batches, so resident
+// decoded state stays bounded by the batch) — and makes one pass over it.
 // The direct-mapped drivers all run DirectMappedCache, the one exact
 // direct-mapped kernel. Each driver call adds one pass and the accesses
 // it simulated to the `simulate.passes` / `simulate.accesses` counters.
@@ -10,18 +13,14 @@
 
 #include "cache/geometry.hpp"
 #include "hash/index_function.hpp"
-#include "trace/trace.hpp"
-
-namespace xoridx::tracestore {
-class TraceSource;
-}
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::cache {
 
 /// Run a trace through a direct-mapped cache using `index_fn` and return
 /// the miss count. Convenience wrapper used everywhere in the evaluation.
 [[nodiscard]] CacheStats simulate_direct_mapped(
-    const trace::Trace& t, const CacheGeometry& geometry,
+    tracestore::TraceInput t, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
 
 /// Same, over block addresses already shifted by the offset bits: one
@@ -32,7 +31,7 @@ namespace xoridx::cache {
 
 /// Fully-associative LRU miss count at equal capacity (Table 3, `FA`).
 [[nodiscard]] CacheStats simulate_fully_associative(
-    const trace::Trace& t, const CacheGeometry& geometry);
+    tracestore::TraceInput t, const CacheGeometry& geometry);
 
 /// Three-C miss breakdown of a direct-mapped cache run (Hill's model, as
 /// used implicitly by the paper's profiling filters): a miss is compulsory
@@ -48,24 +47,8 @@ struct MissBreakdown {
   friend bool operator==(const MissBreakdown&, const MissBreakdown&) = default;
 };
 
-[[nodiscard]] MissBreakdown classify_misses(const trace::Trace& t,
+[[nodiscard]] MissBreakdown classify_misses(tracestore::TraceInput t,
                                             const CacheGeometry& geometry,
                                             const hash::IndexFunction& index_fn);
-
-// Streaming variants: one pass pulled from a TraceSource (each driver
-// resets the source first, so one source object serves several passes).
-// Results are identical to the in-memory overloads; resident decoded
-// state stays bounded by the source's batch/chunk size.
-
-[[nodiscard]] CacheStats simulate_direct_mapped(
-    tracestore::TraceSource& source, const CacheGeometry& geometry,
-    const hash::IndexFunction& index_fn);
-
-[[nodiscard]] CacheStats simulate_fully_associative(
-    tracestore::TraceSource& source, const CacheGeometry& geometry);
-
-[[nodiscard]] MissBreakdown classify_misses(
-    tracestore::TraceSource& source, const CacheGeometry& geometry,
-    const hash::IndexFunction& index_fn);
 
 }  // namespace xoridx::cache

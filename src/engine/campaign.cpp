@@ -49,6 +49,21 @@ FunctionConfig FunctionConfig::classify(std::string label) {
   return {std::move(label), ClassifyMissesJob{}};
 }
 
+namespace {
+
+/// A fresh source for a streaming entry: from its factory when it has
+/// one, otherwise from its file.
+std::unique_ptr<tracestore::TraceSource> open_source(const TraceEntry& entry) {
+  if (!entry.source_factory) return tracestore::open_trace_source(entry.path);
+  std::unique_ptr<tracestore::TraceSource> source = entry.source_factory();
+  if (!source)
+    throw std::runtime_error("trace '" + entry.name +
+                             "': source factory returned null");
+  return source;
+}
+
+}  // namespace
+
 void resolve_file_metadata(TraceEntry& entry) {
   // Header-level metadata only: the trace itself stays on disk.
   const tracestore::TraceFileInfo info =
@@ -62,19 +77,10 @@ void resolve_source_metadata(TraceEntry& entry) {
   if (!entry.source_factory)
     throw std::invalid_argument("trace '" + entry.name +
                                 "' has no source factory");
-  const std::unique_ptr<tracestore::TraceSource> source =
-      entry.source_factory();
-  if (!source)
-    throw std::runtime_error("trace '" + entry.name +
-                             "': source factory returned null");
+  const std::unique_ptr<tracestore::TraceSource> source = open_source(entry);
   entry.accesses = source->size();
-  if (entry.id.empty()) {
-    // No header to read the id from: one scan over the source.
-    tracestore::TraceIdHasher hasher;
-    tracestore::for_each_access(
-        *source, [&hasher](const trace::Access& a) { hasher.update(a); });
-    entry.id = hasher.digest();
-  }
+  // No header to read the id from: one scan over the source.
+  if (entry.id.empty()) entry.id = tracestore::trace_id_of(*source);
   entry.metadata_resolved = true;
 }
 
@@ -118,6 +124,13 @@ Campaign::Campaign(SweepSpec spec,
                          spec_.configs[c].payload});
 }
 
+template <typename F>
+auto Campaign::with_input(const TraceEntry& entry, F&& f) {
+  if (!entry.streaming) return f(tracestore::TraceInput(*entry.trace));
+  const std::unique_ptr<tracestore::TraceSource> source = open_source(entry);
+  return f(tracestore::TraceInput(*source));
+}
+
 cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
                                            std::size_t geometry_index) {
   const std::size_t key =
@@ -143,16 +156,9 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
       const cache::CacheGeometry& geom = spec_.geometries[geometry_index];
       const hash::XorFunction conventional = hash::XorFunction::conventional(
           spec_.hashed_bits, geom.index_bits());
-      cache::CacheStats stats;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        stats = cache::simulate_direct_mapped(*source, geom, conventional);
-      } else {
-        stats = cache::simulate_direct_mapped(*entry.trace, geom,
-                                              conventional);
-      }
-      promise.set_value(stats);
+      promise.set_value(with_input(entry, [&](tracestore::TraceInput t) {
+        return cache::simulate_direct_mapped(t, geom, conventional);
+      }));
     } catch (...) {
       promise.set_exception(std::current_exception());
       std::lock_guard lock(baseline_mutex_);
@@ -160,18 +166,6 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
     }
   }
   return future.get();
-}
-
-std::unique_ptr<tracestore::TraceSource> Campaign::open_source(
-    const TraceEntry& entry) {
-  if (entry.source_factory) {
-    std::unique_ptr<tracestore::TraceSource> source = entry.source_factory();
-    if (!source)
-      throw std::runtime_error("trace '" + entry.name +
-                               "': source factory returned null");
-    return source;
-  }
-  return tracestore::open_trace_source(entry.path);
 }
 
 std::exception_ptr Campaign::wrap_current_exception(const Job& job) const {
@@ -209,9 +203,8 @@ JobResult Campaign::execute(const Job& job) {
   result.label = job.label;
   result.kind = kind_name(job.payload);
 
-  // Every alternative below has two arms with identical results: the
-  // in-memory arm iterates entry.trace, the streaming arm pulls fresh
-  // TraceSources so decoded memory stays O(chunk) per running job.
+  // Every pass over the trace goes through with_input: a streaming entry
+  // pulls a fresh TraceSource per pass, an in-memory one is read in place.
   struct Visitor {
     Campaign& self;
     const Job& job;
@@ -220,14 +213,10 @@ JobResult Campaign::execute(const Job& job) {
     JobResult& out;
 
     [[nodiscard]] ProfileCache::ProfilePtr profile() const {
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        return self.profile_cache_->get_or_build(entry.id, *source, geom,
+      return with_input(entry, [&](tracestore::TraceInput t) {
+        return self.profile_cache_->get_or_build(entry.id, t, geom,
                                                  self.spec_.hashed_bits);
-      }
-      return self.profile_cache_->get_or_build(entry.id, *entry.trace, geom,
-                                               self.spec_.hashed_bits);
+      });
     }
 
     void operator()(const EvaluateFunctionJob& j) const {
@@ -235,14 +224,10 @@ JobResult Campaign::execute(const Job& job) {
           self.baseline_stats(job.trace_index, job.geometry_index);
       out.baseline_misses = baseline.misses;
       if (j.fully_associative) {
-        cache::CacheStats stats;
-        if (entry.streaming) {
-          const std::unique_ptr<tracestore::TraceSource> source =
-              Campaign::open_source(entry);
-          stats = cache::simulate_fully_associative(*source, geom);
-        } else {
-          stats = cache::simulate_fully_associative(*entry.trace, geom);
-        }
+        const cache::CacheStats stats =
+            with_input(entry, [&](tracestore::TraceInput t) {
+              return cache::simulate_fully_associative(t, geom);
+            });
         out.accesses = stats.accesses;
         out.misses = stats.misses;
         out.function_description = "fully-associative LRU";
@@ -253,14 +238,10 @@ JobResult Campaign::execute(const Job& job) {
         out.misses = baseline.misses;
         return;
       }
-      cache::CacheStats stats;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        stats = cache::simulate_direct_mapped(*source, geom, *j.function);
-      } else {
-        stats = cache::simulate_direct_mapped(*entry.trace, geom, *j.function);
-      }
+      const cache::CacheStats stats =
+          with_input(entry, [&](tracestore::TraceInput t) {
+            return cache::simulate_direct_mapped(t, geom, *j.function);
+          });
       out.accesses = stats.accesses;
       out.misses = stats.misses;
       out.function_description = j.function->describe();
@@ -281,16 +262,11 @@ JobResult Campaign::execute(const Job& job) {
       // (a whole decode pass for streaming entries).
       const cache::CacheStats baseline =
           self.baseline_stats(job.trace_index, job.geometry_index);
-      search::OptimizationResult r;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        r = search::optimize_index_with_profile(*source, geom, *prof,
-                                                options, &baseline);
-      } else {
-        r = search::optimize_index_with_profile(*entry.trace, geom, *prof,
-                                                options, &baseline);
-      }
+      const search::OptimizationResult r =
+          with_input(entry, [&](tracestore::TraceInput t) {
+            return search::optimize_index_with_profile(t, geom, *prof,
+                                                       options, &baseline);
+          });
       out.accesses = r.accesses;
       out.baseline_misses = r.baseline_misses;
       out.misses = r.optimized_misses;
@@ -302,37 +278,14 @@ JobResult Campaign::execute(const Job& job) {
     void operator()(const OptimalBitSelectJob& j) const {
       out.baseline_misses =
           self.baseline_stats(job.trace_index, job.geometry_index).misses;
-      const search::ExhaustiveBitSelectResult r = [&] {
-        if (j.use_estimator) {
-          const ProfileCache::ProfilePtr prof = profile();
-          if (entry.streaming) {
-            const std::unique_ptr<tracestore::TraceSource> source =
-                Campaign::open_source(entry);
-            return search::optimal_bit_select_estimated(*source, geom,
-                                                        *prof);
-          }
-          return search::optimal_bit_select_estimated(*entry.trace, geom,
-                                                      *prof);
-        }
-        if (entry.streaming) {
-          // The exhaustive search re-walks the trace per candidate, so a
-          // streaming entry extracts block addresses once (O(trace)
-          // uint64s, the one documented exception to the O(chunk) bound)
-          // instead of paying C(n, m) decode passes.
-          const std::unique_ptr<tracestore::TraceSource> source =
-              Campaign::open_source(entry);
-          std::vector<std::uint64_t> blocks;
-          blocks.reserve(static_cast<std::size_t>(source->size()));
-          const int shift = geom.offset_bits();
-          tracestore::for_each_access(*source, [&](const trace::Access& a) {
-            blocks.push_back(a.addr >> shift);
+      const ProfileCache::ProfilePtr prof =
+          j.use_estimator ? profile() : nullptr;
+      const search::ExhaustiveBitSelectResult r =
+          with_input(entry, [&](tracestore::TraceInput t) {
+            return prof ? search::optimal_bit_select_estimated(t, geom, *prof)
+                        : search::optimal_bit_select(t, geom,
+                                                     self.spec_.hashed_bits);
           });
-          return search::optimal_bit_select_blocks(blocks, geom,
-                                                   self.spec_.hashed_bits);
-        }
-        return search::optimal_bit_select(*entry.trace, geom,
-                                          self.spec_.hashed_bits);
-      }();
       out.accesses = entry.accesses;
       out.misses = r.misses;
       out.function_description = r.function.describe();
@@ -341,14 +294,10 @@ JobResult Campaign::execute(const Job& job) {
     void operator()(const ClassifyMissesJob&) const {
       const hash::XorFunction conventional = hash::XorFunction::conventional(
           self.spec_.hashed_bits, geom.index_bits());
-      cache::MissBreakdown b;
-      if (entry.streaming) {
-        const std::unique_ptr<tracestore::TraceSource> source =
-            Campaign::open_source(entry);
-        b = cache::classify_misses(*source, geom, conventional);
-      } else {
-        b = cache::classify_misses(*entry.trace, geom, conventional);
-      }
+      const cache::MissBreakdown b =
+          with_input(entry, [&](tracestore::TraceInput t) {
+            return cache::classify_misses(t, geom, conventional);
+          });
       out.accesses = b.accesses;
       out.baseline_misses = b.misses;
       out.misses = b.misses;

@@ -278,9 +278,12 @@ class Campaign {
   [[nodiscard]] JobResult execute(const Job& job);
   [[nodiscard]] cache::CacheStats baseline_stats(std::size_t trace_index,
                                                  std::size_t geometry_index);
-  /// Fresh streaming source for a streaming entry (one per job pass).
-  [[nodiscard]] static std::unique_ptr<tracestore::TraceSource> open_source(
-      const TraceEntry& entry);
+  /// Call `f(tracestore::TraceInput)` on the entry's trace and return its
+  /// result: a streaming entry opens a fresh source for the call, so
+  /// decoded memory stays O(chunk) per running job; otherwise `f` reads
+  /// the in-memory trace in place.
+  template <typename F>
+  static auto with_input(const TraceEntry& entry, F&& f);
   /// The in-flight exception wrapped in a CampaignError naming the
   /// job's cell (CampaignErrors pass through untouched).
   [[nodiscard]] std::exception_ptr wrap_current_exception(

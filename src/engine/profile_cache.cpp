@@ -47,9 +47,10 @@ void ProfileCache::evict_to_budget_locked(const Key* keep) {
   }
 }
 
-template <typename BuildFn>
-ProfileCache::ProfilePtr ProfileCache::get_or_build_impl(const Key& key,
-                                                         BuildFn&& build) {
+ProfileCache::ProfilePtr ProfileCache::get_or_build(
+    const tracestore::TraceId& id, tracestore::TraceInput t,
+    const cache::CacheGeometry& geometry, int hashed_bits) {
+  const Key key{id, geometry, hashed_bits};
   std::promise<ProfilePtr> promise;
   std::shared_future<ProfilePtr> future;
   bool builder = false;
@@ -81,8 +82,8 @@ ProfileCache::ProfilePtr ProfileCache::get_or_build_impl(const Key& key,
     const std::uint64_t build_start = obs::now_ns();
 #endif
     try {
-      auto profile =
-          std::make_shared<const profile::ConflictProfile>(build());
+      auto profile = std::make_shared<const profile::ConflictProfile>(
+          profile::build_conflict_profile(t, geometry, hashed_bits));
       const std::size_t profile_bytes = profile->memory_bytes();
       promise.set_value(std::move(profile));
       XORIDX_OBS_HIST("profile_cache.build_ns",
@@ -111,27 +112,9 @@ ProfileCache::ProfilePtr ProfileCache::get_or_build_impl(const Key& key,
 }
 
 ProfileCache::ProfilePtr ProfileCache::get_or_build(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     int hashed_bits) {
   return get_or_build(tracestore::trace_id_of(t), t, geometry, hashed_bits);
-}
-
-ProfileCache::ProfilePtr ProfileCache::get_or_build(
-    const tracestore::TraceId& id, const trace::Trace& t,
-    const cache::CacheGeometry& geometry, int hashed_bits) {
-  const Key key{id, geometry, hashed_bits};
-  return get_or_build_impl(key, [&] {
-    return profile::build_conflict_profile(t, geometry, hashed_bits);
-  });
-}
-
-ProfileCache::ProfilePtr ProfileCache::get_or_build(
-    const tracestore::TraceId& id, tracestore::TraceSource& source,
-    const cache::CacheGeometry& geometry, int hashed_bits) {
-  const Key key{id, geometry, hashed_bits};
-  return get_or_build_impl(key, [&] {
-    return profile::build_conflict_profile(source, geometry, hashed_bits);
-  });
 }
 
 std::size_t ProfileCache::size() const {

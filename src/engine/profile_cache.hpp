@@ -33,7 +33,6 @@
 
 #include "cache/geometry.hpp"
 #include "profile/conflict_profile.hpp"
-#include "trace/trace.hpp"
 #include "tracestore/trace_id.hpp"
 #include "tracestore/trace_source.hpp"
 
@@ -44,25 +43,18 @@ class ProfileCache {
   using ProfilePtr = std::shared_ptr<const profile::ConflictProfile>;
 
   /// Return the profile for (trace content, geometry, hashed_bits),
-  /// building it on first request. Thread-safe; concurrent requests for
-  /// one key build exactly once. Computes the trace's content id (one
-  /// extra pass); callers that already know it should use the id-taking
-  /// overloads.
-  [[nodiscard]] ProfilePtr get_or_build(const trace::Trace& t,
+  /// building it on first request with one pass over `t` (an in-memory
+  /// trace is walked in place, a source is reset and streamed in batches).
+  /// Thread-safe; concurrent requests for one key build exactly once.
+  /// Computes the trace's content id (one extra pass); callers that
+  /// already know it should use the id-taking overload.
+  [[nodiscard]] ProfilePtr get_or_build(tracestore::TraceInput t,
                                         const cache::CacheGeometry& geometry,
                                         int hashed_bits);
 
-  /// Same, with a precomputed content id for `t`.
+  /// Same, with `id` the precomputed content id of `t`.
   [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
-                                        const trace::Trace& t,
-                                        const cache::CacheGeometry& geometry,
-                                        int hashed_bits);
-
-  /// Streaming build: on a miss, a single pass is pulled from `source`
-  /// (reset first); decoded trace state stays bounded by the source's
-  /// chunk size. `id` must be the source's content id.
-  [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
-                                        tracestore::TraceSource& source,
+                                        tracestore::TraceInput t,
                                         const cache::CacheGeometry& geometry,
                                         int hashed_bits);
 
@@ -99,8 +91,6 @@ class ProfileCache {
     std::uint64_t last_use = 0;   ///< LRU stamp from use_clock_
   };
 
-  template <typename BuildFn>
-  ProfilePtr get_or_build_impl(const Key& key, BuildFn&& build);
   /// Evict LRU ready entries (never `keep`) until the budget fits.
   /// Caller must hold mutex_.
   void evict_to_budget_locked(const Key* keep);

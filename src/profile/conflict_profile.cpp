@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "tracestore/trace_source.hpp"
 
 namespace xoridx::profile {
 
@@ -219,9 +218,9 @@ class SeenBlocks {
   std::size_t size_ = 0;
 };
 
-/// Figure 1 as a per-access state machine, so the in-memory and streaming
-/// overloads run the exact same sequence of steps (and therefore produce
-/// identical profiles).
+/// Figure 1 as a per-access state machine, fed batch by batch, so an
+/// in-memory and a streamed trace run the exact same sequence of steps
+/// (and therefore produce identical profiles).
 ///
 /// A block's reuse distance is its depth on the LRU stack, and Figure 1
 /// drops every reference whose distance exceeds the cache size L (in
@@ -306,24 +305,14 @@ class ProfileBuildState {
 
 }  // namespace
 
-ConflictProfile build_conflict_profile(const trace::Trace& t,
+ConflictProfile build_conflict_profile(tracestore::TraceInput t,
                                        const cache::CacheGeometry& geometry,
                                        int hashed_bits) {
   ConflictProfile profile(hashed_bits, geometry.num_blocks());
   ProfileBuildState state(profile, geometry, hashed_bits);
-  for (const trace::Access& a : t) state.step(a.addr);
-  assert(accounting_holds(profile));
-  return profile;
-}
-
-ConflictProfile build_conflict_profile(tracestore::TraceSource& source,
-                                       const cache::CacheGeometry& geometry,
-                                       int hashed_bits) {
-  ConflictProfile profile(hashed_bits, geometry.num_blocks());
-  source.reset();
-  ProfileBuildState state(profile, geometry, hashed_bits);
-  tracestore::for_each_access(
-      source, [&state](const trace::Access& a) { state.step(a.addr); });
+  t.for_each_batch([&state](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) state.step(a.addr);
+  });
   assert(accounting_holds(profile));
   return profile;
 }

@@ -19,11 +19,7 @@
 #include "cache/geometry.hpp"
 #include "gf2/bitvec.hpp"
 #include "gf2/subspace.hpp"
-#include "trace/trace.hpp"
-
-namespace xoridx::tracestore {
-class TraceSource;
-}
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::profile {
 
@@ -136,17 +132,10 @@ class ConflictProfile {
 ///
 /// Working state is the top num_blocks() + 1 entries of the LRU stack
 /// plus one flag per distinct block: it scales with the cache and the
-/// footprint, not with the trace length.
+/// footprint, not with the trace length. An in-memory trace is walked in
+/// place; a streamed one holds only one batch of decoded accesses.
 [[nodiscard]] ConflictProfile build_conflict_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    int hashed_bits);
-
-/// Streaming variant: a single pass pulled from a TraceSource (the source
-/// is reset first), byte-identical to the in-memory overload. Decoded
-/// trace state stays bounded by the source's batch/chunk size, so a
-/// streamed trace of any length profiles in bounded memory.
-[[nodiscard]] ConflictProfile build_conflict_profile(
-    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 }  // namespace xoridx::profile

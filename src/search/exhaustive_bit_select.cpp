@@ -12,7 +12,6 @@
 #include "hash/compiled_index.hpp"
 #include "obs/metrics.hpp"
 #include "search/estimator.hpp"
-#include "tracestore/trace_source.hpp"
 
 namespace xoridx::search {
 
@@ -34,10 +33,14 @@ using gf2::for_each_combination;
 }  // namespace
 
 ExhaustiveBitSelectResult optimal_bit_select(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     int hashed_bits) {
-  const std::vector<std::uint64_t> blocks =
-      t.block_addresses(geometry.offset_bits());
+  std::vector<std::uint64_t> blocks;
+  blocks.reserve(static_cast<std::size_t>(t.size()));
+  const int shift = geometry.offset_bits();
+  t.for_each_batch([&](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) blocks.push_back(a.addr >> shift);
+  });
   return optimal_bit_select_blocks(blocks, geometry, hashed_bits);
 }
 
@@ -74,12 +77,8 @@ ExhaustiveBitSelectResult optimal_bit_select_blocks(
   return result;
 }
 
-namespace {
-
-/// The estimator scan shared by both optimal_bit_select_estimated
-/// overloads: pick the selection minimizing the Eq.-4 estimate.
-std::pair<hash::BitSelectFunction, std::uint64_t> pick_estimated(
-    const cache::CacheGeometry& geometry,
+ExhaustiveBitSelectResult optimal_bit_select_estimated(
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile) {
   const int n = profile.hashed_bits();
   const int m = geometry.index_bits();
@@ -101,27 +100,9 @@ std::pair<hash::BitSelectFunction, std::uint64_t> pick_estimated(
       best_mask = mask;
     }
   });
-  return {hash::BitSelectFunction(n, mask_to_positions(best_mask)),
-          candidates};
-}
-
-}  // namespace
-
-ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile) {
-  auto [fn, candidates] = pick_estimated(geometry, profile);
+  hash::BitSelectFunction fn(n, mask_to_positions(best_mask));
   const cache::CacheStats stats =
       cache::simulate_direct_mapped(t, geometry, fn);
-  return ExhaustiveBitSelectResult{std::move(fn), stats.misses, candidates};
-}
-
-ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile) {
-  auto [fn, candidates] = pick_estimated(geometry, profile);
-  const cache::CacheStats stats =
-      cache::simulate_direct_mapped(source, geometry, fn);
   return ExhaustiveBitSelectResult{std::move(fn), stats.misses, candidates};
 }
 

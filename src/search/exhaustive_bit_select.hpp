@@ -26,11 +26,7 @@
 #include "hash/bit_select_function.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/search_types.hpp"
-#include "trace/trace.hpp"
-
-namespace xoridx::tracestore {
-class TraceSource;
-}
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::search {
 
@@ -44,30 +40,26 @@ struct ExhaustiveBitSelectResult {
 
 /// Return the m-out-of-n bit selection with the fewest *exact*
 /// direct-mapped misses on the trace (the first in Gosper order among
-/// ties). `hashed_bits` must be at most 16 (the paper's n).
+/// ties). `hashed_bits` must be at most 16 (the paper's n). The search is
+/// inherently multi-pass (every candidate re-walks the trace), so it
+/// extracts the block addresses once, in one pass over `t`, and pays
+/// O(trace) uint64s rather than C(n, m) decode passes of a streamed trace.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
-/// Same, over a pre-extracted block-address sequence. The exhaustive
-/// algorithm is inherently multi-pass (every candidate re-walks the
-/// trace), so streaming callers extract blocks once and pay O(trace)
-/// uint64s rather than C(n, m) decode passes.
+/// Same, over a pre-extracted block-address sequence.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_blocks(
     std::span<const std::uint64_t> blocks, const cache::CacheGeometry& geometry,
     int hashed_bits);
 
 /// Estimator-guided variant: picks the selection minimizing the Eq.-4
 /// estimate instead of exact misses. Used by the estimator-accuracy
-/// ablation to quantify the profiling heuristic's error in isolation.
+/// ablation to quantify the profiling heuristic's error in isolation. The
+/// scan needs only the profile; the winner's exact misses come from one
+/// simulation pass over `t`.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile);
-
-/// Streaming variant: the estimator scan needs only the profile; the one
-/// exact simulation of the winner streams a single pass from the source.
-[[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select_estimated(
-    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile);
 
 }  // namespace xoridx::search

@@ -7,14 +7,13 @@
 #include "search/bit_select_search.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
-#include "tracestore/trace_source.hpp"
 
 namespace xoridx::search {
 namespace {
 
-/// The profile-guided part of the pipeline, shared by the in-memory and
-/// streaming overloads: search the requested class for the smallest Eq.-4
-/// estimate. Exact simulation of the winner is the caller's job.
+/// The profile-guided part of the pipeline: search the requested class
+/// for the smallest Eq.-4 estimate. Exact simulation of the winner is the
+/// caller's job.
 OptimizationResult pick_function(const cache::CacheGeometry& geometry,
                                  const profile::ConflictProfile& profile,
                                  const OptimizeOptions& options) {
@@ -77,7 +76,7 @@ void finalize(OptimizationResult& result, const cache::CacheStats& base,
 
 }  // namespace
 
-OptimizationResult optimize_index(const trace::Trace& t,
+OptimizationResult optimize_index(tracestore::TraceInput t,
                                   const cache::CacheGeometry& geometry,
                                   const OptimizeOptions& options) {
   const profile::ConflictProfile profile =
@@ -86,7 +85,7 @@ OptimizationResult optimize_index(const trace::Trace& t,
 }
 
 OptimizationResult optimize_index_with_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile, const OptimizeOptions& options,
     const cache::CacheStats* known_baseline) {
   OptimizationResult result = pick_function(geometry, profile, options);
@@ -98,23 +97,6 @@ OptimizationResult optimize_index_with_profile(
                                                      conventional);
   const cache::CacheStats opt =
       cache::simulate_direct_mapped(t, geometry, *result.function);
-  finalize(result, base, opt, conventional, options);
-  return result;
-}
-
-OptimizationResult optimize_index_with_profile(
-    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile, const OptimizeOptions& options,
-    const cache::CacheStats* known_baseline) {
-  OptimizationResult result = pick_function(geometry, profile, options);
-  const hash::XorFunction conventional = hash::XorFunction::conventional(
-      options.hashed_bits, geometry.index_bits());
-  const cache::CacheStats base =
-      known_baseline ? *known_baseline
-                     : cache::simulate_direct_mapped(source, geometry,
-                                                     conventional);
-  const cache::CacheStats opt =
-      cache::simulate_direct_mapped(source, geometry, *result.function);
   finalize(result, base, opt, conventional, options);
   return result;
 }

@@ -17,11 +17,7 @@
 #include "hash/index_function.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/search_types.hpp"
-#include "trace/trace.hpp"
-
-namespace xoridx::tracestore {
-class TraceSource;
-}
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::search {
 
@@ -53,28 +49,22 @@ struct OptimizationResult {
   }
 };
 
-/// Optimize the index function of a direct-mapped cache for one trace.
+/// Optimize the index function of a direct-mapped cache for one trace:
+/// one profiling pass plus the exact re-simulation passes.
 [[nodiscard]] OptimizationResult optimize_index(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     const OptimizeOptions& options = {});
 
 /// Same, reusing a prebuilt profile (the profile depends only on the
 /// geometry and trace, so one profile serves all function classes and
-/// fan-in limits of a Table-2 row). Callers that already simulated the
-/// conventional index for this (trace, geometry) — e.g. the engine's
-/// per-cell baseline cache — pass it as `known_baseline` to skip the
-/// redundant full-trace pass.
+/// fan-in limits of a Table-2 row). The search runs on the profile alone;
+/// the exact baseline and winner re-simulations are passes over `t` (one
+/// pass when `known_baseline` is supplied). Callers that already
+/// simulated the conventional index for this (trace, geometry) — e.g. the
+/// engine's per-cell baseline cache — pass it as `known_baseline` to skip
+/// the redundant full-trace pass.
 [[nodiscard]] OptimizationResult optimize_index_with_profile(
-    const trace::Trace& t, const cache::CacheGeometry& geometry,
-    const profile::ConflictProfile& profile, const OptimizeOptions& options,
-    const cache::CacheStats* known_baseline = nullptr);
-
-/// Streaming variant for file-backed traces: the search runs on the
-/// profile alone; the exact baseline and winner re-simulations stream
-/// passes from the source (one pass when `known_baseline` is supplied).
-/// Identical results to the in-memory overload.
-[[nodiscard]] OptimizationResult optimize_index_with_profile(
-    tracestore::TraceSource& source, const cache::CacheGeometry& geometry,
+    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     const profile::ConflictProfile& profile, const OptimizeOptions& options,
     const cache::CacheStats* known_baseline = nullptr);
 

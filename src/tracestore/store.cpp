@@ -74,9 +74,7 @@ TraceFileInfo trace_file_info(const std::string& path) {
   info.version = 1;
   info.accesses = source.size();
   info.file_bytes = v1_header_bytes + source.size() * v1_record_bytes;
-  TraceIdHasher hasher;
-  for_each_access(source, [&](const trace::Access& a) { hasher.update(a); });
-  info.id = hasher.digest();
+  info.id = trace_id_of(source);
   return info;
 }
 

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "trace/trace.hpp"
-
 namespace xoridx::tracestore {
 
 std::string TraceId::to_string() const {
@@ -37,9 +35,11 @@ TraceId TraceIdHasher::digest() const {
           b_ ^ ((count_ + 1) * 0xda942042e4dd58b5ull)};
 }
 
-TraceId trace_id_of(const trace::Trace& t) {
+TraceId trace_id_of(TraceInput t) {
   TraceIdHasher h;
-  for (const trace::Access& a : t) h.update(a);
+  t.for_each_batch([&h](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) h.update(a);
+  });
   return h.digest();
 }
 

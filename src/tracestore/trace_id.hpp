@@ -12,10 +12,7 @@
 #include <string>
 
 #include "trace/access.hpp"
-
-namespace xoridx::trace {
-class Trace;
-}
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::tracestore {
 
@@ -48,7 +45,7 @@ class TraceIdHasher {
   std::uint64_t count_ = 0;
 };
 
-/// Content id of an in-memory trace (one pass).
-[[nodiscard]] TraceId trace_id_of(const trace::Trace& t);
+/// Content id of a trace (one pass; a source is reset first).
+[[nodiscard]] TraceId trace_id_of(TraceInput t);
 
 }  // namespace xoridx::tracestore

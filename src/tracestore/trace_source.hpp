@@ -1,11 +1,13 @@
-// Pull-based streaming access to a trace.
+// Pull-based streaming access to a trace, and the one input type of the
+// single-pass consumers.
 //
-// TraceSource is the seam between trace storage and the single-pass
-// consumers (profiling, cache simulation): a consumer repeatedly fills a
-// batch buffer and never learns whether the bytes came from an in-memory
-// Trace, a v1 file or an mmap'd v2 chunk decoder. Multi-pass consumers
-// call reset() between passes; the streaming drivers in cache/simulate and
-// profile/ reset at entry, so one source object serves several passes.
+// TraceSource is the seam between trace storage and the consumers: a
+// consumer repeatedly fills a batch buffer and never learns whether the
+// bytes came from a v1 file, an mmap'd v2 chunk decoder or a remote fetch.
+// TraceInput is what every single-pass consumer (profiling, cache
+// simulation, the optimizer, the exhaustive bit-select entry points, the
+// content hash) takes: an in-memory Trace or a TraceSource, both converting
+// implicitly, so each consumer has one signature and one body.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +58,45 @@ class MemorySource final : public TraceSource {
   std::shared_ptr<const trace::Trace> owned_;
   const trace::Trace* trace_;
   std::size_t pos_ = 0;
+};
+
+/// Non-owning view of a trace for one or more single-pass consumers. It
+/// borrows its argument for the duration of the call that receives it.
+/// An in-memory Trace is handed to the consumer as one zero-copy span over
+/// its own accesses; a TraceSource is reset before each pass and then
+/// pulled in batches of kBatch accesses, so decoded state stays bounded by
+/// the batch no matter how long the trace is.
+class TraceInput {
+ public:
+  static constexpr std::size_t kBatch = 4096;
+
+  TraceInput(const trace::Trace& t) noexcept  // NOLINT
+      : memory_(t.accesses()) {}
+  TraceInput(TraceSource& source) noexcept  // NOLINT
+      : source_(&source) {}
+
+  /// Total accesses in the trace.
+  [[nodiscard]] std::uint64_t size() const {
+    return source_ != nullptr ? source_->size() : memory_.size();
+  }
+
+  /// One pass: call `f(std::span<const trace::Access>)` for consecutive
+  /// batches covering the whole trace, in order.
+  template <typename F>
+  void for_each_batch(F&& f) const {
+    if (source_ == nullptr) {
+      f(memory_);
+      return;
+    }
+    source_->reset();
+    std::vector<trace::Access> batch(kBatch);
+    while (const std::size_t got = source_->next_batch(batch))
+      f(std::span<const trace::Access>(batch.data(), got));
+  }
+
+ private:
+  std::span<const trace::Access> memory_;
+  TraceSource* source_ = nullptr;
 };
 
 /// Drive `fn(const Access&)` over every access of the source from its

@@ -116,17 +116,12 @@ TraceId TraceWriter::finish() {
   return id;
 }
 
-TraceId save_trace_v2(const std::string& path, const trace::Trace& t,
-                      std::uint32_t chunk_capacity) {
-  MemorySource source(t);
-  return save_trace_v2(path, source, chunk_capacity);
-}
-
-TraceId save_trace_v2(const std::string& path, TraceSource& source,
+TraceId save_trace_v2(const std::string& path, TraceInput t,
                       std::uint32_t chunk_capacity) {
   TraceWriter writer(path, chunk_capacity);
-  for_each_access(source,
-                  [&writer](const trace::Access& a) { writer.append(a); });
+  t.for_each_batch([&writer](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) writer.append(a);
+  });
   return writer.finish();
 }
 

@@ -61,12 +61,9 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-/// Write a whole in-memory trace as a v2 file. Returns its content id.
-TraceId save_trace_v2(const std::string& path, const trace::Trace& t,
-                      std::uint32_t chunk_capacity = default_chunk_capacity);
-
-/// Stream a source into a v2 file with O(chunk) resident memory.
-TraceId save_trace_v2(const std::string& path, TraceSource& source,
+/// Write a whole trace as a v2 file (a source is reset first and streamed
+/// with O(chunk) resident memory). Returns its content id.
+TraceId save_trace_v2(const std::string& path, TraceInput t,
                       std::uint32_t chunk_capacity = default_chunk_capacity);
 
 }  // namespace xoridx::tracestore

@@ -478,16 +478,26 @@ TEST(ExplorerRun, StreamingAndEagerFileRefsAgree) {
   request.traces = {TraceRef::memory("m", t), TraceRef::file("e", path),
                     TraceRef::streaming("s", path)};
   request.geometries = {GeometrySpec(1024, 4)};
-  request.strategies = parse_strategies("base,perm:2").value();
+  // Every job kind, so each of the campaign's trace passes is covered.
+  const std::vector<Strategy> strategies =
+      parse_strategies("base,fa,3c,perm:2,xor,bitselect:est,bitselect:exact")
+          .value();
+  request.strategies = strategies;
   const Result<Report> r = Explorer::explore(request);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
-  for (std::size_t s = 0; s < 2; ++s) {
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
     const Row& mem = r->at(0, 0, s);
-    const Row& eager = r->at(1, 0, s);
-    const Row& stream = r->at(2, 0, s);
-    EXPECT_EQ(mem.misses, eager.misses);
-    EXPECT_EQ(mem.misses, stream.misses);
-    EXPECT_EQ(mem.function_description, stream.function_description);
+    for (const std::size_t other : {1, 2}) {
+      const Row& row = r->at(other, 0, s);
+      SCOPED_TRACE(strategies[s].spec + " on " + row.trace_name);
+      EXPECT_EQ(mem.accesses, row.accesses);
+      EXPECT_EQ(mem.baseline_misses, row.baseline_misses);
+      EXPECT_EQ(mem.misses, row.misses);
+      EXPECT_EQ(mem.estimated_misses, row.estimated_misses);
+      EXPECT_EQ(mem.reverted, row.reverted);
+      EXPECT_EQ(mem.breakdown, row.breakdown);
+      EXPECT_EQ(mem.function_description, row.function_description);
+    }
   }
   // All three refs share one content id, so the profile was built once.
   EXPECT_EQ(r->profiles_built, 1u);

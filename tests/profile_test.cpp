@@ -319,5 +319,24 @@ TEST(ConflictProfileMemory, StreamedStateIsIndependentOfTraceLength) {
   EXPECT_LT(long_run, std::size_t{1} << 20);
 }
 
+TEST(ClassifyMissesMemory, InMemoryReservationIsCapped) {
+  // 2^23 references over 1,024 blocks: the first-touch set only ever
+  // holds 1,024 blocks, so its upfront reservation must not scale with
+  // the trace length (one bucket per reference would be ~67 MiB here).
+  constexpr std::uint64_t kCount = std::uint64_t{1} << 23;
+  SyntheticStream stream(kCount, 1024);
+  stream.reset();
+  const Trace t = tracestore::drain_to_trace(stream);
+  const cache::CacheGeometry geom(1024, 4);
+  const hash::XorFunction conventional =
+      hash::XorFunction::conventional(12, geom.index_bits());
+  const std::size_t before = heap::reset_peak();
+  const cache::MissBreakdown b = cache::classify_misses(t, geom, conventional);
+  const std::size_t used = heap::peak() - before;
+  EXPECT_EQ(b.accesses, kCount);
+  EXPECT_EQ(b.compulsory, 1024u);
+  EXPECT_LT(used, std::size_t{48} << 20);
+}
+
 }  // namespace
 }  // namespace xoridx::profile

@@ -15,6 +15,7 @@
 #include "engine/profile_cache.hpp"
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
+#include "search/exhaustive_bit_select.hpp"
 #include "search/optimizer.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
@@ -335,6 +336,26 @@ TEST(TraceStore, StreamingSimulationIdenticalToInMemory) {
   const cache::MissBreakdown cl_mem = cache::classify_misses(t, geom, fn);
   const cache::MissBreakdown cl_str = cache::classify_misses(reader, geom, fn);
   EXPECT_EQ(cl_mem, cl_str);
+
+  // The exhaustive entry points: the exact sweep extracts block addresses
+  // from either input, the estimated one simulates its winner once.
+  const search::ExhaustiveBitSelectResult ex_mem =
+      search::optimal_bit_select(t, geom, 12);
+  const search::ExhaustiveBitSelectResult ex_str =
+      search::optimal_bit_select(reader, geom, 12);
+  EXPECT_EQ(ex_mem.misses, ex_str.misses);
+  EXPECT_EQ(ex_mem.candidates, ex_str.candidates);
+  EXPECT_EQ(ex_mem.function.describe(), ex_str.function.describe());
+
+  const profile::ConflictProfile profile =
+      profile::build_conflict_profile(t, geom, 12);
+  const search::ExhaustiveBitSelectResult es_mem =
+      search::optimal_bit_select_estimated(t, geom, profile);
+  const search::ExhaustiveBitSelectResult es_str =
+      search::optimal_bit_select_estimated(reader, geom, profile);
+  EXPECT_EQ(es_mem.misses, es_str.misses);
+  EXPECT_EQ(es_mem.candidates, es_str.candidates);
+  EXPECT_EQ(es_mem.function.describe(), es_str.function.describe());
   std::remove(path.c_str());
 }
 
@@ -357,6 +378,18 @@ TEST(TraceStore, StreamingOptimizeIdenticalToInMemory) {
   EXPECT_EQ(mem.optimized_misses, str.optimized_misses);
   EXPECT_EQ(mem.estimated_misses, str.estimated_misses);
   EXPECT_EQ(mem.function->describe(), str.function->describe());
+
+  // The whole pipeline, profile included, from either input.
+  options.search.function_class = search::FunctionClass::general_xor;
+  const search::OptimizationResult full_mem =
+      search::optimize_index(t, geom, options);
+  const search::OptimizationResult full_str =
+      search::optimize_index(reader, geom, options);
+  EXPECT_EQ(full_mem.accesses, full_str.accesses);
+  EXPECT_EQ(full_mem.baseline_misses, full_str.baseline_misses);
+  EXPECT_EQ(full_mem.optimized_misses, full_str.optimized_misses);
+  EXPECT_EQ(full_mem.estimated_misses, full_str.estimated_misses);
+  EXPECT_EQ(full_mem.function->describe(), full_str.function->describe());
   std::remove(path.c_str());
 }
 
