@@ -87,8 +87,9 @@ void resolve_source_metadata(TraceEntry& entry) {
 Campaign::Campaign(SweepSpec spec,
                    std::shared_ptr<ProfileCache> shared_profiles)
     : spec_(std::move(spec)),
-      profile_cache_(shared_profiles ? std::move(shared_profiles)
-                                     : std::make_shared<ProfileCache>()) {
+      owns_profiles_(shared_profiles == nullptr) {
+  profile_cache_ = owns_profiles_ ? std::make_shared<ProfileCache>()
+                                  : std::move(shared_profiles);
   for (TraceEntry& entry : spec_.traces) {
     if (!entry.trace && entry.path.empty() && !entry.source_factory)
       throw std::invalid_argument(
@@ -116,6 +117,17 @@ Campaign::Campaign(SweepSpec spec,
           " index bits but the sweep hashes only " +
           std::to_string(spec_.hashed_bits) +
           " address bits (m <= n required)");
+  const std::size_t geometries = spec_.geometries.size();
+  profile_key_.resize(spec_.traces.size() * geometries);
+  for (std::size_t t = 0; t < spec_.traces.size(); ++t) {
+    std::size_t same_t = 0;
+    while (spec_.traces[same_t].id != spec_.traces[t].id) ++same_t;
+    for (std::size_t g = 0; g < geometries; ++g) {
+      std::size_t same_g = 0;
+      while (spec_.geometries[same_g] != spec_.geometries[g]) ++same_g;
+      profile_key_[t * geometries + g] = same_t * geometries + same_g;
+    }
+  }
   jobs_.reserve(spec_.job_count());
   for (std::size_t t = 0; t < spec_.traces.size(); ++t)
     for (std::size_t g = 0; g < spec_.geometries.size(); ++g)
@@ -168,6 +180,25 @@ cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
   return future.get();
 }
 
+void Campaign::count_profile_readers() {
+  profile_readers_ =
+      std::vector<std::atomic<std::size_t>>(profile_key_.size());
+  for (const Job& job : jobs_) {
+    const auto* bit_select = std::get_if<OptimalBitSelectJob>(&job.payload);
+    if (std::holds_alternative<OptimizeIndexJob>(job.payload) ||
+        (bit_select != nullptr && bit_select->use_estimator))
+      ++profile_readers_[profile_key(job)];
+  }
+}
+
+void Campaign::profile_read(const Job& job) {
+  if (!owns_profiles_) return;
+  if (profile_readers_[profile_key(job)].fetch_sub(1) != 1) return;
+  profile_cache_->release(spec_.traces[job.trace_index].id,
+                          spec_.geometries[job.geometry_index],
+                          spec_.hashed_bits);
+}
+
 std::exception_ptr Campaign::wrap_current_exception(const Job& job) const {
   const TraceEntry& entry = spec_.traces[job.trace_index];
   const cache::CacheGeometry& geom = spec_.geometries[job.geometry_index];
@@ -213,6 +244,13 @@ JobResult Campaign::execute(const Job& job) {
     JobResult& out;
 
     [[nodiscard]] ProfileCache::ProfilePtr profile() const {
+      // Counted as read on the way out, whether the build succeeded or
+      // threw; a reader still holding the profile keeps it alive.
+      struct Read {
+        Campaign& self;
+        const Job& job;
+        ~Read() { self.profile_read(job); }
+      } read{self, job};
       return with_input(entry, [&](tracestore::TraceInput t) {
         return self.profile_cache_->get_or_build(entry.id, t, geom,
                                                  self.spec_.hashed_bits);
@@ -315,6 +353,7 @@ std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
                                            const CellCallback& on_cell,
                                            std::vector<CellOutcome>& outcomes) {
   outcomes.assign(jobs_.size(), CellOutcome{});
+  if (owns_profiles_) count_profile_readers();
 
   // Ordered-prefix emission state: cells settle in completion order but
   // stream to the sink/callback in spec order, so a run with N threads

@@ -11,6 +11,7 @@
 // optional ResultSink as the ordered prefix completes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <future>
@@ -245,7 +246,10 @@ class Campaign {
   }
 
   /// Execute every job and return results in jobs() order. May be called
-  /// repeatedly; the profile cache persists across runs. The first
+  /// repeatedly. A private profile cache releases each profile once the
+  /// last job of the run that reads it has done so, so a completed run
+  /// leaves it empty and the next run builds again; a shared cache is
+  /// never released from. The first
   /// failing cell aborts the sweep (remaining cells are skipped) and is
   /// rethrown as a CampaignError; cancellation mid-sweep throws
   /// CampaignCancelled. Both paths terminate the sink so streamed
@@ -276,6 +280,16 @@ class Campaign {
 
  private:
   [[nodiscard]] JobResult execute(const Job& job);
+  /// Index into profile_readers_ of the job's profile key.
+  [[nodiscard]] std::size_t profile_key(const Job& job) const {
+    return profile_key_[job.trace_index * spec_.geometries.size() +
+                        job.geometry_index];
+  }
+  /// Count the jobs of a run that will read each profile.
+  void count_profile_readers();
+  /// A job has read its profile: release it if that was the last reader
+  /// and the cache is the campaign's own.
+  void profile_read(const Job& job);
   [[nodiscard]] cache::CacheStats baseline_stats(std::size_t trace_index,
                                                  std::size_t geometry_index);
   /// Call `f(tracestore::TraceInput)` on the entry's trace and return its
@@ -300,6 +314,13 @@ class Campaign {
   SweepSpec spec_;
   std::vector<Job> jobs_;
   std::shared_ptr<ProfileCache> profile_cache_;
+  bool owns_profiles_;  ///< profile_cache_ is private, not shared
+
+  /// Per (trace, geometry) cell, its profile key: the first cell with the
+  /// same trace content and geometry, which reads the same cache entry.
+  std::vector<std::size_t> profile_key_;
+  /// Per profile key, the jobs of the current run yet to read it.
+  std::vector<std::atomic<std::size_t>> profile_readers_;
 
   /// Conventional-index simulation results, deduplicated per (trace,
   /// geometry) like the profiles (first requester builds, concurrent

@@ -138,6 +138,20 @@ std::size_t ProfileCache::bytes() const {
   return bytes_;
 }
 
+void ProfileCache::release(const tracestore::TraceId& id,
+                           const cache::CacheGeometry& geometry,
+                           int hashed_bits) {
+  std::lock_guard lock(mutex_);
+  const auto it = entries_.find(Key{id, geometry, hashed_bits});
+  if (it == entries_.end()) return;
+  if (it->second.bytes > 0) {
+    bytes_ -= it->second.bytes;
+    XORIDX_OBS_GAUGE_ADD("profile_cache.bytes",
+                         -static_cast<std::int64_t>(it->second.bytes));
+  }
+  entries_.erase(it);
+}
+
 void ProfileCache::clear() {
   std::lock_guard lock(mutex_);
   if (bytes_ > 0)

@@ -22,6 +22,11 @@
 // working profile), and readers holding a ProfilePtr keep their profile
 // alive past eviction — the budget bounds what the cache retains, not
 // what callers borrowed.
+//
+// An owner that knows a profile has no readers left can drop it at once
+// with release(): a campaign with a private cache releases each profile
+// after the last of its jobs has read it, so a finished campaign holds
+// none.
 #pragma once
 
 #include <atomic>
@@ -72,6 +77,12 @@ class ProfileCache {
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return evictions_;
   }
+
+  /// Drop the entry for (content id, geometry, hashed_bits) and stop
+  /// charging its bytes; no-op when there is none. Readers holding its
+  /// ProfilePtr keep the profile alive, and a later request rebuilds it.
+  void release(const tracestore::TraceId& id,
+               const cache::CacheGeometry& geometry, int hashed_bits);
 
   void clear();
 

@@ -6,7 +6,7 @@
 // XOR functions — every candidate can be simulated exactly. The paper
 // notes the optimal algorithm is "very slow" and applies it only to the
 // short PowerStone traces. This implementation extracts block addresses
-// once and runs every candidate on cache::DirectMappedCache, the same
+// once and runs candidates on cache::DirectMappedCache, the same
 // exact kernel as every other direct-mapped simulation, with the
 // candidate's index tables built straight from its selection mask.
 //
@@ -15,8 +15,21 @@
 // the best count so far: from there it can at most tie, and a tie keeps
 // the earlier candidate. The winner and its misses are therefore those of
 // a full simulation of every candidate; most candidates just stop after
-// a short prefix of the trace. `simulate.accesses` counts the accesses
-// actually simulated.
+// a short prefix of the trace.
+//
+// Not every candidate is simulated. A hashed bit that takes one value
+// over the whole footprint adds the same constant to every index, and a
+// direct-mapped cache's misses depend only on how its index splits the
+// blocks into sets. Two selections with the same varying bits and the
+// same number of constant bits therefore miss alike. Only the first of
+// each such class in Gosper order (the one taking the lowest constant
+// bits) runs; the rest could at best tie with it. Back-to-back repeats of
+// a block, which hit under every index function, are dropped when the
+// blocks are extracted from a trace.
+//
+// `candidates` still counts every selection, C(n, m). The obs counters
+// `simulate.passes` and `simulate.accesses` count the candidates that ran
+// and the accesses they simulated.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +47,18 @@ struct ExhaustiveBitSelectResult {
   hash::BitSelectFunction function;
   std::uint64_t misses = 0;       ///< exact simulated misses of the winner
   /// Selections considered: C(n, m), whether a candidate was simulated to
-  /// the end of the trace or stopped at the running best.
+  /// the end of the trace, stopped at the running best, or skipped as an
+  /// equal of an earlier one.
   std::uint64_t candidates = 0;
 };
 
 /// Return the m-out-of-n bit selection with the fewest *exact*
 /// direct-mapped misses on the trace (the first in Gosper order among
 /// ties). `hashed_bits` must be at most 16 (the paper's n). The search is
-/// inherently multi-pass (every candidate re-walks the trace), so it
-/// extracts the block addresses once, in one pass over `t`, and pays
-/// O(trace) uint64s rather than C(n, m) decode passes of a streamed trace.
+/// inherently multi-pass (every simulated candidate re-walks the trace),
+/// so it extracts the block addresses once, in one pass over `t`, and
+/// pays O(trace) uint64s rather than one decode pass per candidate of a
+/// streamed trace.
 [[nodiscard]] ExhaustiveBitSelectResult optimal_bit_select(
     tracestore::TraceInput t, const cache::CacheGeometry& geometry,
     int hashed_bits);

@@ -104,6 +104,28 @@ TEST(ProfileCache, ConcurrentRequestsShareOneBuild) {
   EXPECT_EQ(cache.hits(), 31u);
 }
 
+TEST(ProfileCache, ReleaseDropsTheEntryAndItsBytes) {
+  const trace::Trace t = trace::stride_trace(0, 4096, 256);
+  const CacheGeometry geom(1024, 4);
+  ProfileCache cache;
+  const auto kept = cache.get_or_build(t, geom, 12);
+  const auto other = cache.get_or_build(t, CacheGeometry(4096, 4), 12);
+  const std::size_t all_bytes = cache.bytes();
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
+
+  cache.release(id, geom, 12);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), all_bytes - kept->memory_bytes());
+  EXPECT_GT(kept->memory_bytes(), 0u);  // the reader's copy stays alive
+  cache.release(id, geom, 12);          // no entry left: a no-op
+  EXPECT_EQ(cache.size(), 1u);
+
+  const auto rebuilt = cache.get_or_build(t, geom, 12);
+  EXPECT_NE(rebuilt.get(), kept.get());
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
 // ----------------------------------------------------------------- Campaign
 
 SweepSpec small_spec() {
@@ -190,6 +212,55 @@ TEST(Campaign, ProfileCacheSharedAcrossConfigs) {
   // (perm-2in, general) -> 4 builds, 4 hits.
   EXPECT_EQ(campaign.profiles().misses(), 4u);
   EXPECT_EQ(campaign.profiles().hits(), 4u);
+}
+
+// A private profile cache releases each profile after its last reader,
+// so a finished run holds none and the next run builds each key again.
+TEST(Campaign, PrivateProfilesReleasedAfterTheirLastReader) {
+  Campaign campaign(small_spec());
+  CampaignOptions options;
+  options.num_threads = 4;
+  const std::vector<JobResult> first = campaign.run(options);
+  EXPECT_EQ(campaign.profiles().misses(), 4u);
+  EXPECT_EQ(campaign.profiles().hits(), 4u);
+  EXPECT_EQ(campaign.profiles().size(), 0u);
+  EXPECT_EQ(campaign.profiles().bytes(), 0u);
+
+  EXPECT_EQ(campaign.run(options), first);
+  EXPECT_EQ(campaign.profiles().misses(), 8u);
+  EXPECT_EQ(campaign.profiles().hits(), 8u);
+  EXPECT_EQ(campaign.profiles().size(), 0u);
+}
+
+// Reader counts follow the cache's key, (content, geometry), not the
+// trace's position: two traces with equal content share one build.
+TEST(Campaign, EqualContentTracesShareOneReleasedProfile) {
+  SweepSpec spec = small_spec();
+  spec.traces.resize(1);
+  spec.traces.push_back(spec.traces.front());
+  spec.traces.back().name = "copy";
+  Campaign campaign(std::move(spec));
+  CampaignOptions options;
+  options.num_threads = 4;
+  campaign.run(options);
+  // 2 geometries, 2 traces x 2 readers per key -> 2 builds, 6 hits.
+  EXPECT_EQ(campaign.profiles().misses(), 2u);
+  EXPECT_EQ(campaign.profiles().hits(), 6u);
+  EXPECT_EQ(campaign.profiles().size(), 0u);
+}
+
+// A shared cache belongs to its owner (the serving daemon): the campaign
+// never releases from it.
+TEST(Campaign, SharedProfileCacheKeepsItsEntries) {
+  auto shared = std::make_shared<ProfileCache>();
+  Campaign campaign(small_spec(), shared);
+  CampaignOptions options;
+  options.num_threads = 4;
+  campaign.run(options);
+  EXPECT_EQ(shared->misses(), 4u);
+  EXPECT_EQ(shared->hits(), 4u);
+  EXPECT_EQ(shared->size(), 4u);
+  EXPECT_GT(shared->bytes(), 0u);
 }
 
 TEST(Campaign, ResultsMatchDirectCalls) {

@@ -11,6 +11,7 @@
 #include "gf2/counting.hpp"
 #include "gf2/enumerate.hpp"
 #include "hash/function_properties.hpp"
+#include "obs/metrics.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/estimator.hpp"
@@ -294,15 +295,47 @@ ExhaustiveBitSelectResult unbounded_sweep(const std::vector<std::uint64_t>& bloc
   return best;
 }
 
+/// The hashed bits below n that take one value over all of `blocks`.
+std::uint32_t constant_bits(const std::vector<std::uint64_t>& blocks, int n) {
+  std::uint32_t constant = 0;
+  for (int bit = 0; bit < n; ++bit)
+    if (std::all_of(blocks.begin(), blocks.end(), [&](std::uint64_t b) {
+          return ((b ^ blocks.front()) >> bit & 1u) == 0;
+        }))
+      constant |= 1u << bit;
+  return constant;
+}
+
+/// Classes of m-of-n selections that miss alike when the bits in
+/// `constant` never vary: one per choice of varying bits and count k of
+/// constant bits, Σ_{k ≤ min(m,|C|)} C(n−|C|, m−k).
+std::uint64_t selection_classes(int n, int m, std::uint32_t constant) {
+  const int c = std::popcount(constant);
+  std::uint64_t classes = 0;
+  for (int k = 0; k <= std::min(m, c); ++k)
+    if (m - k <= n - c) classes += gf2::binomial_exact(n - c, m - k);
+  return classes;
+}
+
+std::uint64_t simulate_passes_counter() {
+  return obs::registry().snapshot().counter("simulate.passes");
+}
+
 void expect_same_sweep(const std::vector<std::uint64_t>& blocks,
                        const CacheGeometry& geom, int n) {
   const ExhaustiveBitSelectResult want = unbounded_sweep(blocks, geom, n);
+  const std::uint64_t passes0 = simulate_passes_counter();
   const ExhaustiveBitSelectResult got =
       optimal_bit_select_blocks(blocks, geom, n);
+  const std::uint64_t passes = simulate_passes_counter() - passes0;
   EXPECT_EQ(got.function.positions(), want.function.positions());
   EXPECT_EQ(got.misses, want.misses);
   EXPECT_EQ(got.candidates, want.candidates);
   EXPECT_EQ(got.candidates, gf2::binomial_exact(n, geom.index_bits()));
+  // One simulated candidate per constant-bit class.
+  if (obs::compiled() && obs::metrics_enabled())
+    EXPECT_EQ(passes, selection_classes(n, geom.index_bits(),
+                                        constant_bits(blocks, n)));
 }
 
 TEST(OptimalBitSelect, BoundedSweepMatchesUnboundedOnRandomTraces) {
@@ -347,6 +380,112 @@ TEST(OptimalBitSelect, BestSelectionLastInGosperOrderIsFound) {
   const auto optimal = optimal_bit_select_blocks(blocks, geom, n);
   EXPECT_EQ(optimal.function.positions(), (std::vector<int>{7, 8, 9}));
   EXPECT_EQ(optimal.misses, std::uint64_t{1} << m);
+}
+
+TEST(OptimalBitSelect, ConstantBitClassesMatchUnboundedSweep) {
+  // Random traces with `forced` hashed bits pinned to 0 or to 1 and bits
+  // above n varying: skipping all but the first selection of each class
+  // must leave the winner and its misses as the unfiltered sweep finds.
+  std::mt19937_64 rng(47);
+  for (const int n : {8, 12}) {
+    for (const std::uint32_t sets : {4u, 16u}) {
+      const CacheGeometry geom(sets * 4, 4);
+      const int m = geom.index_bits();
+      for (const int forced : {0, 1, n - m, n - 1}) {
+        for (const std::uint64_t value : {0u, 1u}) {
+          std::vector<int> order(static_cast<std::size_t>(n));
+          for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+          std::shuffle(order.begin(), order.end(), rng);
+          std::uint64_t pinned = 0;
+          for (int i = 0; i < forced; ++i)
+            pinned |= std::uint64_t{1} << order[static_cast<std::size_t>(i)];
+          std::vector<std::uint64_t> blocks(800);
+          for (std::uint64_t& b : blocks) {
+            b = (rng() % 48) * (1 + rng() % 5) + ((rng() % 3) << n);
+            b = value != 0 ? (b | pinned) : (b & ~pinned);
+          }
+          SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                       " forced=" + std::to_string(forced) +
+                       " value=" + std::to_string(value));
+          EXPECT_EQ(constant_bits(blocks, n) & pinned, pinned);
+          expect_same_sweep(blocks, geom, n);
+        }
+      }
+    }
+  }
+}
+
+TEST(OptimalBitSelect, TiedClassMembersKeepTheEarliestSelection) {
+  // Only bits 3 and 7 vary, over four blocks in a loop. Every selection
+  // of {3, 7} plus one constant bit gives each block its own set and
+  // reaches the minimum of 4 misses; the earliest, {0, 3, 7}, must win.
+  const int n = 10;
+  const CacheGeometry geom(32, 4);  // m = 3
+  const std::uint64_t base = 0b10'0011'0101;  // bits 3 and 7 clear
+  std::vector<std::uint64_t> blocks;
+  for (int rep = 0; rep < 25; ++rep)
+    for (const std::uint64_t v : {0u, 1u, 2u, 3u})
+      blocks.push_back(base | ((v & 1u) << 3) | ((v >> 1) << 7));
+  expect_same_sweep(blocks, geom, n);
+  const auto optimal = optimal_bit_select_blocks(blocks, geom, n);
+  EXPECT_EQ(optimal.function.positions(), (std::vector<int>{0, 3, 7}));
+  EXPECT_EQ(optimal.misses, 4u);
+}
+
+TEST(OptimalBitSelect, SingleBlockTraceHasOneClass) {
+  // Every hashed bit is constant: one class, one simulated candidate.
+  const CacheGeometry geom(64, 4);  // m = 4
+  const std::vector<std::uint64_t> blocks(30, 0b1011'0110'1001ull);
+  expect_same_sweep(blocks, geom, 12);
+  EXPECT_EQ(selection_classes(12, 4, constant_bits(blocks, 12)), 1u);
+  const auto optimal = optimal_bit_select_blocks(blocks, geom, 12);
+  EXPECT_EQ(optimal.function.positions(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(optimal.misses, 1u);
+}
+
+TEST(OptimalBitSelect, SelectingEveryHashedBitHasOneCandidate) {
+  std::mt19937_64 rng(5);
+  const CacheGeometry geom(64, 4);  // m = n = 4
+  std::vector<std::uint64_t> blocks(400);
+  for (std::uint64_t& b : blocks) b = rng() % 64;
+  expect_same_sweep(blocks, geom, 4);
+}
+
+TEST(OptimalBitSelect, BackToBackRepeatsDoNotChangeTheSweep) {
+  // Runs of 1-4 repeats of each block: the trace entry point drops the
+  // repeats and must still agree with the unfiltered sweep over every
+  // raw block, while simulating no more than the runs.
+  std::mt19937_64 rng(19);
+  const CacheGeometry geom(64, 4);  // m = 4
+  const int n = 10;
+  std::vector<std::uint64_t> blocks;
+  std::size_t runs = 0;
+  while (blocks.size() < 2000) {
+    const std::uint64_t b = rng() % 120 + ((rng() % 2) << n);
+    if (!blocks.empty() && blocks.back() == b) continue;
+    ++runs;
+    for (std::uint64_t r = 1 + rng() % 4; r > 0; --r) blocks.push_back(b);
+  }
+  Trace t;
+  for (const std::uint64_t b : blocks)
+    t.append(b << geom.offset_bits(), AccessKind::read);
+
+  const ExhaustiveBitSelectResult want = unbounded_sweep(blocks, geom, n);
+  const auto counters = [] {
+    const obs::Snapshot snap = obs::registry().snapshot();
+    return std::pair{snap.counter("simulate.passes"),
+                     snap.counter("simulate.accesses")};
+  };
+  const auto [passes0, accesses0] = counters();
+  const ExhaustiveBitSelectResult got = optimal_bit_select(t, geom, n);
+  const auto [passes1, accesses1] = counters();
+  EXPECT_EQ(got.function.positions(), want.function.positions());
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.candidates, want.candidates);
+  if (obs::compiled() && obs::metrics_enabled()) {
+    EXPECT_GT(passes1 - passes0, 0u);
+    EXPECT_LE(accesses1 - accesses0, (passes1 - passes0) * runs);
+  }
 }
 
 // ---------------------------------------------------------------------------
