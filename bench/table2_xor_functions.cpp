@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "workloads/skeletons.hpp"
 #include "xoridx/api.hpp"
 
 namespace {
@@ -138,8 +139,8 @@ int main(int argc, char** argv) {
     uops.push_back(w.uops);
     request.traces.push_back(
         api::TraceRef::memory(w.name + ".data", std::move(w.data)));
-    request.traces.push_back(
-        api::TraceRef::memory(w.name + ".inst", std::move(w.fetches)));
+    request.traces.push_back(api::TraceRef::memory(
+        w.name + ".inst", workloads::synthesize_instructions(name).fetches));
   }
 
   bench::ProgressSink progress("table2", request.job_count());

@@ -77,6 +77,7 @@
 
 #include "hash/serialize.hpp"
 #include "trace/trace_io.hpp"
+#include "workloads/skeletons.hpp"
 #include "workloads/workload.hpp"
 #include "xoridx/fleet.hpp"
 #include "xoridx/io.hpp"
@@ -258,11 +259,12 @@ int cmd_version() {
 
 int cmd_gen(int argc, char** argv) {
   if (argc < 5) return usage();
-  const workloads::Workload w = workloads::make_workload(argv[2]);
-  const bool fetch = std::strcmp(argv[3], "fetch") == 0;
-  trace::save_trace(argv[4], fetch ? w.fetches : w.data);
-  std::printf("wrote %zu references to %s\n",
-              (fetch ? w.fetches : w.data).size(), argv[4]);
+  const trace::Trace t =
+      std::strcmp(argv[3], "fetch") == 0
+          ? workloads::synthesize_instructions(argv[2]).fetches
+          : workloads::make_workload(argv[2]).data;
+  trace::save_trace(argv[4], t);
+  std::printf("wrote %zu references to %s\n", t.size(), argv[4]);
   return 0;
 }
 

@@ -30,26 +30,38 @@ void InstructionSynthesizer::call(int fn) { loop(fn, 1); }
 
 void InstructionSynthesizer::loop(int fn, std::uint64_t iterations) {
   const Function& f = functions_.at(static_cast<std::size_t>(fn));
-  emit_range(f.base, f.instructions, iterations);
+  record(f.base, f.instructions, iterations);
 }
 
 void InstructionSynthesizer::block(int fn, std::uint32_t offset,
                                    std::uint32_t length,
                                    std::uint64_t iterations) {
   const Function& f = functions_.at(static_cast<std::size_t>(fn));
-  if (offset + length > f.instructions)
+  const std::uint32_t n = f.instructions;
+  if (length > n || offset > n - length)
     throw std::out_of_range("basic block outside function body");
-  emit_range(f.base + 4ull * offset, length, iterations);
+  record(f.base + 4ull * offset, length, iterations);
 }
 
-void InstructionSynthesizer::emit_range(std::uint64_t base,
-                                        std::uint32_t count,
-                                        std::uint64_t iterations) {
-  for (std::uint64_t it = 0; it < iterations; ++it) {
-    for (std::uint32_t i = 0; i < count; ++i)
-      trace_.append(base + 4ull * i, trace::AccessKind::fetch);
-    emitted_ += count;
+void InstructionSynthesizer::record(std::uint64_t base, std::uint32_t count,
+                                    std::uint64_t iterations) {
+  emitted_ += count * iterations;
+  if (!script_.empty() && script_.back().base == base &&
+      script_.back().count == count) {
+    script_.back().iterations += iterations;
+    return;
   }
+  script_.push_back({base, count, iterations});
+}
+
+trace::Trace InstructionSynthesizer::expand() const {
+  trace::Trace t;
+  t.reserve(emitted_);
+  for (const FetchRun& run : script_)
+    for (std::uint64_t it = 0; it < run.iterations; ++it)
+      for (std::uint32_t i = 0; i < run.count; ++i)
+        t.append(run.base + 4ull * i, trace::AccessKind::fetch);
+  return t;
 }
 
 std::uint64_t InstructionSynthesizer::function_base(int fn) const {

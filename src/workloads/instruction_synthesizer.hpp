@@ -8,6 +8,11 @@
 // between functions on calls. Hot functions whose address ranges collide
 // modulo the cache size conflict in a direct-mapped I-cache — the
 // phenomenon Table 2's instruction-cache half measures.
+//
+// The synthesizer records the script, not the stream: each call, loop or
+// block is one run of `count` sequential fetches from `base`, repeated
+// `iterations` times. The instruction count is a sum over the runs, so a
+// data-side user never pays for the stream; expand() builds it on request.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +22,13 @@
 #include "trace/trace.hpp"
 
 namespace xoridx::workloads {
+
+/// `iterations` passes over the `count` instructions starting at `base`.
+struct FetchRun {
+  std::uint64_t base = 0;
+  std::uint32_t count = 0;
+  std::uint64_t iterations = 0;
+};
 
 class InstructionSynthesizer {
  public:
@@ -44,18 +56,24 @@ class InstructionSynthesizer {
   void loop(int fn, std::uint64_t iterations);
 
   /// Fetch `length` instructions starting at instruction `offset` of `fn`
-  /// (one basic block), `iterations` times.
+  /// (one basic block), `iterations` times. Throws std::out_of_range if
+  /// the block does not lie inside the body.
   void block(int fn, std::uint32_t offset, std::uint32_t length,
              std::uint64_t iterations = 1);
 
+  /// Instructions the script executes: the length of expand().
   [[nodiscard]] std::uint64_t instructions_emitted() const noexcept {
     return emitted_;
   }
 
-  [[nodiscard]] const trace::Trace& fetch_trace() const noexcept {
-    return trace_;
+  /// The recorded script, in execution order. A run repeating the one
+  /// before it is folded into that run's iterations.
+  [[nodiscard]] const std::vector<FetchRun>& script() const noexcept {
+    return script_;
   }
-  [[nodiscard]] trace::Trace take_trace() { return std::move(trace_); }
+
+  /// The fetch stream the script executes, one access per instruction.
+  [[nodiscard]] trace::Trace expand() const;
 
   [[nodiscard]] std::uint64_t function_base(int fn) const;
   [[nodiscard]] std::uint32_t function_size(int fn) const;
@@ -67,13 +85,13 @@ class InstructionSynthesizer {
     std::uint32_t instructions = 0;
   };
 
-  void emit_range(std::uint64_t base, std::uint32_t count,
-                  std::uint64_t iterations);
+  void record(std::uint64_t base, std::uint32_t count,
+              std::uint64_t iterations);
 
   std::uint64_t cursor_;
   std::uint64_t emitted_ = 0;
   std::vector<Function> functions_;
-  trace::Trace trace_;
+  std::vector<FetchRun> script_;
 };
 
 }  // namespace xoridx::workloads

@@ -1,22 +1,14 @@
 #include "workloads/skeletons.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
-
-#include "workloads/instruction_synthesizer.hpp"
 
 namespace xoridx::workloads {
 
 namespace {
 
 constexpr std::uint64_t code_base = 0x100000;
-
-SkeletonTrace finish(InstructionSynthesizer& s) {
-  SkeletonTrace out;
-  out.instructions = s.instructions_emitted();
-  out.fetches = s.take_trace();
-  return out;
-}
 
 // Collision distances: a helper placed S bytes after a hot function
 // occupies the same sets in every direct-mapped cache of size dividing S
@@ -26,7 +18,7 @@ constexpr std::uint64_t collide_1k = 1024;
 constexpr std::uint64_t collide_4k = 4096;
 constexpr std::uint64_t collide_16k = 16384;
 
-SkeletonTrace dijkstra_skeleton() {
+InstructionSynthesizer dijkstra_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 40);
   const int init = s.add_function("init_graph", 14);
@@ -47,10 +39,10 @@ SkeletonTrace dijkstra_skeleton() {
       s.call(outer);
     }
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace fft_skeleton() {
+InstructionSynthesizer fft_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 40);
   const int sig = s.add_function("signal_gen", 12);
@@ -74,10 +66,10 @@ SkeletonTrace fft_skeleton() {
       }
     }
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace jpeg_enc_skeleton() {
+InstructionSynthesizer jpeg_enc_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 40);
   const int load_blk = s.add_function("load_block", 20);
@@ -101,10 +93,10 @@ SkeletonTrace jpeg_enc_skeleton() {
     s.loop(rle, 2);
     s.call(bitlib);
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace jpeg_dec_skeleton() {
+InstructionSynthesizer jpeg_dec_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 40);
   const int parse = s.add_function("parse_stream", 26);
@@ -128,10 +120,10 @@ SkeletonTrace jpeg_dec_skeleton() {
     for (int r = 0; r < 8; ++r) s.call(helper);
     s.loop(store, 8);
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace lame_skeleton() {
+InstructionSynthesizer lame_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 30);
   const int shift_in = s.add_function("shift_in", 14);
@@ -156,10 +148,10 @@ SkeletonTrace lame_skeleton() {
       s.call(cos_lib);
     }
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace rijndael_skeleton() {
+InstructionSynthesizer rijndael_skeleton() {
   // Heavily unrolled encryption body larger than the 4-KB cache plus a
   // main loop placed exactly one 16-KB cache beyond it: at 16 KB the only
   // misses are the main<->encrypt collisions (fully removable, as in
@@ -174,10 +166,10 @@ SkeletonTrace rijndael_skeleton() {
     s.call(main_fn);
     s.call(encrypt);
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace susan_skeleton() {
+InstructionSynthesizer susan_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 30);
   const int mask_loop = s.add_function("mask_loop", 8);
@@ -198,10 +190,10 @@ SkeletonTrace susan_skeleton() {
       s.call(lut_helper);
     }
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace adpcm_skeleton(int samples, int body_insns) {
+InstructionSynthesizer adpcm_skeleton(int samples, int body_insns) {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 20);
   const int body = s.add_function("codec_body",
@@ -218,10 +210,10 @@ SkeletonTrace adpcm_skeleton(int samples, int body_insns) {
     s.call(step_helper);
     if (chunk % 16 == 0) s.call(rare);
   }
-  return finish(s);
+  return s;
 }
 
-SkeletonTrace mpeg2_dec_skeleton() {
+InstructionSynthesizer mpeg2_dec_skeleton() {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 40);
   const int parse_mb = s.add_function("parse_macroblock", 30);
@@ -247,15 +239,15 @@ SkeletonTrace mpeg2_dec_skeleton() {
     }
   }
   s.loop(copy, 6144);
-  return finish(s);
+  return s;
 }
 
 /// Generic PowerStone-scale skeleton: one hot body with a 1-KB-colliding
 /// helper; Table 3 uses data caches only, so these mainly provide uop
 /// counts and a realistic small-code shape.
-SkeletonTrace small_loop_skeleton(std::uint32_t body_insns,
-                                  std::uint64_t iterations,
-                                  int helper_every) {
+InstructionSynthesizer small_loop_skeleton(std::uint32_t body_insns,
+                                           std::uint64_t iterations,
+                                           int helper_every) {
   InstructionSynthesizer s(code_base);
   const int main_fn = s.add_function("main", 24);
   const int body = s.add_function("kernel_body", body_insns);
@@ -268,12 +260,12 @@ SkeletonTrace small_loop_skeleton(std::uint32_t body_insns,
     s.loop(body, std::min(chunk, iterations - done));
     s.call(helper);
   }
-  return finish(s);
+  return s;
 }
 
 }  // namespace
 
-SkeletonTrace synthesize_instructions(std::string_view name) {
+InstructionSynthesizer program_skeleton(std::string_view name) {
   const std::string key(name);
   if (key == "dijkstra") return dijkstra_skeleton();
   if (key == "fft") return fft_skeleton();
@@ -303,6 +295,11 @@ SkeletonTrace synthesize_instructions(std::string_view name) {
   if (key == "v42") return small_loop_skeleton(18, 16000, 32);
 
   throw std::invalid_argument("unknown workload: " + key);
+}
+
+SkeletonTrace synthesize_instructions(std::string_view name) {
+  const InstructionSynthesizer s = program_skeleton(name);
+  return {s.expand(), s.instructions_emitted()};
 }
 
 }  // namespace xoridx::workloads

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "trace/trace.hpp"
+#include "workloads/instruction_synthesizer.hpp"
 
 namespace xoridx::workloads {
 
@@ -15,8 +16,13 @@ struct SkeletonTrace {
   std::uint64_t instructions = 0;
 };
 
-/// Instruction trace for a workload by name (the registry names of
-/// workload.hpp). Throws std::invalid_argument for unknown names.
+/// A workload's skeleton as a fetch script (the registry names of
+/// workload.hpp): its instruction count without the stream. Throws
+/// std::invalid_argument for unknown names.
+[[nodiscard]] InstructionSynthesizer program_skeleton(std::string_view name);
+
+/// Instruction trace for a workload by name: the skeleton's script,
+/// expanded. Throws std::invalid_argument for unknown names.
 [[nodiscard]] SkeletonTrace synthesize_instructions(std::string_view name);
 
 }  // namespace xoridx::workloads

@@ -182,9 +182,7 @@ Workload make_workload(std::string_view name, Scale scale) {
   w.checksum = it->second.kernel(ctx, scale);
   w.data = std::move(ctx.data);
 
-  SkeletonTrace skeleton = synthesize_instructions(name);
-  w.fetches = std::move(skeleton.fetches);
-  w.uops = skeleton.instructions;
+  w.uops = program_skeleton(name).instructions_emitted();
   return w;
 }
 

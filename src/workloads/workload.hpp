@@ -1,6 +1,7 @@
-// Workload registry: named benchmark programs with data traces,
-// instruction traces and uop counts — the inputs to the paper's Table 2
-// and Table 3 evaluation.
+// Workload registry: named benchmark programs with data traces and uop
+// counts — the inputs to the paper's Table 2 and Table 3 evaluation. The
+// instruction-fetch trace of the same program comes from
+// synthesize_instructions (skeletons.hpp).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,7 @@ enum class Scale { small, full };
 struct Workload {
   std::string name;
   Suite suite = Suite::table2;
-  trace::Trace data;     ///< loads and stores of the kernel
-  trace::Trace fetches;  ///< synthesized instruction fetches
+  trace::Trace data;  ///< loads and stores of the kernel
   std::uint64_t uops = 0;  ///< executed instructions (1 uop each, SA-110)
   std::uint64_t checksum = 0;  ///< kernel result, checked by golden tests
 };

@@ -12,6 +12,7 @@
 #include "hash/xor_function.hpp"
 #include "search/exhaustive_bit_select.hpp"
 #include "search/optimizer.hpp"
+#include "workloads/skeletons.hpp"
 #include "workloads/workload.hpp"
 
 namespace xoridx {
@@ -65,13 +66,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1024u, 4096u)));
 
 TEST(Pipeline, InstructionCachePipelineRuns) {
-  const workloads::Workload w =
-      workloads::make_workload("dijkstra", Scale::small);
+  const trace::Trace fetches =
+      workloads::synthesize_instructions("dijkstra").fetches;
   const CacheGeometry geom(1024, 4);
   search::OptimizeOptions options;
   const search::OptimizationResult result =
-      search::optimize_index(w.fetches, geom, options);
-  EXPECT_EQ(result.accesses, w.fetches.size());
+      search::optimize_index(fetches, geom, options);
+  EXPECT_EQ(result.accesses, fetches.size());
   EXPECT_GT(result.baseline_misses, 0u);
 }
 

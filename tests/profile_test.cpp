@@ -4,55 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <random>
 
 #include "cache/fully_associative.hpp"
 #include "cache/simulate.hpp"
 #include "hash/xor_function.hpp"
+#include "heap_counter.hpp"
 #include "profile/conflict_profile.hpp"
 #include "trace/generators.hpp"
 #include "tracestore/trace_source.hpp"
-
-// Live and peak heap bytes of this test binary, for the memory-bound test.
-// Each block carries its size in a header so unsized deletes can subtract.
-namespace heap {
-namespace {
-std::atomic<std::size_t> live{0};
-std::atomic<std::size_t> high{0};
-constexpr std::size_t kHeader = alignof(std::max_align_t);
-}  // namespace
-
-/// Restart peak tracking from the current live size, which is returned.
-std::size_t reset_peak() {
-  const std::size_t now = live.load();
-  high.store(now);
-  return now;
-}
-std::size_t peak() { return high.load(); }
-}  // namespace heap
-
-void* operator new(std::size_t size) {
-  auto* base = static_cast<unsigned char*>(std::malloc(size + heap::kHeader));
-  if (base == nullptr) throw std::bad_alloc();
-  *reinterpret_cast<std::size_t*>(base) = size;
-  const std::size_t now = heap::live.fetch_add(size) + size;
-  std::size_t seen = heap::high.load();
-  while (now > seen && !heap::high.compare_exchange_weak(seen, now)) {
-  }
-  return base + heap::kHeader;
-}
-
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  auto* base = static_cast<unsigned char*>(p) - heap::kHeader;
-  heap::live.fetch_sub(*reinterpret_cast<std::size_t*>(base));
-  std::free(base);
-}
-
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace xoridx::profile {
 namespace {

@@ -7,6 +7,8 @@
 #include <numeric>
 #include <set>
 
+#include "heap_counter.hpp"
+#include "tracestore/trace_id.hpp"
 #include "workloads/instruction_synthesizer.hpp"
 #include "workloads/kernels_mediabench.hpp"
 #include "workloads/kernels_mibench.hpp"
@@ -271,7 +273,7 @@ TEST(InstructionSynthesizer, SequentialLayoutAndFetches) {
   s.call(f);
   s.loop(g, 2);
   EXPECT_EQ(s.instructions_emitted(), 8u);
-  const trace::Trace t = s.fetch_trace();
+  const trace::Trace t = s.expand();
   ASSERT_EQ(t.size(), 8u);
   EXPECT_EQ(t[0].addr, 0x1000u);
   EXPECT_EQ(t[3].addr, 0x100cu);
@@ -284,10 +286,44 @@ TEST(InstructionSynthesizer, BlockEmission) {
   InstructionSynthesizer s(0);
   const int f = s.add_function("f", 10);
   s.block(f, 4, 3, 2);
-  const trace::Trace t = s.fetch_trace();
+  const trace::Trace t = s.expand();
   ASSERT_EQ(t.size(), 6u);
   EXPECT_EQ(t[0].addr, 16u);
   EXPECT_THROW(s.block(f, 8, 5), std::out_of_range);
+}
+
+TEST(InstructionSynthesizer, BlockBoundsCheckDoesNotWrap) {
+  // offset + length wraps to 1 in 32 bits; the block must still be
+  // rejected rather than fetch ~16 GiB past the function.
+  InstructionSynthesizer s(0);
+  const int f = s.add_function("f", 10);
+  EXPECT_THROW(s.block(f, UINT32_MAX, 2), std::out_of_range);
+  EXPECT_THROW(s.block(f, 2, UINT32_MAX), std::out_of_range);
+  EXPECT_EQ(s.instructions_emitted(), 0u);
+  s.block(f, 0, 10);
+  s.block(f, 10, 0);
+  EXPECT_EQ(s.instructions_emitted(), 10u);
+}
+
+TEST(InstructionSynthesizer, RepeatedRunsFoldIntoOne) {
+  InstructionSynthesizer s(0x1000);
+  const int f = s.add_function("f", 3);
+  const int g = s.add_function("g", 2);
+  s.call(f);
+  s.call(f);
+  s.loop(f, 3);
+  s.call(g);
+  s.call(f);
+  ASSERT_EQ(s.script().size(), 3u);
+  EXPECT_EQ(s.script()[0].iterations, 5u);
+  EXPECT_EQ(s.script()[1].base, 0x100cu);
+  EXPECT_EQ(s.instructions_emitted(), 20u);
+  const trace::Trace t = s.expand();
+  ASSERT_EQ(t.size(), 20u);
+  for (std::size_t i = 0; i < 15; ++i)
+    EXPECT_EQ(t[i].addr, 0x1000u + 4 * (i % 3)) << i;
+  EXPECT_EQ(t[15].addr, 0x100cu);
+  EXPECT_EQ(t[17].addr, 0x1000u);
 }
 
 TEST(InstructionSynthesizer, AbsolutePlacement) {
@@ -304,9 +340,58 @@ TEST(Skeletons, AllWorkloadsHaveSkeletons) {
       const SkeletonTrace st = synthesize_instructions(name);
       EXPECT_GT(st.instructions, 0u) << name;
       EXPECT_EQ(st.fetches.size(), st.instructions) << name;
+      // Counted from the script, without expanding it.
+      EXPECT_EQ(make_workload(name, Scale::small).uops, st.instructions)
+          << name;
     }
   }
   EXPECT_THROW(synthesize_instructions("nope"), std::invalid_argument);
+  EXPECT_THROW(program_skeleton("nope"), std::invalid_argument);
+}
+
+TEST(Skeletons, ExpandedStreamsArePinned) {
+  // Length and content id of every skeleton's fetch trace, as generated
+  // by the one-access-per-instruction synthesizer the fetch scripts
+  // replaced: the expansion must stay byte-identical.
+  struct Pinned {
+    const char* name;
+    std::size_t accesses;
+    const char* id;
+  };
+  const Pinned pinned[] = {
+      {"dijkstra", 662568, "e97c71a7cf851ab7ebf70d9a895ef800"},
+      {"fft", 516520, "0ea0ddb0e3b6b12d507ebb2712f4f460"},
+      {"jpeg_enc", 353704, "e6afcd698ce6c37d5770da062fcaa800"},
+      {"jpeg_dec", 476200, "225b43f2d9e352a8e6e0def20e16e500"},
+      {"lame", 1178142, "789e9f16552ae2c333edd735aafce5a2"},
+      {"rijndael", 928000, "a88799e8e7ec6597fabb369e21245bb8"},
+      {"susan", 781650, "e910bd33393e5c327b98031238162a26"},
+      {"adpcm_dec", 868152, "b38ce81a2ab4c093775078e8e652e980"},
+      {"adpcm_enc", 928152, "fbd0d149ef73d278fea6b53df4b7e3e0"},
+      {"mpeg2_dec", 486520, "1012eddc34f06e7767dd11f6443e8660"},
+      {"adpcm", 361744, "0110ade26ff094d33959be1c6e0ae454"},
+      {"bcnt", 225816, "3692b01ab578191598e7f759c0ac2bf0"},
+      {"blit", 183320, "03c1b00e8363a127872319b7f3af0df0"},
+      {"compress", 327524, "584df2f431dd572962b160da75f85bc4"},
+      {"crc", 198936, "82443ae604fc1450beb83e90b750a2f0"},
+      {"des", 195024, "affb432c3303bccd394536c7c09afe28"},
+      {"engine", 110024, "5f28f8ba2385c98de45193d2c8cc9a20"},
+      {"fir", 456424, "35a549c1836188872837000943f61ac0"},
+      {"g3fax", 88524, "b9e510678f3908217ef6b1936503892c"},
+      {"jpeg", 249024, "afec84e9a7f855515d40c493a735c618"},
+      {"pocsag", 65544, "5de6af576f3eeef3197230de899c61e0"},
+      {"qurt", 13224, "2c3e9f49d8c6c90f8ec247d47b9ce880"},
+      {"ucbqsort", 185652, "32e6a8495231fcd177cd92ebe3e8b514"},
+      {"v42", 294024, "7c6defc978c2a743871136017fdb3360"},
+  };
+  EXPECT_EQ(std::size(pinned), workload_names(Suite::table2).size() +
+                                  workload_names(Suite::powerstone).size());
+  for (const Pinned& p : pinned) {
+    const SkeletonTrace st = synthesize_instructions(p.name);
+    EXPECT_EQ(st.fetches.size(), p.accesses) << p.name;
+    EXPECT_EQ(tracestore::trace_id_of(st.fetches).to_string(), p.id)
+        << p.name;
+  }
 }
 
 TEST(Skeletons, RijndaelCodeExceedsFourKb) {
@@ -334,16 +419,27 @@ class RegistrySweep : public ::testing::TestWithParam<std::string> {};
 TEST_P(RegistrySweep, SmallWorkloadsBuildDeterministically) {
   const Workload a = make_workload(GetParam(), Scale::small);
   const Workload b = make_workload(GetParam(), Scale::small);
+  const trace::Trace fetches = synthesize_instructions(GetParam()).fetches;
   EXPECT_EQ(a.checksum, b.checksum);
   EXPECT_EQ(a.data.size(), b.data.size());
   EXPECT_GT(a.data.size(), 0u);
   EXPECT_GT(a.uops, 0u);
-  EXPECT_EQ(a.fetches.size(), a.uops);
+  EXPECT_EQ(fetches.size(), a.uops);
   // Data traces contain no fetches and fetch traces no data.
   const trace::TraceStats ds = a.data.stats(2);
   EXPECT_EQ(ds.fetches, 0u);
-  const trace::TraceStats fs = a.fetches.stats(2);
+  const trace::TraceStats fs = fetches.stats(2);
   EXPECT_EQ(fs.reads + fs.writes, 0u);
+}
+
+TEST(Registry, DataSideSynthesisDoesNotBuildTheFetchStream) {
+  // Small lame: ~28 K data accesses (~0.5 MB), but 1.18 M fetches
+  // (~19 MB) if the instruction stream were expanded alongside.
+  const std::size_t before = heap::reset_peak();
+  const Workload w = make_workload("lame", Scale::small);
+  const std::size_t used = heap::peak() - before;
+  EXPECT_EQ(w.uops, 1'178'142u);
+  EXPECT_LT(used, std::size_t{4} << 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(
