@@ -26,7 +26,9 @@
 //       Run a sharded campaign across worker processes: partition with
 //       the shard plan, launch one worker per shard (local fork/exec or
 //       ssh), watch heartbeats, retry shards whose reports never arrive
-//       or fail validation, and merge incrementally. The merged CSV is
+//       or fail validation, and merge incrementally. Each worker runs
+//       `engine <workloads> --shard i/N ...` followed by the sweep flags
+//       fleet was given, forwarded verbatim. The merged CSV is
 //       byte-identical to the unsharded engine run.
 //   xoridx_cli merge <shard.rpt>... [--out merged.rpt] [--csv file|-]
 //           [--fleet-metrics-out m.prom]
@@ -55,6 +57,15 @@
 //       Print trace-file metadata: format, accesses, chunks, content id.
 //   xoridx_cli --version
 //       Print the library version and supported trace-format versions.
+//
+// Every command parses its flags through one table-driven parser, and
+// engine and fleet share one table for the seven sweep flags (--small
+// --mmap --caches --classes --trace --threads --profile-cache-mb).
+// Values are checked as they are parsed, so a bad command line exits 2
+// before any work starts, with one of three messages:
+//   unknown option X               (followed by the usage text)
+//   option X needs a value         (followed by the usage text)
+//   error: X wants ..., got '...'
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -62,12 +73,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -182,28 +196,214 @@ int fail(const api::Status& status) {
   return 1;
 }
 
-/// Strict numeric argument: a fully-consumed decimal in [min, max].
-/// Anything else — empty, trailing junk, overflow, out of range —
-/// prints "error: <what> wants <wants>, got '<text>'" and returns
-/// nullopt so the caller exits 2. Every numeric flag and positional
-/// goes through here: atoi-style parsing silently turned garbage like
+/// The one message for a malformed value: "error: <what> wants <wants>,
+/// got '<text>'", plus the parser's reason when it gave one. Returns 2.
+int bad_value(const char* what, const char* wants, const std::string& text,
+              const std::string& reason = {}) {
+  std::fprintf(stderr, "error: %s wants %s, got '%s'%s%s%s\n", what, wants,
+               text.c_str(), reason.empty() ? "" : " (", reason.c_str(),
+               reason.empty() ? "" : ")");
+  return 2;
+}
+
+/// Strict number: a fully-consumed decimal in [min, max]. Anything else
+/// — empty, trailing junk, overflow, out of range — is nullopt:
+/// atoi-style parsing silently turned garbage like
 /// `--profile-cache-mb abc` into 0, disabling the option.
-std::optional<long> parse_number(const char* what, const char* wants,
-                                 const char* text, long min, long max) {
+std::optional<long> to_number(const std::string& text, long min, long max) {
   char* end = nullptr;
   errno = 0;
-  const long value = text != nullptr ? std::strtol(text, &end, 10) : 0;
-  if (text == nullptr || *text == '\0' || end == nullptr || *end != '\0' ||
-      errno == ERANGE || value < min || value > max) {
-    std::fprintf(stderr, "error: %s wants %s, got '%s'\n", what, wants,
-                 text != nullptr ? text : "");
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < min ||
+      value > max)
     return std::nullopt;
-  }
+  return value;
+}
+
+/// to_number for a positional or flag value, printing bad_value's
+/// message on failure so the caller exits 2. Every numeric flag and
+/// positional goes through here.
+std::optional<long> parse_number(const char* what, const char* wants,
+                                 const std::string& text, long min,
+                                 long max) {
+  const std::optional<long> value = to_number(text, min, max);
+  if (!value) bad_value(what, wants, text);
   return value;
 }
 
 /// Largest cache size GeometrySpec can carry (its fields are 32-bit).
 constexpr long max_cache_bytes = 0xFFFFFFFFL;
+
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string item;
+  while (std::getline(ss, item, sep))
+    if (!item.empty()) out.push_back(item);
+  return out;
+}
+
+// ------------------------------------------------------------ flag tables
+// One row per flag; parse_flags prints the three exit-2 messages listed
+// at the top of this file.
+
+/// A number flag's target and bounds.
+struct Number {
+  long* out;
+  long min;
+  long max;
+  /// Set only for --progress[=ms], the one optional-inline flag: the
+  /// value a bare flag stores. Its value can only follow an '='.
+  std::optional<long> bare = std::nullopt;
+};
+
+/// One flag: a toggle, a string, a repeatable string, or a bounded
+/// number, by the type of `into`.
+struct Flag {
+  const char* name;
+  std::variant<bool*, std::string*, std::vector<std::string>*, Number> into;
+  /// What a valid value looks like, for bad_value (numbers and checked
+  /// strings).
+  const char* wants = nullptr;
+  /// Checks a string value as it is parsed, so a malformed one exits 2
+  /// before any work starts; an error's message is printed as the reason.
+  api::Status (*check)(const std::string& value) = nullptr;
+  /// When set, the flag and its value are appended here as typed.
+  std::vector<std::string>* echo = nullptr;
+};
+
+using Flags = std::vector<Flag>;
+
+/// Parse argv[first, argc) against `flags`. Words that are not flags (no
+/// leading '-', or "-" itself) are appended to *positionals, or are
+/// unknown options when positionals is null. Returns 0, or 2 after
+/// printing one of the three exit-2 messages.
+int parse_flags(int argc, char** argv, int first, const Flags& flags,
+                std::vector<std::string>* positionals = nullptr) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (positionals != nullptr && (arg == "-" || !arg.starts_with('-'))) {
+      positionals->push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+          return arg.compare(0, eq, f.name) == 0;
+        });
+    const Number* number =
+        flag == flags.end() ? nullptr : std::get_if<Number>(&flag->into);
+    const bool optional_value = number != nullptr && number->bare;
+    if (flag == flags.end() || (eq != std::string::npos && !optional_value)) {
+      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      return usage();
+    }
+    const int start = i;
+    if (bool* const* on = std::get_if<bool*>(&flag->into)) {
+      **on = true;
+    } else if (optional_value && eq == std::string::npos) {
+      *number->out = *number->bare;
+    } else {
+      std::string value;
+      if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+      } else if (i + 1 < argc) {
+        value = argv[++i];
+      } else {
+        std::fprintf(stderr, "option %s needs a value\n", arg.c_str());
+        return usage();
+      }
+      if (number != nullptr) {
+        const auto n = parse_number(flag->name, flag->wants, value,
+                                    number->min, number->max);
+        if (!n) return 2;
+        *number->out = *n;
+      } else if (flag->check != nullptr) {
+        if (const api::Status status = flag->check(value); !status.ok())
+          return bad_value(flag->name, flag->wants, value, status.message());
+      }
+      if (std::string* const* text = std::get_if<std::string*>(&flag->into))
+        **text = value;
+      else if (auto* const* texts =
+                   std::get_if<std::vector<std::string>*>(&flag->into))
+        (*texts)->push_back(value);
+    }
+    if (flag->echo != nullptr)
+      flag->echo->insert(flag->echo->end(), argv + start, argv + i + 1);
+  }
+  return 0;
+}
+
+/// A Flag::check for a value from a fixed set.
+api::Status one_of(const std::string& value,
+                   std::initializer_list<std::string_view> choices) {
+  if (std::find(choices.begin(), choices.end(), value) != choices.end())
+    return {};
+  return {api::StatusCode::invalid_argument, {}};
+}
+
+/// --caches: a comma-separated list of cache sizes in bytes.
+api::Result<std::vector<api::GeometrySpec>> parse_caches(
+    const std::string& list) {
+  std::vector<api::GeometrySpec> geometries;
+  for (const std::string& bytes : split(list, ',')) {
+    const auto n = to_number(bytes, 1, max_cache_bytes);
+    if (!n)
+      return api::Status(api::StatusCode::invalid_argument,
+                         "bad size '" + bytes + "'");
+    geometries.emplace_back(static_cast<std::uint32_t>(*n), 4);
+  }
+  if (geometries.empty())
+    return api::Status(api::StatusCode::invalid_argument, "no sizes given");
+  return geometries;
+}
+
+/// The seven flags that define a sweep: its traces, cache sizes and
+/// function classes, and the threads and profile-cache budget to run it
+/// with. engine and fleet share this table, and fleet forwards the
+/// tokens it matched to every worker as typed, so driver and workers
+/// build the same request from the same words.
+struct SweepFlags {
+  bool small = false;
+  bool mmap = false;
+  std::string caches = "1024,4096,16384";
+  std::string classes = "base,perm:2,perm";
+  std::vector<std::string> traces;
+  long threads = 0;           // 0 = all hardware threads
+  long profile_cache_mb = 0;  // 0 = unlimited
+  /// The sweep flags and values the parser matched, as typed.
+  std::vector<std::string> tokens;
+
+  Flags table() {
+    Flags rows = {
+        {"--small", &small},
+        {"--mmap", &mmap},
+        {"--caches", &caches,
+         "a comma-separated list of cache sizes in bytes",
+         [](const std::string& v) { return parse_caches(v).status(); }},
+        {"--classes", &classes, "strategy specs",
+         [](const std::string& v) {
+           return api::parse_strategies(v).status();
+         }},
+        {"--trace", &traces},
+        {"--threads", Number{&threads, 0, 1024}, "a thread count (0 = all)"},
+        {"--profile-cache-mb",
+         Number{&profile_cache_mb, 1,
+                std::numeric_limits<long>::max() >> 20},
+         "a positive MiB budget"},
+    };
+    for (Flag& row : rows) row.echo = &tokens;
+    return rows;
+  }
+};
+
+/// --progress[=ms]: progress lines every ms milliseconds (1000 when
+/// bare); `ms` stays 0 when the flag is absent.
+Flag progress_flag(long& ms) {
+  return {"--progress",
+          Number{&ms, 1, std::numeric_limits<long>::max() / 1000, 1000},
+          "a positive sample interval in milliseconds"};
+}
 
 /// Open an atomic output file for streamed writing, printing the error
 /// on failure. Every file the CLI produces goes through this (or
@@ -259,8 +459,11 @@ int cmd_version() {
 
 int cmd_gen(int argc, char** argv) {
   if (argc < 5) return usage();
+  const std::string side = argv[3];
+  if (side != "data" && side != "fetch")
+    return bad_value("gen", "data or fetch", side);
   const trace::Trace t =
-      std::strcmp(argv[3], "fetch") == 0
+      side == "fetch"
           ? workloads::synthesize_instructions(argv[2]).fetches
           : workloads::make_workload(argv[2]).data;
   trace::save_trace(argv[4], t);
@@ -396,28 +599,23 @@ int cmd_simulate(int argc, char** argv) {
   return 0;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, sep))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-/// Build the sweep grid shared by `engine` and `fleet`: workload
-/// selector → in-memory traces, plus trace files, cache sizes →
-/// geometries, class specs → strategies. The fleet driver and its
-/// workers must construct identical requests (the shard plan
-/// fingerprint covers trace content, geometries and strategies), so
-/// both commands go through this one function. Returns an exit code,
-/// 0 on success.
-int build_sweep_request(const std::string& selector, workloads::Scale scale,
-                        const std::vector<std::string>& trace_files,
-                        bool mmap_traces,
-                        const std::vector<std::string>& cache_list,
-                        const std::string& class_specs,
+/// Build the sweep request shared by `engine` and `fleet` from the
+/// workload selector and the sweep flags: workloads → in-memory traces,
+/// plus trace files, cache sizes → geometries, class specs →
+/// strategies. The fleet driver and its workers must construct
+/// identical requests (the shard plan fingerprint covers trace content,
+/// geometries and strategies), so both commands go through this one
+/// function. The flags were checked as they were parsed. Returns an
+/// exit code, 0 on success.
+int build_sweep_request(const std::string& selector, const SweepFlags& sweep,
                         api::ExplorationRequest& request) {
+  request.hashed_bits = hashed_bits;
+  request.num_threads = static_cast<unsigned>(sweep.threads);
+  request.profile_cache_bytes = static_cast<std::size_t>(sweep.profile_cache_mb)
+                                << 20;
+  request.geometries = parse_caches(sweep.caches).value();
+  request.strategies = api::parse_strategies(sweep.classes).value();
+
   std::vector<std::string> names;
   if (selector == "table2") {
     names = workloads::workload_names(workloads::Suite::table2);
@@ -426,6 +624,8 @@ int build_sweep_request(const std::string& selector, workloads::Scale scale,
   } else if (selector != "-") {
     names = split(selector, ',');
   }
+  const workloads::Scale scale =
+      sweep.small ? workloads::Scale::small : workloads::Scale::full;
   for (const std::string& name : names) {
     workloads::Workload w = workloads::make_workload(name, scale);
     request.traces.push_back(
@@ -433,131 +633,58 @@ int build_sweep_request(const std::string& selector, workloads::Scale scale,
   }
   // Trace files are opened through the trace store: --mmap streams them
   // chunk by chunk (O(chunk) resident), otherwise they load eagerly.
-  for (const std::string& file : trace_files)
-    request.traces.push_back(mmap_traces ? api::TraceRef::streaming(file)
-                                         : api::TraceRef::file(file));
+  for (const std::string& file : sweep.traces)
+    request.traces.push_back(sweep.mmap ? api::TraceRef::streaming(file)
+                                        : api::TraceRef::file(file));
   if (request.traces.empty()) {
     std::fprintf(stderr, "no traces selected\n");
     return usage();
   }
-
-  for (const std::string& bytes : cache_list) {
-    const auto n = parse_number("--caches", "a positive cache size in bytes",
-                                bytes.c_str(), 1, max_cache_bytes);
-    if (!n) return 2;
-    request.geometries.emplace_back(static_cast<std::uint32_t>(*n), 4);
-  }
-  api::Result<std::vector<api::Strategy>> strategies =
-      api::parse_strategies(class_specs);
-  if (!strategies.ok()) {
-    // The parse error names the offending token.
-    std::fprintf(stderr, "error: %s\n",
-                 strategies.status().to_string().c_str());
-    return 2;
-  }
-  request.strategies = std::move(*strategies);
   return 0;
 }
 
 int cmd_engine(int argc, char** argv) {
   if (argc < 3) return usage();
 
-  api::ExplorationRequest request;
-  request.hashed_bits = hashed_bits;
+  SweepFlags sweep;
   std::string format = "csv";
   std::string out_path;
   std::string shard_spec;
   std::string report_out;
-  workloads::Scale scale = workloads::Scale::full;
-  std::vector<std::string> cache_list = {"1024", "4096", "16384"};
-  std::string class_specs = "base,perm:2,perm";
-  std::vector<std::string> trace_files;
-  bool mmap_traces = false;
   std::string metrics_out;
   std::string trace_out;
   std::string heartbeat_file;
-  bool progress = false;
-  double progress_interval_s = 1.0;
+  long progress_ms = 0;
+  Flags flags = sweep.table();
+  flags.insert(
+      flags.end(),
+      {{"--format", &format, "csv or json",
+        [](const std::string& v) { return one_of(v, {"csv", "json"}); }},
+       {"--out", &out_path},
+       // A malformed spec is a usage error naming the bad value, not an
+       // assertion after seconds of workload generation.
+       {"--shard", &shard_spec, "a shard i/N",
+        [](const std::string& v) {
+          return shard::parse_shard_ref(v).status();
+        }},
+       {"--report-out", &report_out},
+       {"--heartbeat", &heartbeat_file},
+       {"--metrics-out", &metrics_out},
+       {"--trace-out", &trace_out},
+       progress_flag(progress_ms)});
+  if (const int rc = parse_flags(argc, argv, 3, flags); rc != 0) return rc;
+  const double progress_s = static_cast<double>(progress_ms) / 1000.0;
 
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--small") {
-      scale = workloads::Scale::small;
-    } else if (arg == "--mmap") {
-      mmap_traces = true;
-    } else if (arg == "--caches") {
-      const char* v = value();
-      if (!v) return usage();
-      cache_list = split(v, ',');
-    } else if (arg == "--classes") {
-      const char* v = value();
-      if (!v) return usage();
-      class_specs = v;
-    } else if (arg == "--threads") {
-      const char* v = value();
-      // 0 keeps the "all hardware threads" default explicit.
-      const auto n =
-          parse_number("--threads", "a thread count (0 = all)", v, 0, 1024);
-      if (!n) return 2;
-      request.num_threads = static_cast<unsigned>(*n);
-    } else if (arg == "--format") {
-      const char* v = value();
-      if (!v || (std::strcmp(v, "csv") != 0 && std::strcmp(v, "json") != 0))
-        return usage();
-      format = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (!v) return usage();
-      trace_files.push_back(v);
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) return usage();
-      out_path = v;
-    } else if (arg == "--shard") {
-      const char* v = value();
-      if (!v) return usage();
-      shard_spec = v;
-    } else if (arg == "--report-out") {
-      const char* v = value();
-      if (!v) return usage();
-      report_out = v;
-    } else if (arg == "--profile-cache-mb") {
-      const char* v = value();
-      const auto mb = parse_number("--profile-cache-mb",
-                                   "a positive MiB budget", v, 1,
-                                   std::numeric_limits<long>::max() >> 20);
-      if (!mb) return 2;
-      request.profile_cache_bytes = static_cast<std::size_t>(*mb) << 20;
-    } else if (arg == "--heartbeat") {
-      const char* v = value();
-      if (!v) return usage();
-      heartbeat_file = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (!v) return usage();
-      metrics_out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (!v) return usage();
-      trace_out = v;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg.rfind("--progress=", 0) == 0) {
-      progress = true;
-      const std::string token = arg.substr(std::strlen("--progress="));
-      const auto ms = parse_number(
-          "--progress", "a positive sample interval in milliseconds",
-          token.c_str(), 1, std::numeric_limits<long>::max() / 1000);
-      if (!ms) return 2;
-      progress_interval_s = static_cast<double>(*ms) / 1000.0;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return usage();
-    }
+  const bool sharded = !shard_spec.empty() || !report_out.empty();
+  if (sharded && format != "csv") {
+    std::fprintf(stderr,
+                 "error: --shard/--report-out produce CSV and report "
+                 "files; --format json is not supported with them\n");
+    return 2;
   }
+  const shard::ShardRef shard_ref =
+      shard_spec.empty() ? shard::ShardRef{}  // 1/1
+                         : shard::parse_shard_ref(shard_spec).value();
 
   // Span recording starts before workloads are generated so profile
   // builds and the campaign itself all land in the trace.
@@ -566,6 +693,7 @@ int cmd_engine(int argc, char** argv) {
   // Ctrl-C / SIGTERM cancel at the next cell boundary: the sharded path
   // still writes its report with unstarted cells marked cancelled, the
   // one-shot path surfaces StatusCode::cancelled.
+  api::ExplorationRequest request;
   request.cancel = g_cancel.token();
   install_stop_handlers();
 
@@ -581,32 +709,7 @@ int cmd_engine(int argc, char** argv) {
       return fail(beating);
   }
 
-  // --shard is validated before any trace is synthesized or loaded: a
-  // malformed spec is a usage error (exit 2) naming the bad value, not
-  // an assertion after seconds of workload generation.
-  shard::ShardRef shard_ref;  // defaults to 1/1
-  if (!shard_spec.empty()) {
-    const api::Result<shard::ShardRef> parsed =
-        shard::parse_shard_ref(shard_spec);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   parsed.status().to_string().c_str());
-      return 2;
-    }
-    shard_ref = *parsed;
-  }
-  const bool sharded = !shard_spec.empty() || !report_out.empty();
-  if (sharded && format != "csv") {
-    std::fprintf(stderr,
-                 "error: --shard/--report-out produce CSV and report "
-                 "files; --format json is not supported with them\n");
-    return 2;
-  }
-
-  if (const int rc = build_sweep_request(argv[2], scale, trace_files,
-                                         mmap_traces, cache_list, class_specs,
-                                         request);
-      rc != 0)
+  if (const int rc = build_sweep_request(argv[2], sweep, request); rc != 0)
     return rc;
 
   std::unique_ptr<io::AtomicOstream> file_out;
@@ -645,12 +748,12 @@ int cmd_engine(int argc, char** argv) {
          .error_counter = "shard.cell_errors",
          .total = owned,
          .label = "engine",
-         .interval_s = progress_interval_s,
+         .interval_s = progress_s,
          // Watchdog: a shard that stops completing cells for ~10 sample
          // windows (at least 30s) is probably wedged — warn, naming the
          // cell run_shard last reported via set_activity.
-         .stall_warn_s = std::max(30.0, 10.0 * progress_interval_s)});
-    if (progress) reporter.start();
+         .stall_warn_s = std::max(30.0, 10.0 * progress_s)});
+    if (progress_ms > 0) reporter.start();
     const api::Result<shard::Report> report =
         shard::run_shard(request, *plan, shard_ref.index, &reporter);
     reporter.stop();
@@ -691,8 +794,8 @@ int cmd_engine(int argc, char** argv) {
        .error_counter = {},
        .total = static_cast<std::uint64_t>(request.job_count()),
        .label = "engine",
-       .interval_s = progress_interval_s});
-  if (progress) reporter.start();
+       .interval_s = progress_s});
+  if (progress_ms > 0) reporter.start();
   const api::Result<api::Report> report = api::Explorer::explore(request);
   reporter.stop();
   if (!report.ok()) return fail(report.status());
@@ -717,157 +820,59 @@ std::string self_executable(const char* argv0) {
   return argv0;
 }
 
-std::string join(const std::vector<std::string>& items, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out += sep;
-    out += items[i];
-  }
-  return out;
-}
-
 int cmd_fleet(int argc, char** argv) {
   if (argc < 3) return usage();
 
-  api::ExplorationRequest request;
-  request.hashed_bits = hashed_bits;
-  workloads::Scale scale = workloads::Scale::full;
-  std::vector<std::string> cache_list = {"1024", "4096", "16384"};
-  std::string class_specs = "base,perm:2,perm";
-  std::vector<std::string> trace_files;
-  bool mmap_traces = false;
+  SweepFlags sweep;
   long num_shards = 0;
   long max_attempts = 3;
   long max_parallel = 0;
   long heartbeat_timeout_s = 30;
   long inject_kill = 0;
-  long worker_threads = -1;      // -1: leave workers at their default
-  long profile_cache_mb = 0;     // 0: leave workers at their default
+  long progress_ms = 0;
   std::string work_dir = "xoridx-fleet.work";
   std::string out_path;
   std::string report_out;
   std::string fleet_metrics_out;
   std::string worker_path;
   std::string launcher_spec = "exec";
-  bool progress = false;
   bool resume = false;
-  double progress_interval_s = 1.0;
-
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--shards") {
-      const auto n =
-          parse_number("--shards", "a positive shard count", value(), 1,
-                       4096);
-      if (!n) return 2;
-      num_shards = *n;
-    } else if (arg == "--max-attempts") {
-      const auto n = parse_number("--max-attempts",
-                                  "a positive attempt count", value(), 1,
-                                  100);
-      if (!n) return 2;
-      max_attempts = *n;
-    } else if (arg == "--max-parallel") {
-      const auto n = parse_number("--max-parallel",
-                                  "a worker count (0 = all shards)", value(),
-                                  0, 4096);
-      if (!n) return 2;
-      max_parallel = *n;
-    } else if (arg == "--heartbeat-timeout") {
-      const auto n = parse_number("--heartbeat-timeout",
-                                  "a timeout in seconds (0 = off)", value(),
-                                  0, 86400);
-      if (!n) return 2;
-      heartbeat_timeout_s = *n;
-    } else if (arg == "--inject-kill") {
-      const auto n = parse_number("--inject-kill", "a shard index", value(),
-                                  1, 4096);
-      if (!n) return 2;
-      inject_kill = *n;
-    } else if (arg == "--threads") {
-      const auto n = parse_number("--threads",
-                                  "a worker thread count (0 = all)", value(),
-                                  0, 1024);
-      if (!n) return 2;
-      worker_threads = *n;
-    } else if (arg == "--profile-cache-mb") {
-      const auto mb = parse_number("--profile-cache-mb",
-                                   "a positive MiB budget", value(), 1,
-                                   std::numeric_limits<long>::max() >> 20);
-      if (!mb) return 2;
-      profile_cache_mb = *mb;
-    } else if (arg == "--launcher") {
-      const char* v = value();
-      if (!v) return usage();
-      launcher_spec = v;
-    } else if (arg == "--worker") {
-      const char* v = value();
-      if (!v) return usage();
-      worker_path = v;
-    } else if (arg == "--work-dir") {
-      const char* v = value();
-      if (!v) return usage();
-      work_dir = v;
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) return usage();
-      out_path = v;
-    } else if (arg == "--report-out") {
-      const char* v = value();
-      if (!v) return usage();
-      report_out = v;
-    } else if (arg == "--fleet-metrics-out") {
-      const char* v = value();
-      if (!v) return usage();
-      fleet_metrics_out = v;
-    } else if (arg == "--caches") {
-      const char* v = value();
-      if (!v) return usage();
-      cache_list = split(v, ',');
-    } else if (arg == "--classes") {
-      const char* v = value();
-      if (!v) return usage();
-      class_specs = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (!v) return usage();
-      trace_files.push_back(v);
-    } else if (arg == "--small") {
-      scale = workloads::Scale::small;
-    } else if (arg == "--mmap") {
-      mmap_traces = true;
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg.rfind("--progress=", 0) == 0) {
-      progress = true;
-      const std::string token = arg.substr(std::strlen("--progress="));
-      const auto ms = parse_number(
-          "--progress", "a positive sample interval in milliseconds",
-          token.c_str(), 1, std::numeric_limits<long>::max() / 1000);
-      if (!ms) return 2;
-      progress_interval_s = static_cast<double>(*ms) / 1000.0;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return usage();
-    }
-  }
+  Flags flags = sweep.table();
+  flags.insert(
+      flags.end(),
+      {{"--shards", Number{&num_shards, 1, 4096}, "a positive shard count"},
+       {"--max-attempts", Number{&max_attempts, 1, 100},
+        "a positive attempt count"},
+       {"--max-parallel", Number{&max_parallel, 0, 4096},
+        "a worker count (0 = all shards)"},
+       {"--heartbeat-timeout", Number{&heartbeat_timeout_s, 0, 86400},
+        "a timeout in seconds (0 = off)"},
+       {"--inject-kill", Number{&inject_kill, 1, 4096}, "a shard index"},
+       {"--launcher", &launcher_spec, "exec or ssh:<host>",
+        [](const std::string& v) {
+          return v == "exec" || (v.starts_with("ssh:") && v.size() > 4)
+                     ? api::Status{}
+                     : api::Status{api::StatusCode::invalid_argument, {}};
+        }},
+       {"--worker", &worker_path},
+       {"--work-dir", &work_dir},
+       {"--out", &out_path},
+       {"--report-out", &report_out},
+       {"--fleet-metrics-out", &fleet_metrics_out},
+       {"--resume", &resume},
+       progress_flag(progress_ms)});
+  if (const int rc = parse_flags(argc, argv, 3, flags); rc != 0) return rc;
   if (num_shards < 1) {
     std::fprintf(stderr, "error: fleet needs --shards N (>= 1)\n");
     return 2;
   }
+  const double progress_s = static_cast<double>(progress_ms) / 1000.0;
 
+  api::ExplorationRequest request;
   request.cancel = g_cancel.token();
   install_stop_handlers();
 
-  if (const int rc = build_sweep_request(argv[2], scale, trace_files,
-                                         mmap_traces, cache_list, class_specs,
-                                         request);
-      rc != 0)
+  if (const int rc = build_sweep_request(argv[2], sweep, request); rc != 0)
     return rc;
 
   // The dispatcher partitions again internally; this plan is for the
@@ -877,56 +882,31 @@ int cmd_fleet(int argc, char** argv) {
       request, static_cast<std::uint32_t>(num_shards));
   if (!plan.ok()) return fail(plan.status());
 
-  // The worker argv re-derives the same request from the same selector
-  // and flags — the plan fingerprint (trace content + geometries +
-  // strategies) is what proves driver and worker agreed; a report from
-  // a disagreeing worker is rejected and the shard retried.
-  std::vector<std::string> worker_argv;
-  worker_argv.push_back(worker_path.empty() ? self_executable(argv[0])
-                                            : worker_path);
-  worker_argv.push_back("engine");
-  worker_argv.push_back(argv[2]);
-  worker_argv.push_back("--shard");
-  worker_argv.push_back("{shard}/{count}");
-  worker_argv.push_back("--report-out");
-  worker_argv.push_back("{report}");
-  worker_argv.push_back("--heartbeat");
-  worker_argv.push_back("{heartbeat}");
-  worker_argv.push_back("--caches");
-  worker_argv.push_back(join(cache_list, ','));
-  worker_argv.push_back("--classes");
-  worker_argv.push_back(class_specs);
-  if (scale == workloads::Scale::small) worker_argv.push_back("--small");
-  if (mmap_traces) worker_argv.push_back("--mmap");
-  for (const std::string& file : trace_files) {
-    worker_argv.push_back("--trace");
-    worker_argv.push_back(file);
-  }
-  if (worker_threads >= 0) {
-    worker_argv.push_back("--threads");
-    worker_argv.push_back(std::to_string(worker_threads));
-  }
-  if (profile_cache_mb > 0) {
-    worker_argv.push_back("--profile-cache-mb");
-    worker_argv.push_back(std::to_string(profile_cache_mb));
-  }
+  // Each worker re-derives the same request from the same selector and
+  // the sweep flags exactly as typed here — the plan fingerprint (trace
+  // content + geometries + strategies) is what proves driver and worker
+  // agreed; a report from a disagreeing worker is rejected and the
+  // shard retried.
+  std::vector<std::string> worker_argv = {
+      worker_path.empty() ? self_executable(argv[0]) : worker_path,
+      "engine",
+      argv[2],
+      "--shard",
+      "{shard}/{count}",
+      "--report-out",
+      "{report}",
+      "--heartbeat",
+      "{heartbeat}"};
+  worker_argv.insert(worker_argv.end(), sweep.tokens.begin(),
+                     sweep.tokens.end());
 
   fleet::ExecLauncher exec_launcher;
   std::optional<fleet::SshLauncher> ssh_launcher;
   fleet::Launcher* launcher = &exec_launcher;
-  if (launcher_spec.rfind("ssh:", 0) == 0) {
-    const std::string host = launcher_spec.substr(4);
-    if (host.empty()) {
-      std::fprintf(stderr, "error: --launcher ssh:<host> needs a host\n");
-      return 2;
-    }
-    ssh_launcher.emplace(fleet::SshLauncher::Options{.host = host});
+  if (launcher_spec != "exec") {
+    ssh_launcher.emplace(
+        fleet::SshLauncher::Options{.host = launcher_spec.substr(4)});
     launcher = &*ssh_launcher;
-  } else if (launcher_spec != "exec") {
-    std::fprintf(stderr,
-                 "error: unknown launcher '%s' (want exec or ssh:<host>)\n",
-                 launcher_spec.c_str());
-    return 2;
   }
 
   std::fprintf(stderr,
@@ -941,12 +921,12 @@ int cmd_fleet(int argc, char** argv) {
        .error_counter = "fleet.retries",
        .total = plan->total_cells(),
        .label = "fleet",
-       .interval_s = progress_interval_s,
+       .interval_s = progress_s,
        // Cells land in whole-shard batches, so allow a generous stall
        // window before warning; the real liveness check is the
        // dispatcher's heartbeat watchdog.
-       .stall_warn_s = std::max(60.0, 10.0 * progress_interval_s)});
-  if (progress) reporter.start();
+       .stall_warn_s = std::max(60.0, 10.0 * progress_s)});
+  if (progress_ms > 0) reporter.start();
 
   fleet::FleetOptions options;
   options.num_shards = static_cast<std::uint32_t>(num_shards);
@@ -1009,23 +989,11 @@ int cmd_merge(int argc, char** argv) {
   std::string out_path;
   std::string csv_path;
   std::string fleet_metrics_out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" || arg == "--csv" || arg == "--fleet-metrics-out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "option %s needs a value\n", arg.c_str());
-        return usage();
-      }
-      (arg == "--out"   ? out_path
-       : arg == "--csv" ? csv_path
-                        : fleet_metrics_out) = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return usage();
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  const Flags flags = {{"--out", &out_path},
+                       {"--csv", &csv_path},
+                       {"--fleet-metrics-out", &fleet_metrics_out}};
+  if (const int rc = parse_flags(argc, argv, 2, flags, &inputs); rc != 0)
+    return rc;
   if (inputs.empty()) return usage();
 
   std::vector<shard::Report> shards;
@@ -1089,21 +1057,10 @@ int cmd_merge(int argc, char** argv) {
 int cmd_trace_merge(int argc, char** argv) {
   std::vector<std::string> inputs;
   std::string out_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "option %s needs a value\n", arg.c_str());
-        return usage();
-      }
-      out_path = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return usage();
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  if (const int rc =
+          parse_flags(argc, argv, 2, {{"--out", &out_path}}, &inputs);
+      rc != 0)
+    return rc;
   if (inputs.empty()) return usage();
 
   const bool to_stdout = out_path.empty() || out_path == "-";
@@ -1127,49 +1084,29 @@ int cmd_trace_merge(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   serve::ServerOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--listen") {
-      const char* v = value();
-      if (!v) return usage();
-      options.listen = v;
-    } else if (arg == "--max-inflight") {
-      const auto n = parse_number("--max-inflight",
-                                  "a positive request count", value(), 1,
-                                  1024);
-      if (!n) return 2;
-      options.service.max_inflight = static_cast<unsigned>(*n);
-    } else if (arg == "--queue") {
-      const auto n = parse_number("--queue", "a queue capacity (0 = none)",
-                                  value(), 0, 1 << 20);
-      if (!n) return 2;
-      options.service.queue_capacity = static_cast<std::size_t>(*n);
-    } else if (arg == "--threads") {
-      const auto n =
-          parse_number("--threads", "a positive thread count", value(), 1,
-                       1024);
-      if (!n) return 2;
-      options.service.engine_threads = static_cast<unsigned>(*n);
-    } else if (arg == "--profile-cache-mb") {
-      const auto mb = parse_number("--profile-cache-mb",
-                                   "a positive MiB budget", value(), 1,
-                                   std::numeric_limits<long>::max() >> 20);
-      if (!mb) return 2;
-      options.service.profile_cache_bytes =
-          static_cast<std::size_t>(*mb) << 20;
-    } else if (arg == "--memo") {
-      const auto n = parse_number("--memo", "a memo capacity (0 = off)",
-                                  value(), 0, 1 << 20);
-      if (!n) return 2;
-      options.service.memo_capacity = static_cast<std::size_t>(*n);
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return usage();
-    }
-  }
+  serve::ServiceOptions& service = options.service;
+  long max_inflight = service.max_inflight;
+  long queue = static_cast<long>(service.queue_capacity);
+  long threads = service.engine_threads;
+  long profile_cache_mb = static_cast<long>(service.profile_cache_bytes >> 20);
+  long memo = static_cast<long>(service.memo_capacity);
+  const Flags flags = {
+      {"--listen", &options.listen},
+      {"--max-inflight", Number{&max_inflight, 1, 1024},
+       "a positive request count"},
+      {"--queue", Number{&queue, 0, 1 << 20}, "a queue capacity (0 = none)"},
+      {"--threads", Number{&threads, 1, 1024}, "a positive thread count"},
+      {"--profile-cache-mb",
+       Number{&profile_cache_mb, 1, std::numeric_limits<long>::max() >> 20},
+       "a positive MiB budget"},
+      {"--memo", Number{&memo, 0, 1 << 20}, "a memo capacity (0 = off)"}};
+  if (const int rc = parse_flags(argc, argv, 2, flags); rc != 0) return rc;
+  service.max_inflight = static_cast<unsigned>(max_inflight);
+  service.queue_capacity = static_cast<std::size_t>(queue);
+  service.engine_threads = static_cast<unsigned>(threads);
+  service.profile_cache_bytes = static_cast<std::size_t>(profile_cache_mb)
+                                << 20;
+  service.memo_capacity = static_cast<std::size_t>(memo);
 
   serve::Server server(std::move(options));
   if (const api::Status bound = server.bind(); !bound.ok())
@@ -1191,19 +1128,14 @@ int cmd_serve(int argc, char** argv) {
 /// wanted terminal event arrives. The tiny client half of the NDJSON
 /// protocol, enough for scripting `serve-status` and smoke checks.
 int cmd_serve_status(int argc, char** argv) {
-  if (argc < 3) return usage();
   bool json = false;
-  std::string address;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json")
-      json = true;
-    else if (address.empty())
-      address = arg;
-    else
-      return usage();
-  }
-  if (address.empty()) return usage();
+  std::vector<std::string> positionals;
+  if (const int rc =
+          parse_flags(argc, argv, 2, {{"--json", &json}}, &positionals);
+      rc != 0)
+    return rc;
+  if (positionals.size() != 1) return usage();
+  const std::string& address = positionals.front();
   const api::Result<std::pair<std::string, std::uint16_t>> parsed =
       serve::parse_listen_address(address);
   if (!parsed.ok()) return fail(parsed.status());
@@ -1258,20 +1190,15 @@ int cmd_serve_status(int argc, char** argv) {
 }
 
 int cmd_report_info(int argc, char** argv) {
-  if (argc < 4) return usage();
-  std::string path;
   bool json = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json")
-      json = true;
-    else if (path.empty())
-      path = arg;
-    else
-      return usage();
-  }
-  if (path.empty()) return usage();
-  const api::Result<shard::Report> loaded = shard::load_report(path);
+  std::vector<std::string> positionals;
+  if (const int rc =
+          parse_flags(argc, argv, 3, {{"--json", &json}}, &positionals);
+      rc != 0)
+    return rc;
+  if (positionals.size() != 1) return usage();
+  const api::Result<shard::Report> loaded =
+      shard::load_report(positionals.front());
   if (!loaded.ok()) return fail(loaded.status());
   const shard::Report& r = *loaded;
   if (json) {
@@ -1408,32 +1335,24 @@ int cmd_report(int argc, char** argv) {
 }
 
 int cmd_trace_convert(int argc, char** argv) {
-  if (argc < 5) return usage();
-  const std::string in = argv[3];
-  const std::string out = argv[4];
-  tracestore::TraceFormat to = tracestore::TraceFormat::v2;
-  std::uint32_t chunk = tracestore::default_chunk_capacity;
-  for (int i = 5; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--to" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "v1")
-        to = tracestore::TraceFormat::v1;
-      else if (v == "v2")
-        to = tracestore::TraceFormat::v2;
-      else
-        return usage();
-    } else if (arg == "--chunk" && i + 1 < argc) {
-      const auto v = parse_number("--chunk", "a positive chunk capacity",
-                                  argv[++i], 1, 0xFFFFFFFFL);
-      if (!v) return 2;
-      chunk = static_cast<std::uint32_t>(*v);
-    } else {
-      return usage();
-    }
-  }
+  std::vector<std::string> paths;
+  std::string to_name = "v2";
+  long chunk = tracestore::default_chunk_capacity;
+  const Flags flags = {
+      {"--to", &to_name, "v1 or v2",
+       [](const std::string& v) { return one_of(v, {"v1", "v2"}); }},
+      {"--chunk", Number{&chunk, 1, 0xFFFFFFFFL},
+       "a positive chunk capacity"}};
+  if (const int rc = parse_flags(argc, argv, 3, flags, &paths); rc != 0)
+    return rc;
+  if (paths.size() != 2) return usage();
+  const std::string& in = paths[0];
+  const std::string& out = paths[1];
+  const tracestore::TraceFormat to = to_name == "v1"
+                                         ? tracestore::TraceFormat::v1
+                                         : tracestore::TraceFormat::v2;
   const api::Result<api::ConversionSummary> converted =
-      api::convert_trace(in, out, to, chunk);
+      api::convert_trace(in, out, to, static_cast<std::uint32_t>(chunk));
   if (!converted.ok()) return fail(converted.status());
   std::printf("wrote %s (%s, %llu accesses, %llu bytes, id %s)\n",
               out.c_str(), to == tracestore::TraceFormat::v2 ? "v2" : "v1",
