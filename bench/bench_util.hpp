@@ -16,6 +16,7 @@
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/optimizer.hpp"
+#include "serve/json.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workload.hpp"
 
@@ -171,7 +172,7 @@ class JsonReport {
       return *this;
     }
     Row& str(const std::string& key, const std::string& v) {
-      fields_.emplace_back(key, quote(v));
+      fields_.emplace_back(key, serve::json_quote(v));
       return *this;
     }
 
@@ -188,13 +189,14 @@ class JsonReport {
   }
 
   void write(std::ostream& os) const {
-    os << "{\"benchmark\": " << quote(benchmark_) << ",\n \"rows\": [";
+    os << "{\"benchmark\": " << serve::json_quote(benchmark_)
+       << ",\n \"rows\": [";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       os << (r == 0 ? "\n" : ",\n") << "  {";
       const auto& fields = rows_[r].fields_;
       for (std::size_t f = 0; f < fields.size(); ++f) {
         if (f != 0) os << ", ";
-        os << quote(fields[f].first) << ": " << fields[f].second;
+        os << serve::json_quote(fields[f].first) << ": " << fields[f].second;
       }
       os << "}";
     }
@@ -202,28 +204,6 @@ class JsonReport {
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-    return out;
-  }
-
   std::string benchmark_;
   std::vector<Row> rows_;
 };

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "serve/json.hpp"
+
 namespace xoridx::engine {
 namespace {
 
@@ -27,28 +29,6 @@ std::string csv_field(const std::string& s) {
   for (char c : s) {
     if (c == '"') out += '"';
     out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   out += '"';
   return out;
@@ -109,11 +89,11 @@ void JsonSink::begin() {
 void JsonSink::write(const JobResult& r) {
   if (!first_) os_ << ",\n";
   first_ = false;
-  os_ << "  {\"trace\":" << json_string(r.trace_name)
+  os_ << "  {\"trace\":" << serve::json_quote(r.trace_name)
       << ",\"cache_bytes\":" << r.geometry.size_bytes
-      << ",\"geometry\":" << json_string(r.geometry.to_string())
-      << ",\"label\":" << json_string(r.label)
-      << ",\"kind\":" << json_string(r.kind)
+      << ",\"geometry\":" << serve::json_quote(r.geometry.to_string())
+      << ",\"label\":" << serve::json_quote(r.label)
+      << ",\"kind\":" << serve::json_quote(r.kind)
       << ",\"accesses\":" << r.accesses
       << ",\"baseline_misses\":" << r.baseline_misses
       << ",\"misses\":" << r.misses
@@ -123,7 +103,7 @@ void JsonSink::write(const JobResult& r) {
       << ",\"compulsory\":" << r.breakdown.compulsory
       << ",\"capacity\":" << r.breakdown.capacity
       << ",\"conflict\":" << r.breakdown.conflict << ",\"function\":"
-      << json_string(flatten(r.function_description)) << "}";
+      << serve::json_quote(flatten(r.function_description)) << "}";
   os_.flush();
 }
 

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -8,14 +7,13 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "serve/json.hpp"
 
 namespace xoridx::obs {
 namespace {
 
 using api::Status;
 using api::StatusCode;
-
-constexpr std::size_t npos = std::string_view::npos;
 
 // ------------------------------------------------------------ OpenMetrics
 
@@ -34,194 +32,29 @@ std::string sanitize_metric_name(const std::string& name) {
 }
 
 // -------------------------------------------------------- trace stitching
-//
-// The merger treats inputs as text and only understands as much JSON as it
-// needs: find the traceEvents array, split its top-level objects, locate
-// top-level keys inside each. That keeps it robust to any writer (ours or
-// Perfetto/chrome) without dragging in a JSON library.
 
-/// One past the closing quote of the string starting at `i` (which must be
-/// a `"`), or npos on unterminated input.
-std::size_t skip_json_string(std::string_view s, std::size_t i) {
-  for (++i; i < s.size(); ++i) {
-    if (s[i] == '\\') {
-      ++i;
-    } else if (s[i] == '"') {
-      return i + 1;
-    }
-  }
-  return npos;
-}
-
-std::size_t skip_ws(std::string_view s, std::size_t i) {
-  while (i < s.size() &&
-         (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r')) {
-    ++i;
-  }
-  return i;
-}
-
-/// One past the bracket matching the `{` or `[` at `i`, skipping strings.
-std::size_t skip_balanced(std::string_view s, std::size_t i) {
-  const char open = s[i];
-  const char close = open == '{' ? '}' : ']';
-  int depth = 0;
-  while (i < s.size()) {
-    const char c = s[i];
-    if (c == '"') {
-      i = skip_json_string(s, i);
-      if (i == npos) return npos;
-      continue;
-    }
-    if (c == open) {
-      ++depth;
-    } else if (c == close && --depth == 0) {
-      return i + 1;
-    }
-    ++i;
-  }
-  return npos;
-}
-
-/// One past the JSON value starting at `i` (string, object, array or
-/// scalar token), or npos when there is none.
-std::size_t skip_json_value(std::string_view s, std::size_t i) {
-  if (i >= s.size()) return npos;
-  const char c = s[i];
-  if (c == '"') return skip_json_string(s, i);
-  if (c == '{' || c == '[') return skip_balanced(s, i);
-  std::size_t j = i;
-  while (j < s.size() && s[j] != ',' && s[j] != '}' && s[j] != ']' &&
-         s[j] != ' ' && s[j] != '\t' && s[j] != '\n' && s[j] != '\r') {
-    ++j;
-  }
-  return j == i ? npos : j;
-}
-
-struct Member {
-  std::string key;
-  std::size_t value_begin = 0;
-  std::size_t value_end = 0;  ///< one past the value text
-};
-
-/// Top-level members of the object `obj` (full text including braces).
-bool object_members(std::string_view obj, std::vector<Member>& out) {
-  std::size_t i = skip_ws(obj, 0);
-  if (i >= obj.size() || obj[i] != '{') return false;
-  i = skip_ws(obj, i + 1);
-  if (i < obj.size() && obj[i] == '}') return true;
-  for (;;) {
-    if (i >= obj.size() || obj[i] != '"') return false;
-    const std::size_t key_end = skip_json_string(obj, i);
-    if (key_end == npos) return false;
-    Member member;
-    member.key.assign(obj.substr(i + 1, key_end - i - 2));
-    i = skip_ws(obj, key_end);
-    if (i >= obj.size() || obj[i] != ':') return false;
-    i = skip_ws(obj, i + 1);
-    member.value_begin = i;
-    member.value_end = skip_json_value(obj, i);
-    if (member.value_end == npos) return false;
-    i = skip_ws(obj, member.value_end);
-    out.push_back(std::move(member));
-    if (i >= obj.size()) return false;
-    if (obj[i] == '}') return true;
-    if (obj[i] != ',') return false;
-    i = skip_ws(obj, i + 1);
-  }
-}
-
-/// The object texts inside `text`'s top-level "traceEvents" array.
-Status extract_events(std::string_view text, const std::string& path,
-                      std::vector<std::string_view>& events) {
-  const auto malformed = [&path](const std::string& what) {
-    return Status(StatusCode::io_error,
-                  "not a Chrome trace-event document (" + what + "): " + path);
-  };
-  const std::size_t key = text.find("\"traceEvents\"");
-  if (key == npos) return malformed("no traceEvents array");
-  std::size_t i = skip_ws(text, key + 13);
-  if (i >= text.size() || text[i] != ':') return malformed("no traceEvents array");
-  i = skip_ws(text, i + 1);
-  if (i >= text.size() || text[i] != '[') return malformed("no traceEvents array");
-  i = skip_ws(text, i + 1);
-  if (i < text.size() && text[i] == ']') return {};
-  for (;;) {
-    if (i >= text.size() || text[i] != '{') {
-      return malformed("traceEvents element is not an object");
-    }
-    const std::size_t end = skip_balanced(text, i);
-    if (end == npos) return malformed("unbalanced JSON");
-    events.push_back(text.substr(i, end - i));
-    i = skip_ws(text, end);
-    if (i < text.size() && text[i] == ',') {
-      i = skip_ws(text, i + 1);
-      continue;
-    }
-    if (i < text.size() && text[i] == ']') return {};
-    return malformed("unterminated traceEvents array");
-  }
-}
-
-/// The event with its top-level "pid" replaced by (or inserted as) `pid`.
-std::string with_pid(std::string_view event, std::uint32_t pid) {
-  std::vector<Member> members;
-  if (object_members(event, members)) {
-    for (const Member& m : members) {
-      if (m.key == "pid") {
-        std::string out(event.substr(0, m.value_begin));
-        out += std::to_string(pid);
-        out += event.substr(m.value_end);
-        return out;
-      }
-    }
-  }
-  const std::size_t brace = event.find('{');
-  std::string out(event.substr(0, brace + 1));
-  out += "\"pid\": " + std::to_string(pid);
-  const std::size_t next = skip_ws(event, brace + 1);
-  if (next < event.size() && event[next] != '}') out += ", ";
-  out += event.substr(brace + 1);
+/// The event with its "pid" replaced by `pid`, or with `pid` inserted
+/// first when it has none.
+serve::JsonValue with_pid(const serve::JsonValue& event, std::uint32_t pid) {
+  const serve::JsonValue label{std::int64_t{pid}};
+  serve::JsonValue out = serve::JsonValue::object();
+  if (event.find("pid") == nullptr) out.set("pid", label);
+  for (const auto& [key, value] : event.members())
+    out.set(key, key == "pid" ? label : value);
   return out;
+}
+
+bool string_member_is(const serve::JsonValue& event, std::string_view key,
+                      std::string_view value) {
+  const serve::JsonValue* member = event.find(key);
+  return member != nullptr && member->is_string() &&
+         member->as_string() == value;
 }
 
 /// True for {"ph": "M", "name": "process_name", ...} metadata events.
-bool is_process_name_meta(std::string_view event) {
-  std::vector<Member> members;
-  if (!object_members(event, members)) return false;
-  bool meta = false;
-  bool named = false;
-  for (const Member& m : members) {
-    const std::string_view value =
-        event.substr(m.value_begin, m.value_end - m.value_begin);
-    if (m.key == "ph" && value == "\"M\"") meta = true;
-    if (m.key == "name" && value == "\"process_name\"") named = true;
-  }
-  return meta && named;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+bool is_process_name_meta(const serve::JsonValue& event) {
+  return string_member_is(event, "ph", "M") &&
+         string_member_is(event, "name", "process_name");
 }
 
 std::string file_basename(const std::string& path) {
@@ -268,8 +101,8 @@ Status merge_chrome_traces(const std::vector<std::string>& input_paths,
   }
   os << "{\"displayTimeUnit\": \"ms\",\n \"traceEvents\": [";
   bool first = true;
-  const auto emit = [&](std::string_view event) {
-    os << (first ? "\n  " : ",\n  ") << event;
+  const auto emit = [&](const serve::JsonValue& event) {
+    os << (first ? "\n  " : ",\n  ") << event.serialize();
     first = false;
   };
   for (std::size_t i = 0; i < input_paths.size(); ++i) {
@@ -284,20 +117,35 @@ Status merge_chrome_traces(const std::vector<std::string>& input_paths,
     if (is.bad()) {
       return Status(StatusCode::io_error, "cannot read trace file: " + path);
     }
-    std::vector<std::string_view> events;
-    if (Status status = extract_events(text, path, events); !status.ok()) {
-      return status;
+    const auto malformed = [&path](const std::string& what) {
+      return Status(StatusCode::io_error,
+                    "not a Chrome trace-event document (" + what + "): " +
+                        path);
+    };
+    api::Result<serve::JsonValue> doc = serve::parse_json(text);
+    if (!doc.ok()) return malformed(doc.status().message());
+    const serve::JsonValue* events = doc->find("traceEvents");
+    if (events == nullptr || !events->is_array()) {
+      return malformed("no traceEvents array");
     }
     bool named = false;
-    for (const std::string_view event : events) {
+    for (const serve::JsonValue& event : events->items()) {
+      if (!event.is_object()) {
+        return malformed("traceEvents element is not an object");
+      }
       named = named || is_process_name_meta(event);
     }
     if (!named) {
-      emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
-           std::to_string(pid) + ", \"args\": {\"name\": \"" +
-           json_escape(file_basename(path)) + "\"}}");
+      serve::JsonValue args = serve::JsonValue::object();
+      args.set("name", file_basename(path));
+      serve::JsonValue meta = serve::JsonValue::object();
+      meta.set("name", "process_name");
+      meta.set("ph", "M");
+      meta.set("pid", std::int64_t{pid});
+      meta.set("args", std::move(args));
+      emit(meta);
     }
-    for (const std::string_view event : events) {
+    for (const serve::JsonValue& event : events->items()) {
       emit(with_pid(event, pid));
     }
   }

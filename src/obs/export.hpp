@@ -31,9 +31,10 @@ namespace xoridx::obs {
 /// input: input i's events are re-labeled pid=i (1-based), so N shards
 /// that all reported pid 1 — or recycled OS pids — still land on N
 /// distinct tracks. Inputs without a process_name metadata event get one
-/// synthesized from their file name. Fails with a Status naming the file
-/// on unreadable input or input that does not look like a trace-event
-/// document (no traceEvents array, unbalanced JSON).
+/// synthesized from their file name; every event is re-serialized
+/// compactly. Fails with a Status naming the file on unreadable input or
+/// input that is not a trace-event document: malformed JSON (the parser's
+/// message gives the byte offset), or no traceEvents array of objects.
 [[nodiscard]] api::Status merge_chrome_traces(
     const std::vector<std::string>& input_paths, std::ostream& os);
 

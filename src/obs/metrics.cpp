@@ -3,38 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <iterator>
 
 #include "api/version.hpp"
+#include "serve/json.hpp"
 
 namespace xoridx::obs {
 
 namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 /// Bucket of a value: bit_width, clamped to the last bucket.
 std::uint32_t bucket_of(std::uint64_t value) noexcept {
@@ -311,7 +289,7 @@ void Snapshot::aggregate(const Snapshot& other) {
 }
 
 void Snapshot::write_json(std::ostream& os) const {
-  os << "{\"xoridx\": " << json_quote(XORIDX_VERSION)
+  os << "{\"xoridx\": " << serve::json_quote(XORIDX_VERSION)
      << ",\n \"metrics\": [";
   bool first = true;
   const auto sep = [&] {
@@ -320,17 +298,17 @@ void Snapshot::write_json(std::ostream& os) const {
   };
   for (const auto& [name, value] : counters) {
     sep();
-    os << "{\"name\": " << json_quote(name)
+    os << "{\"name\": " << serve::json_quote(name)
        << ", \"type\": \"counter\", \"value\": " << value << "}";
   }
   for (const auto& [name, value] : gauges) {
     sep();
-    os << "{\"name\": " << json_quote(name)
+    os << "{\"name\": " << serve::json_quote(name)
        << ", \"type\": \"gauge\", \"value\": " << value << "}";
   }
   for (const auto& [name, h] : histograms) {
     sep();
-    os << "{\"name\": " << json_quote(name)
+    os << "{\"name\": " << serve::json_quote(name)
        << ", \"type\": \"histogram\", \"count\": " << h.count
        << ", \"sum\": " << h.sum << ", \"max\": " << h.max
        << ", \"buckets\": [";

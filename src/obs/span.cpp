@@ -8,6 +8,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"  // now_ns()
+#include "serve/json.hpp"
 
 namespace xoridx::obs {
 
@@ -70,28 +71,6 @@ SpanBuffer& local_buffer() {
   return *buffer;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void set_trace_enabled(bool enabled) noexcept {
@@ -150,8 +129,8 @@ void write_chrome_trace(std::ostream& os) {
     std::lock_guard label_lock(g_process_label_mutex);
     if (!g_process_label.empty()) {
       os << "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-         << pid << ", \"args\": {\"name\": \""
-         << json_escape(g_process_label) << "\"}}";
+         << pid << ", \"args\": {\"name\": "
+         << serve::json_quote(g_process_label) << "}}";
       first = false;
     }
   }
@@ -163,15 +142,15 @@ void write_chrome_trace(std::ostream& os) {
       const SpanEvent& ev = buf->events[i];
       const std::uint64_t rel =
           ev.start_ns >= base ? ev.start_ns - base : 0;
-      os << (first ? "\n" : ",\n") << "  {\"name\": \""
-         << json_escape(ev.name) << "\", \"cat\": \""
-         << json_escape(ev.category)
-         << "\", \"ph\": \"X\", \"pid\": " << pid
+      os << (first ? "\n" : ",\n") << "  {\"name\": "
+         << serve::json_quote(ev.name) << ", \"cat\": "
+         << serve::json_quote(ev.category)
+         << ", \"ph\": \"X\", \"pid\": " << pid
          << ", \"tid\": " << buf->tid
          << ", \"ts\": " << us(rel) << ", \"dur\": " << us(ev.dur_ns);
       if (!ev.detail.empty())
-        os << ", \"args\": {\"detail\": \"" << json_escape(ev.detail)
-           << "\"}";
+        os << ", \"args\": {\"detail\": " << serve::json_quote(ev.detail)
+           << "}";
       os << "}";
       first = false;
     }

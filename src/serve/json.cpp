@@ -1,6 +1,8 @@
 #include "serve/json.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -222,32 +224,39 @@ class Parser {
     }
   }
 
+  /// Consume one or more digits; false when there is none at pos_.
+  bool eat_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])))
+      ++pos_;
+    return pos_ != start;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   Status parse_number(JsonValue& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(
-               static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    if (eat('0')) {
+      if (pos_ < text_.size() &&
+          std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        return fail("invalid number");  // leading zero
+    } else if (!eat_digits()) {
+      return fail("invalid number");
+    }
     bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    if (eat('.')) {
       integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!eat_digits()) return fail("invalid number");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!eat_digits()) return fail("invalid number");
     }
     const std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-")
-      return fail("invalid number");
     errno = 0;
     char* end = nullptr;
     if (integral) {
@@ -313,8 +322,7 @@ std::string JsonValue::serialize() const {
       // Shortest round-trippable form; never NaN/Inf (rejected on parse,
       // never produced by the protocol builders).
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", num_);
-      return buf;
+      return std::string(buf, std::to_chars(buf, buf + sizeof(buf), num_).ptr);
     }
     case Kind::string:
       return json_quote(str_);

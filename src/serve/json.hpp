@@ -1,13 +1,14 @@
-// Minimal JSON value for the serving daemon's wire protocol.
+// The repo's one JSON codec: the daemon's wire protocol, `trace-merge`'s
+// reader, and the escaper behind every streamed JSON writer (metrics
+// snapshots, Chrome span traces, engine rows, bench reports).
 //
-// The daemon speaks line-delimited JSON over TCP; the repo deliberately
-// has no third-party dependencies, so this is a small, strict
-// parser/serializer covering exactly what the protocol needs: objects,
-// arrays, strings (with \uXXXX escapes parsed to UTF-8), integers,
-// doubles, booleans and null. Objects preserve insertion order, so
-// serialized responses are deterministic and diff-friendly; duplicate
-// keys are a parse error. Parsing follows the Status model — a bad line
-// from a client yields an attributable parse_error, never an exception.
+// The repo deliberately has no third-party dependencies, so this is a
+// small, strict RFC 8259 parser/serializer: objects, arrays, strings
+// (with \uXXXX escapes parsed to UTF-8), integers, doubles, booleans and
+// null. Objects preserve insertion order, so serialized output is
+// deterministic and diff-friendly; duplicate keys are a parse error.
+// Parsing follows the Status model — malformed bytes yield an
+// attributable parse_error naming the byte offset, never an exception.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +108,8 @@ class JsonValue {
 /// other deviation) is a parse_error naming the byte offset.
 [[nodiscard]] api::Result<JsonValue> parse_json(std::string_view text);
 
-/// `s` as a quoted JSON string literal (used for embedding raw text like
-/// an OpenMetrics payload into a handwritten frame).
+/// `s` as a quoted JSON string literal. Every hand-streamed JSON writer
+/// quotes through this (and so does serialize()).
 [[nodiscard]] std::string json_quote(std::string_view s);
 
 }  // namespace xoridx::serve

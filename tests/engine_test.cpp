@@ -14,6 +14,7 @@
 #include "engine/report.hpp"
 #include "engine/thread_pool.hpp"
 #include "hash/xor_function.hpp"
+#include "serve/json.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/workload.hpp"
@@ -387,6 +388,10 @@ TEST(Sinks, JsonEscapesStrings) {
   const std::string out = os.str();
   EXPECT_NE(out.find("quote\\\" backslash\\\\ newline\\n"),
             std::string::npos);
+  const api::Result<serve::JsonValue> rows = serve::parse_json(out);
+  ASSERT_TRUE(rows.ok()) << rows.status().to_string() << "\n" << out;
+  ASSERT_EQ(rows->items().size(), 1u);
+  EXPECT_EQ(rows->items()[0].find("trace")->as_string(), r.trace_name);
   EXPECT_EQ(out.front(), '[');
   EXPECT_EQ(out[out.size() - 2], ']');
 }

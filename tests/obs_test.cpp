@@ -1,7 +1,7 @@
 // Observability tests: cross-thread counter/gauge/histogram aggregation,
 // snapshot monotonicity under concurrent recording, registry reset and
-// over-capacity behaviour, span JSON well-formedness (checked with a
-// minimal JSON parser), the SearchStats::evaluations reconciliation
+// over-capacity behaviour, span JSON well-formedness (checked with the
+// repo's strict JSON parser), the SearchStats::evaluations reconciliation
 // convention, the ProgressReporter surface, and the determinism
 // differentials: Explorer CSV and shard report bytes are identical with
 // instrumentation recording (metrics + tracing + a live reporter — the
@@ -39,6 +39,7 @@
 #include "search/optimizer.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
+#include "serve/json.hpp"
 #include "trace/generators.hpp"
 #include "tracestore/trace_source.hpp"
 #include "workloads/workload.hpp"
@@ -48,123 +49,6 @@
 
 namespace xoridx::obs {
 namespace {
-
-// ----------------------------------------------- minimal JSON validator
-//
-// Enough of RFC 8259 to reject what Perfetto or python json.load would
-// reject: balanced structure, quoted keys, legal escapes, legal number
-// syntax, nothing trailing the document.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
-
-  [[nodiscard]] bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : 0; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!consume('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i)
-            if (pos_ >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[pos_++])))
-              return false;
-        } else if (std::string_view("\"\\/bfnrt").find(esc) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    consume('-');
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (consume('.')) {
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return true;
-  }
-
-  bool members(char close, bool with_keys) {
-    skip_ws();
-    if (consume(close)) return true;
-    for (;;) {
-      skip_ws();
-      if (with_keys) {
-        if (!string()) return false;
-        skip_ws();
-        if (!consume(':')) return false;
-        skip_ws();
-      }
-      if (!value()) return false;
-      skip_ws();
-      if (consume(close)) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool value() {
-    switch (peek()) {
-      case '{':
-        ++pos_;
-        return members('}', /*with_keys=*/true);
-      case '[':
-        ++pos_;
-        return members(']', /*with_keys=*/false);
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
 
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
@@ -326,13 +210,23 @@ TEST(MetricsRegistry, OverCapacityRegistrationYieldsInertHandles) {
 
 TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   MetricsRegistry reg;
-  reg.counter("test.a\"quoted\\name").add(1);
+  const std::string quoted_name = "test.a\"quoted\\name";
+  reg.counter(quoted_name).add(1);
   reg.gauge("test.gauge").add(-3);
   reg.histogram("test.hist").record(17);
   std::ostringstream os;
   reg.snapshot().write_json(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const api::Result<serve::JsonValue> doc = serve::parse_json(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string() << "\n" << json;
+  const serve::JsonValue* metrics = doc->find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_TRUE(std::any_of(
+      metrics->items().begin(), metrics->items().end(),
+      [&](const serve::JsonValue& m) {
+        return m.find("name")->as_string() == quoted_name;
+      }))
+      << json;
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"xoridx\""), std::string::npos);
 }
@@ -340,12 +234,14 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
 // ------------------------------------------------------------- spans
 
 TEST(Span, ChromeTraceJsonIsWellFormedAndEscaped) {
+  const std::string detail =
+      "quote \" backslash \\ newline \n return \r tab \t control \x01 done";
   SwitchGuard guard;
   clear_spans();
   set_trace_enabled(true);
   {
     Span outer("test", "outer");
-    outer.detail("quote \" backslash \\ newline \n control \x01 done");
+    outer.detail(detail);
     std::thread worker([] { Span inner("test", "worker_span"); });
     worker.join();
     { Span sibling("test", "sibling"); }
@@ -355,7 +251,18 @@ TEST(Span, ChromeTraceJsonIsWellFormedAndEscaped) {
   std::ostringstream os;
   write_chrome_trace(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const api::Result<serve::JsonValue> doc = serve::parse_json(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string() << "\n" << json;
+  const serve::JsonValue* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const auto outer = std::find_if(
+      events->items().begin(), events->items().end(),
+      [](const serve::JsonValue& e) {
+        return e.find("name")->as_string() == "outer";
+      });
+  ASSERT_NE(outer, events->items().end()) << json;
+  ASSERT_NE(outer->find("args"), nullptr) << json;
+  EXPECT_EQ(outer->find("args")->find("detail")->as_string(), detail);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   // One complete event per span, on two distinct tids.
@@ -373,7 +280,7 @@ TEST(Span, RecordsNothingWhenTracingDisabled) {
   std::ostringstream os;
   write_chrome_trace(os);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(serve::parse_json(json).ok()) << json;
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"X\""), 0u);
 }
 
@@ -645,8 +552,8 @@ TEST(Differential, ExplorerCsvBytesIdenticalWithObsOnAndOff) {
   std::ostringstream metrics_json, trace_json;
   registry().snapshot().write_json(metrics_json);
   write_chrome_trace(trace_json);
-  EXPECT_TRUE(JsonChecker(metrics_json.str()).valid());
-  EXPECT_TRUE(JsonChecker(trace_json.str()).valid());
+  EXPECT_TRUE(serve::parse_json(metrics_json.str()).ok());
+  EXPECT_TRUE(serve::parse_json(trace_json.str()).ok());
   clear_spans();
 
   // Arm 2: recording disabled — the runtime stand-in for XORIDX_OBS=OFF.
@@ -854,10 +761,10 @@ TEST(TraceMerge, RemapsPidsAndSynthesizesProcessNames) {
   ASSERT_TRUE(merged_status.ok()) << merged_status.to_string();
   const std::string merged = os.str();
 
-  EXPECT_TRUE(JsonChecker(merged).valid()) << merged;
+  EXPECT_TRUE(serve::parse_json(merged).ok()) << merged;
   // A's events land on track 1, B's on track 2; original pids are gone.
-  EXPECT_EQ(count_occurrences(merged, "\"pid\": 1"), 2u) << merged;
-  EXPECT_EQ(count_occurrences(merged, "\"pid\": 2"), 2u) << merged;
+  EXPECT_EQ(count_occurrences(merged, "\"pid\":1"), 2u) << merged;
+  EXPECT_EQ(count_occurrences(merged, "\"pid\":2"), 2u) << merged;
   EXPECT_EQ(count_occurrences(merged, "4242"), 0u) << merged;
   // A keeps its own track name; B gets one synthesized from its file.
   EXPECT_EQ(count_occurrences(merged, "process_name"), 2u) << merged;
@@ -891,6 +798,26 @@ TEST(TraceMerge, ErrorsNameTheOffendingFile) {
   EXPECT_EQ(malformed.code(), api::StatusCode::io_error);
   EXPECT_NE(malformed.message().find("traceEvents"), std::string::npos);
   EXPECT_NE(malformed.message().find(bad_path), std::string::npos);
+
+  // Malformed JSON is rejected with the parser's byte offset, never passed
+  // through: an invalid literal with trailing garbage, an event missing
+  // its ':', and a trace cut off mid-event.
+  for (const char* text :
+       {"{\"traceEvents\": [{\"name\": tru, \"ph\": \"X\"}]} garbage",
+        "{\"traceEvents\": [{\"a\" \"b\"}]}",
+        "{\"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n"
+        "  {\"name\": \"slice\", \"ph\": \"X\", \"ts\": 1"}) {
+    {
+      std::ofstream bad(bad_path);
+      bad << text;
+    }
+    const api::Status rejected = merge_chrome_traces({bad_path}, os);
+    EXPECT_EQ(rejected.code(), api::StatusCode::io_error) << text;
+    EXPECT_NE(rejected.message().find("at byte"), std::string::npos)
+        << rejected.message();
+    EXPECT_NE(rejected.message().find(bad_path), std::string::npos)
+        << rejected.message();
+  }
 }
 
 // ------------------------------------------------------ flight recorder

@@ -605,14 +605,28 @@ TEST(ShardCancellation, FiredTokenFlushesCancelMarkedReport) {
 
 TEST(Json, ParsesAndSerializesRoundTrip) {
   const std::string text =
-      R"({"a":1,"b":-2.5,"c":"x\n\"y\"","d":[true,false,null],"e":{}})";
+      R"({"a":1,"b":-2.5,"c":"x\n\"y\"","d":[true,false,null],"e":{},)"
+      R"("f":[0.1,4914.715]})";
   const auto parsed = serve::parse_json(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed->find("a")->as_int(), 1);
   EXPECT_DOUBLE_EQ(parsed->find("b")->as_double(), -2.5);
   EXPECT_EQ(parsed->find("c")->as_string(), "x\n\"y\"");
   EXPECT_EQ(parsed->find("d")->items().size(), 3u);
+  // Doubles serialize in their shortest round-trippable form.
   EXPECT_EQ(parsed->serialize(), text);
+
+  // Every RFC 8259 number form parses: zero, negative zero, fraction,
+  // signed exponent.
+  const struct {
+    const char* text;
+    double value;
+  } numbers[] = {{"0", 0.0}, {"-0", 0.0}, {"0.5", 0.5}, {"-1.5E-3", -1.5e-3}};
+  for (const auto& number : numbers) {
+    const auto n = serve::parse_json(number.text);
+    ASSERT_TRUE(n.ok()) << number.text << ": " << n.status().to_string();
+    EXPECT_DOUBLE_EQ(n->as_double(), number.value) << number.text;
+  }
 }
 
 TEST(Json, ParsesUnicodeEscapesIncludingSurrogatePairs) {
@@ -624,10 +638,14 @@ TEST(Json, ParsesUnicodeEscapesIncludingSurrogatePairs) {
 TEST(Json, RejectsMalformedInputWithByteOffsets) {
   for (const char* bad :
        {"{", "[1,]", "{\"a\":1,\"a\":2}", "tru", "1.2.3", "\"unterminated",
-        "{\"a\"}", "[1] trailing", "\"\\u12\"", "\"\\ud800\""}) {
+        "{\"a\"}", "[1] trailing", "\"\\u12\"", "\"\\ud800\"",
+        // Numbers outside RFC 8259's grammar.
+        "01", "00", "-01", "1.", ".5", "-.5", "1.e5", "[1.]"}) {
     const auto parsed = serve::parse_json(bad);
     EXPECT_FALSE(parsed.ok()) << bad;
     EXPECT_EQ(parsed.status().code(), api::StatusCode::parse_error) << bad;
+    EXPECT_NE(parsed.status().message().find("at byte"), std::string::npos)
+        << bad;
   }
 }
 
