@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -119,6 +121,7 @@ Campaign::Campaign(SweepSpec spec,
           " address bits (m <= n required)");
   const std::size_t geometries = spec_.geometries.size();
   profile_key_.resize(spec_.traces.size() * geometries);
+  baselines_.resize(profile_key_.size());
   for (std::size_t t = 0; t < spec_.traces.size(); ++t) {
     std::size_t same_t = 0;
     while (spec_.traces[same_t].id != spec_.traces[t].id) ++same_t;
@@ -143,41 +146,27 @@ auto Campaign::with_input(const TraceEntry& entry, F&& f) {
   return f(tracestore::TraceInput(*source));
 }
 
-cache::CacheStats Campaign::baseline_stats(std::size_t trace_index,
-                                           std::size_t geometry_index) {
-  const std::size_t key =
-      trace_index * spec_.geometries.size() + geometry_index;
-  // Build-once like the ProfileCache: the first requester simulates, the
-  // jobs of the same cell that start concurrently wait on the shared
-  // future instead of each re-running the full-trace pass.
-  std::promise<cache::CacheStats> promise;
-  std::shared_future<cache::CacheStats> future;
-  bool builder = false;
-  {
-    std::lock_guard lock(baseline_mutex_);
-    auto [it, inserted] = baselines_.try_emplace(key);
-    if (inserted) {
-      it->second = promise.get_future().share();
-      builder = true;
-    }
-    future = it->second;
+void Campaign::build_baseline(std::size_t slot) {
+  if (baselines_[slot]) return;  // kept from an earlier run
+  const std::size_t geometries = spec_.geometries.size();
+  const TraceEntry& entry = spec_.traces[slot / geometries];
+  const cache::CacheGeometry& geom = spec_.geometries[slot % geometries];
+  try {
+    const hash::XorFunction conventional = hash::XorFunction::conventional(
+        spec_.hashed_bits, geom.index_bits());
+    baselines_[slot] = with_input(entry, [&](tracestore::TraceInput t) {
+      return cache::simulate_direct_mapped(t, geom, conventional);
+    });
+  } catch (...) {
+    baseline_errors_[slot] = std::current_exception();  // not cached
   }
-  if (builder) {
-    try {
-      const TraceEntry& entry = spec_.traces[trace_index];
-      const cache::CacheGeometry& geom = spec_.geometries[geometry_index];
-      const hash::XorFunction conventional = hash::XorFunction::conventional(
-          spec_.hashed_bits, geom.index_bits());
-      promise.set_value(with_input(entry, [&](tracestore::TraceInput t) {
-        return cache::simulate_direct_mapped(t, geom, conventional);
-      }));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-      std::lock_guard lock(baseline_mutex_);
-      baselines_.erase(key);  // don't cache the failure
-    }
-  }
-  return future.get();
+}
+
+cache::CacheStats Campaign::baseline(const Job& job) const {
+  const std::size_t slot =
+      job.trace_index * spec_.geometries.size() + job.geometry_index;
+  if (baseline_errors_[slot]) std::rethrow_exception(baseline_errors_[slot]);
+  return baselines_[slot].value();
 }
 
 void Campaign::count_profile_readers() {
@@ -258,8 +247,7 @@ JobResult Campaign::execute(const Job& job) {
     }
 
     void operator()(const EvaluateFunctionJob& j) const {
-      const cache::CacheStats baseline =
-          self.baseline_stats(job.trace_index, job.geometry_index);
+      const cache::CacheStats baseline = self.baseline(job);
       out.baseline_misses = baseline.misses;
       if (j.fully_associative) {
         const cache::CacheStats stats =
@@ -298,8 +286,7 @@ JobResult Campaign::execute(const Job& job) {
       // The conventional-index run is memoized per (trace, geometry);
       // passing it in saves every optimize job a full-trace simulation
       // (a whole decode pass for streaming entries).
-      const cache::CacheStats baseline =
-          self.baseline_stats(job.trace_index, job.geometry_index);
+      const cache::CacheStats baseline = self.baseline(job);
       const search::OptimizationResult r =
           with_input(entry, [&](tracestore::TraceInput t) {
             return search::optimize_index_with_profile(t, geom, *prof,
@@ -314,8 +301,7 @@ JobResult Campaign::execute(const Job& job) {
     }
 
     void operator()(const OptimalBitSelectJob& j) const {
-      out.baseline_misses =
-          self.baseline_stats(job.trace_index, job.geometry_index).misses;
+      out.baseline_misses = self.baseline(job).misses;
       const ProfileCache::ProfilePtr prof =
           j.use_estimator ? profile() : nullptr;
       const search::ExhaustiveBitSelectResult r =
@@ -348,12 +334,13 @@ JobResult Campaign::execute(const Job& job) {
   return result;
 }
 
-std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
+std::exception_ptr Campaign::execute_cells(const CampaignOptions& options,
                                            bool fail_fast,
                                            const CellCallback& on_cell,
                                            std::vector<CellOutcome>& outcomes) {
   outcomes.assign(jobs_.size(), CellOutcome{});
   if (owns_profiles_) count_profile_readers();
+  baseline_errors_.assign(baselines_.size(), nullptr);
 
   // Ordered-prefix emission state: cells settle in completion order but
   // stream to the sink/callback in spec order, so a run with N threads
@@ -363,25 +350,22 @@ std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
   std::size_t emitted = 0;
   std::exception_ptr first_error;
   std::atomic<bool> error_seen{false};
-  bool sink_failed = false;
 
   const auto emit_prefix_locked = [&] {
     while (emitted < jobs_.size() && settled[emitted]) {
-      const CellOutcome& out = outcomes[emitted];
-      if (on_cell) on_cell(emitted, out);
-      // A throwing sink must not escape a pool task (std::terminate);
-      // record it like a job failure and stop emitting.
-      if (options.sink && out.state == CellState::done && !first_error &&
-          !sink_failed) {
-        try {
+      const std::size_t i = emitted++;
+      const CellOutcome& out = outcomes[i];
+      // Emission runs inside pool tasks, which must not throw: a throwing
+      // callback or sink is recorded like a job failure, and the sink
+      // stops.
+      try {
+        if (on_cell) on_cell(i, out);
+        if (options.sink && out.state == CellState::done && !first_error)
           options.sink->write(out.result);
-        } catch (...) {
-          first_error = std::current_exception();
-          error_seen.store(true, std::memory_order_relaxed);
-          sink_failed = true;
-        }
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+        error_seen.store(true, std::memory_order_relaxed);
       }
-      ++emitted;
     }
   };
 
@@ -396,89 +380,59 @@ std::exception_ptr Campaign::execute_graph(const CampaignOptions& options,
     emit_prefix_locked();
   };
 
-  // One graph node per cell, plus one prelude node per (trace, geometry)
-  // group whose cells read the conventional-index baseline: the shared
-  // simulation runs once, before its dependents, instead of the first
-  // cell building it while its siblings park on a future inside pool
-  // workers. Prelude failures are swallowed — the failed build is
-  // uncached, so each dependent retries inline and the error surfaces
-  // attributed to a cell, exactly as the blocking path reported it.
-  JobGraph graph;
-  std::vector<JobGraph::NodeId> cell_nodes(jobs_.size());
-  std::size_t flat = 0;  // (t, g)-major flat index into jobs_
-  for (std::size_t t = 0; t < spec_.traces.size(); ++t) {
-    for (std::size_t g = 0; g < spec_.geometries.size(); ++g) {
-      bool needs_baseline = false;
-      for (std::size_t c = 0; c < spec_.configs.size(); ++c)
-        if (!std::holds_alternative<ClassifyMissesJob>(
-                spec_.configs[c].payload))
-          needs_baseline = true;
-      std::vector<JobGraph::NodeId> deps;
-      if (needs_baseline) {
-        deps.push_back(graph.add([this, t, g, fail_fast, &error_seen] {
-          if (fail_fast && error_seen.load(std::memory_order_relaxed))
-            return;
-          try {
-            (void)baseline_stats(t, g);
-          } catch (...) {
-            // Dependents retry and attribute (see above).
-          }
-        }));
-      }
-      for (std::size_t c = 0; c < spec_.configs.size(); ++c, ++flat) {
-        const std::size_t i = flat;
-        cell_nodes[i] =
-            graph.add(
-                [this, i, fail_fast, &error_seen, &settle] {
-                  if (fail_fast &&
-                      error_seen.load(std::memory_order_relaxed)) {
-                    // Skipped: run() discards outcomes on the error
-                    // path, so the defaulted outcome is never read.
-                    settle(i, CellOutcome{});
-                    return;
-                  }
-                  CellOutcome out;
-                  try {
-                    out.result = execute(jobs_[i]);
-                  } catch (...) {
-                    out.state = CellState::failed;
-                    out.error = wrap_current_exception(jobs_[i]);
-                  }
-                  settle(i, std::move(out));
-                },
-                deps);
+  // A cell that will not run: the token fired, or a fail-fast run
+  // already failed (run() then discards outcomes, so the skipped cell's
+  // defaulted outcome is never read).
+  const auto stopped = [&] {
+    return options.cancel.cancelled() ||
+           (fail_fast && error_seen.load(std::memory_order_relaxed));
+  };
+
+  const auto run_cell = [&](std::size_t i) {
+    CellOutcome out;
+    if (options.cancel.cancelled()) {
+      out.state = CellState::cancelled;
+      XORIDX_OBS_COUNT("engine.cells_cancelled", 1);
+    } else if (!stopped()) {
+      try {
+        out.result = execute(jobs_[i]);
+      } catch (...) {
+        out.state = CellState::failed;
+        out.error = wrap_current_exception(jobs_[i]);
       }
     }
-  }
+    settle(i, std::move(out));
+  };
 
-  if (options.pool != nullptr) {
-    graph.run(options.pool, options.cancel);
-  } else {
+  bool needs_baseline = false;
+  for (const FunctionConfig& config : spec_.configs)
+    if (!std::holds_alternative<ClassifyMissesJob>(config.payload))
+      needs_baseline = true;
+
+  std::unique_ptr<ThreadPool> own_pool;
+  ThreadPool* pool = options.pool;
+  if (pool == nullptr) {
     const unsigned threads = options.num_threads == 0
                                  ? ThreadPool::default_threads()
                                  : options.num_threads;
-    if (threads <= 1 || jobs_.size() <= 1) {
-      graph.run(nullptr, options.cancel);
-    } else {
-      ThreadPool pool(threads);
-      graph.run(&pool, options.cancel);
-    }
+    if (threads > 1 && jobs_.size() > 1)
+      own_pool = std::make_unique<ThreadPool>(threads);
+    pool = own_pool.get();
   }
 
-  // Cells the graph cancelled never ran their settle: mark them now and
-  // flush the rest of the ordered prefix to the callback.
-  {
-    std::lock_guard lock(emit_mutex);
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (settled[i]) continue;
-      if (graph.outcome(cell_nodes[i]).state !=
-          JobGraph::NodeState::cancelled)
-        continue;  // unreachable: every uncancelled cell settles itself
-      outcomes[i].state = CellState::cancelled;
-      settled[i] = 1;
-    }
-    emit_prefix_locked();
-  }
+  // One task per (trace, geometry) group, in spec order: it simulates
+  // the conventional-index baseline its cells read, once, then runs the
+  // cells. Declared last, so its destructor waits for every task before
+  // the state they reference goes away.
+  const std::size_t configs = spec_.configs.size();
+  TaskGroup group(pool);
+  for (std::size_t slot = 0; slot < baselines_.size(); ++slot)
+    group.run([&, slot] {
+      if (needs_baseline && !stopped()) build_baseline(slot);
+      for (std::size_t c = 0; c < configs; ++c)
+        group.run([&, i = slot * configs + c] { run_cell(i); });
+    });
+  group.wait();
   return first_error;
 }
 
@@ -498,7 +452,7 @@ std::vector<JobResult> Campaign::run(const CampaignOptions& options) {
   std::vector<CellOutcome> outcomes;
   std::exception_ptr first_error;
   try {
-    first_error = execute_graph(options, /*fail_fast=*/true, {}, outcomes);
+    first_error = execute_cells(options, /*fail_fast=*/true, {}, outcomes);
   } catch (...) {
     end_sink_noexcept();
     throw;
@@ -523,7 +477,7 @@ std::vector<CellOutcome> Campaign::run_cells(const CampaignOptions& options,
                                              const CellCallback& on_cell) {
   if (options.sink) options.sink->begin();
   std::vector<CellOutcome> outcomes;
-  (void)execute_graph(options, /*fail_fast=*/false, on_cell, outcomes);
+  (void)execute_cells(options, /*fail_fast=*/false, on_cell, outcomes);
   if (options.sink) options.sink->end();
   return outcomes;
 }

@@ -13,21 +13,20 @@
 
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/geometry.hpp"
 #include "engine/cancellation.hpp"
 #include "engine/job.hpp"
-#include "engine/job_graph.hpp"
 #include "engine/profile_cache.hpp"
 #include "engine/report.hpp"
+#include "engine/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "tracestore/trace_id.hpp"
 #include "tracestore/trace_source.hpp"
@@ -194,9 +193,9 @@ struct CampaignOptions {
   CancellationToken cancel;
   /// Run on this externally-owned pool instead of creating one
   /// (num_threads is then ignored). Many campaigns may share one pool —
-  /// completion is tracked per job graph, not via ThreadPool::wait_idle
-  /// — which is how the serving daemon runs concurrent requests on one
-  /// engine.
+  /// each waits on its own TaskGroup — which is how the serving daemon
+  /// runs concurrent requests on one engine. Call run() from outside the
+  /// pool, never from one of its workers.
   ThreadPool* pool = nullptr;
 };
 
@@ -253,9 +252,8 @@ class Campaign {
   /// failing cell aborts the sweep (remaining cells are skipped) and is
   /// rethrown as a CampaignError; cancellation mid-sweep throws
   /// CampaignCancelled. Both paths terminate the sink so streamed
-  /// output stays well-formed. Implemented on the job graph: a run with
-  /// N threads (or on a shared pool) produces output byte-identical to
-  /// a serial run.
+  /// output stays well-formed. A run with N threads (or on a shared
+  /// pool) produces output byte-identical to a serial run.
   std::vector<JobResult> run(const CampaignOptions& options = {});
 
   /// Settled in spec order as the ordered prefix of the sweep
@@ -290,8 +288,12 @@ class Campaign {
   /// A job has read its profile: release it if that was the last reader
   /// and the cache is the campaign's own.
   void profile_read(const Job& job);
-  [[nodiscard]] cache::CacheStats baseline_stats(std::size_t trace_index,
-                                                 std::size_t geometry_index);
+  /// Simulate the conventional index for one (trace, geometry) slot,
+  /// unless an earlier run already did; a failure is recorded in
+  /// baseline_errors_ instead of thrown.
+  void build_baseline(std::size_t slot);
+  /// The job's baseline; rethrows its slot's build error.
+  [[nodiscard]] cache::CacheStats baseline(const Job& job) const;
   /// Call `f(tracestore::TraceInput)` on the entry's trace and return its
   /// result: a streaming entry opens a fresh source for the call, so
   /// decoded memory stays O(chunk) per running job; otherwise `f` reads
@@ -302,11 +304,11 @@ class Campaign {
   /// job's cell (CampaignErrors pass through untouched).
   [[nodiscard]] std::exception_ptr wrap_current_exception(
       const Job& job) const;
-  /// Build and run the job graph behind both run() and run_cells().
-  /// With `fail_fast`, cells after the first failure are skipped (their
+  /// Run every cell, behind both run() and run_cells(). With
+  /// `fail_fast`, cells after the first failure are skipped (their
   /// outcome is left defaulted; the caller throws the recorded error
   /// anyway). Returns the first recorded job/sink error, if any.
-  std::exception_ptr execute_graph(const CampaignOptions& options,
+  std::exception_ptr execute_cells(const CampaignOptions& options,
                                    bool fail_fast,
                                    const CellCallback& on_cell,
                                    std::vector<CellOutcome>& outcomes);
@@ -322,14 +324,15 @@ class Campaign {
   /// Per profile key, the jobs of the current run yet to read it.
   std::vector<std::atomic<std::size_t>> profile_readers_;
 
-  /// Conventional-index simulation results, deduplicated per (trace,
-  /// geometry) like the profiles (first requester builds, concurrent
-  /// requesters share the future): every result row reports its
-  /// baseline, the baseline config reuses the cached run, and optimize
-  /// jobs pass it into the search to skip their internal re-simulation.
-  std::mutex baseline_mutex_;
-  std::unordered_map<std::size_t, std::shared_future<cache::CacheStats>>
-      baselines_;
+  /// Conventional-index simulation results, one slot per (trace,
+  /// geometry), built by the slot's group task before its cells run and
+  /// kept across runs: every result row reports its baseline, the
+  /// baseline config reuses the run, and optimize jobs pass it into the
+  /// search to skip their internal re-simulation.
+  std::vector<std::optional<cache::CacheStats>> baselines_;
+  /// Per slot, the current run's build failure, rethrown by every cell
+  /// that reads the slot.
+  std::vector<std::exception_ptr> baseline_errors_;
 };
 
 }  // namespace xoridx::engine

@@ -35,7 +35,6 @@ void ThreadPool::submit(Task task) {
     std::lock_guard lock(mutex_);
     queues_[next_queue_].push_back(std::move(entry));
     next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++pending_;
     XORIDX_OBS_GAUGE_ADD("engine.pool.queue_depth", 1);
   }
   work_cv_.notify_one();
@@ -83,17 +82,41 @@ void ThreadPool::worker_loop(std::size_t self) {
 #if XORIDX_OBS_ENABLED
     XORIDX_OBS_HIST("engine.pool.task_ns", obs::now_ns() - run_start);
 #endif
-    {
-      std::lock_guard lock(mutex_);
-      --pending_;
-      if (pending_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 
-void ThreadPool::wait_idle() {
+void TaskGroup::run(ThreadPool::Task task) {
+  if (pool_ == nullptr) {
+    task();
+    return;
+  }
+  {
+    std::lock_guard lock(mutex_);
+    ++pending_;
+  }
+  try {
+    pool_->submit([this, task = std::move(task)] {
+      task();
+      finish();
+    });
+  } catch (...) {
+    finish();
+    throw;
+  }
+}
+
+void TaskGroup::finish() {
+  std::lock_guard lock(mutex_);
+  // Notify while still holding the mutex: wait() may return and destroy
+  // the group the moment it observes pending_ == 0, and it can only
+  // observe that after we release the lock — an unlocked notify could
+  // still be touching the condition variable at that point.
+  if (--pending_ == 0) done_cv_.notify_all();
+}
+
+void TaskGroup::wait() {
   std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [&] { return pending_ == 0; });
+  done_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 }  // namespace xoridx::engine

@@ -7,6 +7,10 @@
 // search, so queue contention is negligible and the per-worker layout
 // mainly preserves locality and keeps the door open for finer-grained
 // locking when job granularity shrinks (see ROADMAP: sharded sweeps).
+//
+// The pool has no pool-wide wait: callers wait for their own work through
+// a TaskGroup, so many groups (the serving daemon's concurrent campaigns)
+// share one pool without waiting on each other.
 #pragma once
 
 #include <condition_variable>
@@ -38,9 +42,6 @@ class ThreadPool {
   /// Enqueue a task. Thread-safe; may be called from worker threads.
   void submit(Task task);
 
-  /// Block until every submitted task has finished executing.
-  void wait_idle();
-
   [[nodiscard]] unsigned size() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
@@ -68,10 +69,43 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  ///< signalled on submit and shutdown
-  std::condition_variable idle_cv_;  ///< signalled when pending_ hits zero
-  std::size_t pending_ = 0;          ///< queued + running tasks
   std::size_t next_queue_ = 0;       ///< round-robin submission cursor
   bool stopping_ = false;
+};
+
+/// A latch over one batch of pool work: run() counts each task, wait()
+/// blocks until every counted task has finished. A task may run() more
+/// tasks on its own group; wait() covers those too. With a null pool,
+/// run() executes the task inline — the serial reference path.
+///
+/// Preconditions: tasks must not throw (an exception escaping a task on
+/// a pool worker terminates the process), and wait() must not be called
+/// from a worker of the same pool (it would park a worker the group's
+/// own tasks may need).
+class TaskGroup {
+ public:
+  explicit TaskGroup(ThreadPool* pool) noexcept : pool_(pool) {}
+  /// Waits: queued tasks may still reference the creator's frame.
+  ~TaskGroup() { wait(); }
+
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  /// Submit `task` to the pool (inline with a null pool). If submit
+  /// throws, the task is not counted and the exception propagates.
+  void run(ThreadPool::Task task);
+
+  /// Block until every task run on this group has finished.
+  void wait();
+
+ private:
+  /// One counted task is over: uncount it, waking wait() at zero.
+  void finish();
+
+  ThreadPool* pool_;
+  std::mutex mutex_;
+  std::condition_variable done_cv_;  ///< signalled when pending_ hits zero
+  std::size_t pending_ = 0;          ///< counted tasks not yet finished
 };
 
 }  // namespace xoridx::engine

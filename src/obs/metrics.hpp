@@ -270,8 +270,11 @@ class MetricsRegistry {
 
 #else
 
-#define XORIDX_OBS_COUNT(name, n) ((void)0)
-#define XORIDX_OBS_GAUGE_ADD(name, delta) ((void)0)
+// The amount stays an unevaluated operand, so a local computed only to
+// be counted does not warn as unused. A histogram's value may name
+// variables that exist only when obs is on, so it is dropped whole.
+#define XORIDX_OBS_COUNT(name, n) ((void)sizeof(n))
+#define XORIDX_OBS_GAUGE_ADD(name, delta) ((void)sizeof(delta))
 #define XORIDX_OBS_HIST(name, value) ((void)0)
 
 #endif

@@ -26,12 +26,8 @@ namespace xoridx::search {
 /// Pool for SearchOptions::threads: nullptr for the serial path
 /// (threads == 1, or nothing to scan in parallel), else a private pool
 /// with one thread FEWER than the requested worker count (0 = hardware
-/// threads) — the calling thread is the remaining executor. Span traces
-/// of the checked-in kernels bench showed the old layout (K pool
-/// threads, caller parked in wait_idle for the whole scan) wasting one
-/// context's worth of CPU per scan and paying a mutex/cv dispatch per
-/// chunk; scan_chunks now shares work with the caller through an atomic
-/// cursor instead. Results are bit-identical for every worker count, so
+/// threads) — the calling thread is the remaining executor (see
+/// scan_chunks). Results are bit-identical for every worker count, so
 /// oversized requests clamp to max(hardware threads, 8) instead of
 /// spawning an OS thread per unit — the small floor keeps multi-worker
 /// determinism exercisable on single-core hosts.
@@ -82,14 +78,15 @@ struct ScanBest {
 /// touch shared state read-only and write only its own Result.
 ///
 /// Execution model: chunks are claimed from an atomic cursor by
-/// pool->size() drainer tasks plus the caller itself, so every executor
-/// (caller included) works until the chunks run out — one pool dispatch
-/// per *worker* per scan instead of one per *chunk*, and no thread sits
-/// parked in wait_idle while others finish. A throw inside a chunk
-/// (e.g. bad_alloc in its scratch buffers) is captured by its drainer
-/// and rethrown here after the scan drains, in chunk order — never
-/// across the pool boundary, where it would terminate the process and
-/// bypass the engine's per-cell error capture.
+/// pool->size() drainer tasks on a TaskGroup plus the caller itself, so
+/// every executor (caller included) works until the chunks run out — one
+/// pool dispatch per *worker* per scan instead of one per *chunk*. The
+/// pool must not be one the caller is a worker of (the group's wait
+/// would park that worker). A throw inside a chunk (e.g. bad_alloc in
+/// its scratch buffers) is captured by its drainer and rethrown here
+/// after every chunk has run, the lowest chunk's first — never across
+/// the pool boundary, where it would terminate the process and bypass
+/// the engine's per-cell error capture.
 template <typename Result, typename Scan>
 void scan_chunks(engine::ThreadPool* pool, std::size_t count,
                  std::vector<Result>& results, Scan&& scan) {
@@ -101,8 +98,7 @@ void scan_chunks(engine::ThreadPool* pool, std::size_t count,
   // A few chunks per executor smooths uneven candidate costs without
   // shrinking tasks below useful granularity. Executors = pool workers
   // + the caller, so chunk boundaries (and therefore per-chunk reduction
-  // results) match the pre-work-sharing layout for the same requested
-  // worker count.
+  // results) depend only on the requested worker count.
   const std::size_t executors = static_cast<std::size_t>(pool->size()) + 1;
   const std::size_t max_chunks = executors * 4;
   const std::size_t chunks = count < max_chunks ? count : max_chunks;
@@ -126,17 +122,12 @@ void scan_chunks(engine::ThreadPool* pool, std::size_t count,
       }
     }
   };
-  try {
-    for (unsigned w = 0; w < pool->size(); ++w) pool->submit(drain);
-  } catch (...) {
-    // submit itself can throw (task allocation); already-queued drainers
-    // still reference this frame, so finish the scan before unwinding.
-    drain();
-    pool->wait_idle();
-    throw;
-  }
+  // Declared after everything the drainers reference: if run() throws,
+  // the group's destructor waits for the queued drainers before unwinding.
+  engine::TaskGroup group(pool);
+  for (unsigned w = 0; w < pool->size(); ++w) group.run(drain);
   drain();  // the caller is an executor, not a spectator
-  pool->wait_idle();
+  group.wait();
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
 }

@@ -274,7 +274,7 @@ void Service::run_request(PendingRequest& pending) {
         });
   } catch (const std::exception& e) {
     // run_cells reports per-cell failures through outcomes; reaching
-    // here means the graph machinery itself failed.
+    // here means the campaign machinery itself failed.
     settle(pending);
     if (pending.events.on_error)
       pending.events.on_error(Status(StatusCode::internal, e.what()));

@@ -2,9 +2,9 @@
 //
 // The daemon's core, separated from the TCP transport so tests and
 // benches drive it in-process. One Service owns:
-//   - a shared engine::ThreadPool all requests' cells run on (per-graph
-//     completion tracking means concurrent requests never wait on each
-//     other's pool-idle),
+//   - a shared engine::ThreadPool all requests' cells run on (each
+//     request waits on its own engine::TaskGroup, so concurrent requests
+//     never wait on each other's cells),
 //   - a shared engine::ProfileCache keyed by trace content, with an LRU
 //     byte budget, so concurrent requests tuning the same hot traces
 //     pay for one profile/zeta build per (content, geometry, n),

@@ -5,8 +5,8 @@
 // benches and embedding frontends can run it in-process:
 //
 //   Service / ServiceOptions   one shared engine serving concurrent
-//                              ExplorationRequests: a cancellable job
-//                              graph per request, cells interleaved on
+//                              ExplorationRequests: a cancellable
+//                              campaign per request, cells interleaved on
 //                              one thread pool, profiles/zeta shared
 //                              through a byte-budgeted LRU ProfileCache,
 //                              whole-request memoization by fingerprint,

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/simulate.hpp"
@@ -30,21 +32,51 @@ using search::FunctionClass;
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
+  TaskGroup group(&pool);
   for (int i = 0; i < 1000; ++i)
-    pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
+    group.run([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+  group.wait();
   EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPool, SubmitFromWorkerThread) {
+// A task may run more tasks on its own group: they start after their
+// parent has done its work, and wait() covers them. The sleeps keep
+// tasks running long after wait() is entered, so a group that stopped
+// counting a task before it finished would let wait() return early.
+TEST(TaskGroup, WaitCoversNestedRuns) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.submit([&] {
+  std::atomic<int> saw_parent{0};
+  int parent_work = 0;  // written before the nested runs, read by them
+  TaskGroup group(&pool);
+  group.run([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    parent_work = 42;
     for (int i = 0; i < 10; ++i)
-      pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+      group.run([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (parent_work == 42) saw_parent.fetch_add(1);
+        counter.fetch_add(1, std::memory_order_relaxed);
+      });
   });
-  pool.wait_idle();
+  group.wait();
   EXPECT_EQ(counter.load(), 10);
+  EXPECT_EQ(saw_parent.load(), 10);
+}
+
+// Without a pool every task, nested ones included, runs inline at its
+// run() call: the serial reference order.
+TEST(TaskGroup, NullPoolRunsInlineInCallOrder) {
+  std::vector<int> order;
+  TaskGroup group(nullptr);
+  group.run([&] {
+    order.push_back(0);
+    group.run([&] { order.push_back(1); });
+    order.push_back(2);
+  });
+  group.run([&] { order.push_back(3); });
+  group.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, DrainsQueueOnDestruction) {
@@ -94,12 +126,13 @@ TEST(ProfileCache, ConcurrentRequestsShareOneBuild) {
   ProfileCache cache;
   ThreadPool pool(8);
   std::atomic<int> ok{0};
+  TaskGroup group(&pool);
   for (int i = 0; i < 32; ++i)
-    pool.submit([&] {
+    group.run([&] {
       if (cache.get_or_build(t, geom, 12) != nullptr)
         ok.fetch_add(1, std::memory_order_relaxed);
     });
-  pool.wait_idle();
+  group.wait();
   EXPECT_EQ(ok.load(), 32);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 31u);
@@ -341,7 +374,9 @@ TEST(Sinks, CsvEscapesCommasQuotesAndNewlines) {
 // (trace, geometry, label) cell — not as the bare underlying exception.
 // The failing entry here is a streaming file deleted after campaign
 // construction (metadata was read, per-job open fails), both serially
-// and on the pool.
+// and on the pool. Every cell of the vanished trace fails under its own
+// label, and the failure is not cached: once the file is back, the same
+// campaign runs clean.
 TEST(Campaign, WorkerFailureNamesTheCell) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "xoridx_engine_vanish.bin")
@@ -353,7 +388,9 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
     spec.add_trace("healthy", trace::stride_trace(0, 4096, 64));
     spec.add_trace_file("vanishing", path, /*streaming=*/true);
     spec.geometries = {CacheGeometry(1024, 4)};
-    spec.configs = {FunctionConfig::baseline("base")};
+    spec.configs = {
+        FunctionConfig::baseline("base"),
+        FunctionConfig::optimize("perm:2", FunctionClass::permutation, 2)};
     Campaign campaign(std::move(spec));
     std::filesystem::remove(path);
 
@@ -365,11 +402,37 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
     } catch (const CampaignError& e) {
       EXPECT_EQ(e.trace_name(), "vanishing");
       EXPECT_EQ(e.geometry(), CacheGeometry(1024, 4));
-      EXPECT_EQ(e.label(), "base");
+      // run() surfaces the failure that settles first: on the pool
+      // either cell of the vanished trace.
+      if (threads == 1)
+        EXPECT_EQ(e.label(), "base");
+      else
+        EXPECT_TRUE(e.label() == "base" || e.label() == "perm:2");
       EXPECT_NE(std::string(e.what()).find("vanishing"), std::string::npos);
     }
-    // Recreate for the next thread-count round.
+
+    const std::vector<CellOutcome> outcomes = campaign.run_cells(options);
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(outcomes[campaign.job_index(0, 0, c)].state,
+                CellState::done);
+      const CellOutcome& out = outcomes[campaign.job_index(1, 0, c)];
+      ASSERT_EQ(out.state, CellState::failed) << "config " << c;
+      try {
+        std::rethrow_exception(out.error);
+      } catch (const CampaignError& e) {
+        EXPECT_EQ(e.trace_name(), "vanishing");
+        EXPECT_EQ(e.label(), campaign.spec().configs[c].label);
+      }
+    }
+
+    // Recreate: the next run builds again instead of replaying the
+    // failure (and the next thread-count round finds the file).
     trace::save_trace(path, trace::stride_trace(0, 4096, 64));
+    const std::vector<JobResult> results = campaign.run(options);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(results[campaign.job_index(1, 0, 0)].misses,
+              results[campaign.job_index(0, 0, 0)].misses);
   }
   std::filesystem::remove(path);
 }

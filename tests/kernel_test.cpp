@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/geometry.hpp"
@@ -18,6 +21,7 @@
 #include "profile/conflict_profile.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/estimator.hpp"
+#include "search/parallel_scan.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
 #include "xor_climb_oracle.hpp"
@@ -241,6 +245,114 @@ TEST(ParallelScanIdentity, ThreadsZeroMeansHardwareAndStaysIdentical) {
   const PermutationSearchResult b = search_permutation(p, 6, hw);
   EXPECT_EQ(a.function.describe(), b.function.describe());
   EXPECT_TRUE(stats_equal(a.stats, b.stats));
+}
+
+// ---------------------------------------------------------------------------
+// scan_chunks: the executor every threads=K scan runs on
+// ---------------------------------------------------------------------------
+
+/// A candidate cost with many ties (minimum 0 at ranks 90, 187, ...), so
+/// the rank-order merge's tie rule decides the winner.
+std::uint64_t tied_cost(std::size_t rank) {
+  return ((rank + 7) * 2654435761u) % 97;
+}
+
+struct ChunkRecord {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  ScanBest best;
+};
+
+// Chunk boundaries depend only on (count, pool size), each chunk's
+// result only on its range, and the chunks merged in order pick the
+// serial scan's winner for every pool size.
+TEST(ScanChunks, BoundariesAndResultsDependOnlyOnPoolSize) {
+  constexpr std::size_t count = 1000;
+  ScanBest serial{1000, -1};
+  for (std::size_t r = 0; r < count; ++r)
+    serial.offer(tied_cost(r), static_cast<std::ptrdiff_t>(r));
+  ASSERT_EQ(serial.rank, 90);
+
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    engine::ThreadPool pool(workers);
+    const std::size_t chunks = 4 * (workers + 1);
+    std::vector<ChunkRecord> first;
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<ChunkRecord> records;
+      scan_chunks(&pool, count, records,
+                  [&](std::size_t i, std::size_t begin, std::size_t end) {
+                    ChunkRecord& rec = records[i];
+                    rec.begin = begin;
+                    rec.end = end;
+                    rec.best.estimate = 1000;
+                    for (std::size_t r = begin; r < end; ++r)
+                      rec.best.offer(tied_cost(r),
+                                     static_cast<std::ptrdiff_t>(r));
+                  });
+      ASSERT_EQ(records.size(), chunks) << workers << " workers";
+      std::size_t next = 0;
+      ScanBest merged{1000, -1};
+      for (std::size_t i = 0; i < chunks; ++i) {
+        EXPECT_EQ(records[i].begin, next);
+        EXPECT_EQ(records[i].end - records[i].begin,
+                  count / chunks + (i < count % chunks ? 1 : 0));
+        next = records[i].end;
+        merged.merge(records[i].best);
+      }
+      EXPECT_EQ(next, count);
+      EXPECT_EQ(merged.rank, serial.rank) << workers << " workers";
+      EXPECT_EQ(merged.estimate, serial.estimate);
+      if (rep == 0) {
+        first = records;
+        continue;
+      }
+      for (std::size_t i = 0; i < chunks; ++i) {
+        EXPECT_EQ(records[i].begin, first[i].begin);
+        EXPECT_EQ(records[i].end, first[i].end);
+        EXPECT_EQ(records[i].best.rank, first[i].best.rank);
+        EXPECT_EQ(records[i].best.estimate, first[i].best.estimate);
+      }
+    }
+  }
+}
+
+/// Scan 64 candidates (16 chunks on a 3-worker pool); the chunks in
+/// `failing` throw "chunk <i>", the one listed first after a delay so
+/// that a later chunk's error is recorded earlier in time. Returns the
+/// message that reached the caller; `ran` marks every chunk that ran.
+std::string failing_scan(const std::vector<std::size_t>& failing,
+                         std::vector<int>& ran) {
+  engine::ThreadPool pool(3);
+  try {
+    scan_chunks(&pool, 64, ran,
+                [&](std::size_t i, std::size_t, std::size_t) {
+                  ran[i] = 1;
+                  const auto it =
+                      std::find(failing.begin(), failing.end(), i);
+                  if (it == failing.end()) return;
+                  if (it == failing.begin())
+                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                  throw std::runtime_error("chunk " + std::to_string(i));
+                });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ScanChunks, RethrowsOnlyAfterEveryChunkRan) {
+  std::vector<int> ran;
+  EXPECT_EQ(failing_scan({0}, ran), "chunk 0");
+  ASSERT_EQ(ran.size(), 16u);
+  for (std::size_t i = 0; i < ran.size(); ++i)
+    EXPECT_EQ(ran[i], 1) << "chunk " << i;
+}
+
+TEST(ScanChunks, LowestFailingChunkWins) {
+  std::vector<int> ran;
+  EXPECT_EQ(failing_scan({5, 11}, ran), "chunk 5");
+  for (std::size_t i = 0; i < ran.size(); ++i)
+    EXPECT_EQ(ran[i], 1) << "chunk " << i;
 }
 
 // ---------------------------------------------------------------------------
