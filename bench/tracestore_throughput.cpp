@@ -3,7 +3,7 @@
 // path.
 //
 // The bench writes one synthetic trace in both formats, then measures
-//   ingest    v1: load_trace (eager vector fill) — v2: drain a
+//   ingest    v1: load_trace_any (eager vector fill) — v2: drain a
 //             MmapTraceReader batch by batch (O(chunk) resident)
 //   profile   Figure-1 ConflictProfile build from the in-memory trace vs
 //             a single streamed pass from the v2 reader
@@ -24,7 +24,6 @@
 #include "bench/bench_util.hpp"
 #include "cache/simulate.hpp"
 #include "profile/conflict_profile.hpp"
-#include "trace/trace_io.hpp"
 #include "tracestore/reader.hpp"
 #include "tracestore/store.hpp"
 #include "tracestore/writer.hpp"
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
               "%u B cache\n\n",
               static_cast<unsigned long long>(accesses), chunk, cache_bytes);
   const trace::Trace reference = make_trace(accesses);
-  trace::save_trace(v1_path, reference);
+  tracestore::save_trace_v1(v1_path, reference);
   tracestore::save_trace_v2(v2_path, reference, chunk);
   const std::uint64_t v1_bytes = std::filesystem::file_size(v1_path);
   const std::uint64_t v2_bytes = std::filesystem::file_size(v2_path);
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------- ingest
   Clock::time_point start = Clock::now();
-  const trace::Trace eager = trace::load_trace(v1_path);
+  const trace::Trace eager = tracestore::load_trace_any(v1_path);
   const double v1_ingest_s = seconds_since(start);
 
   start = Clock::now();

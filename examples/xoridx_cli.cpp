@@ -90,7 +90,7 @@
 #include <unistd.h>
 
 #include "hash/serialize.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 #include "workloads/skeletons.hpp"
 #include "workloads/workload.hpp"
 #include "xoridx/fleet.hpp"
@@ -466,7 +466,7 @@ int cmd_gen(int argc, char** argv) {
       side == "fetch"
           ? workloads::synthesize_instructions(argv[2]).fetches
           : workloads::make_workload(argv[2]).data;
-  trace::save_trace(argv[4], t);
+  tracestore::save_trace_v1(argv[4], t);
   std::printf("wrote %zu references to %s\n", t.size(), argv[4]);
   return 0;
 }
@@ -976,11 +976,15 @@ int cmd_fleet(int argc, char** argv) {
     fleet_snapshot.write_openmetrics(*os);
     if (const int rc = commit_output(*os); rc != 0) return rc;
   }
+  const std::string resumed =
+      result->resumed == 0
+          ? ""
+          : ", " + std::to_string(result->resumed) + " resumed from disk";
   std::fprintf(stderr,
-               "[fleet] %ld shards merged: %u launches (%u requeued, "
-               "%u resumed from disk), %zu cells, %zu failed\n",
+               "[fleet] %ld shards merged: %u launches (%u requeued%s), "
+               "%zu cells, %zu failed\n",
                num_shards, result->launches, result->retries,
-               result->resumed, merged.cells.size(), merged.error_count());
+               resumed.c_str(), merged.cells.size(), merged.error_count());
   return merged.error_count() == 0 ? 0 : 1;
 }
 

@@ -32,13 +32,13 @@
 // points beyond the conventional index) and "seed=S"; results stay a
 // deterministic function of the spec, which campaign sharding relies on.
 // "threads=K" splits the neighborhood scans inside one perm search
-// across K workers (0 = one per hardware thread) — a pure wall-clock
-// knob: the chosen function, estimates and stats are bit-identical for
-// every K. Each perm cell spawns its own K-worker pool, so inside a
-// parallel campaign the thread counts multiply — pair threads=K with a
-// reduced engine --threads (or a sharded run) rather than stacking both
-// at full width. xor and bitselect accept the option for grammar
-// uniformity, but it no longer changes how they run: xor prices a whole
+// across at most K executors (0 = one per hardware thread) borrowed from
+// the campaign's or daemon's pool — no thread is started, so --threads
+// bounds the thread count. Under --threads 1, api::tune and xoridx_cli
+// optimize the scans run serially. A pure wall-clock knob: the chosen
+// function, estimates and stats are bit-identical for every K. xor and
+// bitselect accept the option for grammar uniformity, but it no longer
+// changes how they run: xor prices a whole
 // neighborhood from one serial Walsh-Hadamard transform, and zeta-view
 // bitselect candidates are O(1), both far too cheap to amortize a pool
 // dispatch. Their results were always identical for every K. xor takes

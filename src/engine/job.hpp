@@ -39,9 +39,10 @@ struct OptimizeIndexJob {
   bool revert_if_worse = false;
   int random_restarts = 0;
   std::uint64_t seed = search::SearchOptions{}.seed;
-  /// Intra-search workers for the neighborhood scans (SearchOptions::
-  /// threads: 1 = serial, 0 = hardware threads, K = K workers). Purely a
-  /// wall-clock knob — results are bit-identical for every value.
+  /// Executors for the neighborhood scans, borrowed from the campaign's
+  /// pool (SearchOptions::threads: 1 = serial, 0 = hardware threads,
+  /// K = at most K). Purely a wall-clock knob — results are bit-identical
+  /// for every value.
   int threads = 1;
 };
 

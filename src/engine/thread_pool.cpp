@@ -5,6 +5,12 @@
 
 namespace xoridx::engine {
 
+namespace {
+thread_local ThreadPool* current_pool = nullptr;
+}  // namespace
+
+ThreadPool* ThreadPool::current() noexcept { return current_pool; }
+
 unsigned ThreadPool::default_threads() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -63,6 +69,7 @@ bool ThreadPool::pop_locked(std::size_t self, QueueEntry& out,
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
+  current_pool = this;
   for (;;) {
     QueueEntry entry;
     bool stolen = false;

@@ -48,7 +48,6 @@ struct Slot {
   std::uint32_t attempts = 0;  ///< launches so far
   WorkerHandle handle;
   clock::time_point launched_at;
-  bool kill_injected = false;
   /// Set when the dispatcher killed this worker on purpose; used as the
   /// failure reason when the corpse is reaped.
   std::string kill_reason;
@@ -64,11 +63,6 @@ void warn_line(obs::ProgressReporter* reporter, const std::string& message) {
 
 double elapsed_s(clock::time_point since) {
   return std::chrono::duration<double>(clock::now() - since).count();
-}
-
-bool file_exists(const std::string& path) {
-  std::error_code ec;
-  return std::filesystem::exists(path, ec);
 }
 
 }  // namespace
@@ -334,6 +328,14 @@ api::Result<FleetResult> dispatch_fleet(const api::ExplorationRequest& request,
         return status;
       }
       ++running;
+      // Kill in the launching sweep, before the worker can have run: a
+      // check at a later poll would race a small shard to its report.
+      Slot& slot = slots[index - 1];
+      if (options.inject_kill_shard == index && slot.attempts == 1) {
+        slot.kill_reason = "killed by fault injection";
+        XORIDX_OBS_COUNT("fleet.workers_killed", 1);
+        launcher.kill(slot.handle);
+      }
     }
 
     for (std::uint32_t index = 1; index <= n; ++index) {
@@ -348,16 +350,6 @@ api::Result<FleetResult> dispatch_fleet(const api::ExplorationRequest& request,
 
       const std::string heartbeat =
           shard_heartbeat_path(options.work_dir, index);
-      if (options.inject_kill_shard == index && slot.attempts == 1 &&
-          !slot.kill_injected && file_exists(heartbeat) &&
-          !file_exists(shard_report_path(options.work_dir, index))) {
-        slot.kill_injected = true;
-        slot.kill_reason = "killed by fault injection";
-        XORIDX_OBS_COUNT("fleet.workers_killed", 1);
-        launcher.kill(slot.handle);
-        continue;
-      }
-
       if (options.heartbeat_timeout_s > 0.0 && slot.kill_reason.empty()) {
         const auto age = heartbeat_age_s(heartbeat);
         const bool never_beat =

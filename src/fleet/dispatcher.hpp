@@ -55,8 +55,8 @@ struct FleetOptions {
   /// optional — without one warnings go to stderr.
   obs::ProgressReporter* reporter = nullptr;
   /// Fault-injection hook for tests and the CI smoke: SIGKILL this
-  /// shard's first attempt as soon as it proves alive (heartbeat file
-  /// present, report not yet written). 0 disables.
+  /// shard's first attempt in the sweep that launches it, so it dies
+  /// before it can write a report however small the shard. 0 disables.
   std::uint32_t inject_kill_shard = 0;
   /// Resume a campaign whose driver died: load the work dir's manifest
   /// (refusing on a fingerprint or shard-count mismatch with the rebuilt

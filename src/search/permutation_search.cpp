@@ -39,7 +39,7 @@ struct RowScan {
 
 ClimbOutcome climb(const profile::ConflictProfile& profile, Matrix g, int m,
                    int max_g_column_weight, int max_iterations,
-                   engine::ThreadPool* pool) {
+                   unsigned scan_executors) {
   XORIDX_SPAN("search", "climb_permutation");
   const int d = g.rows();  // n - m
   std::vector<Word> basis = null_basis(g, m);
@@ -55,7 +55,7 @@ ClimbOutcome climb(const profile::ConflictProfile& profile, Matrix g, int m,
     // 2^d re-enumeration — and the row's coset sums run batched over a
     // single Gray-code pass. The candidate scan rank r * m + c reproduces
     // the serial (r outer, c inner) visiting order exactly.
-    scan_chunks(pool, static_cast<std::size_t>(d), chunks,
+    scan_chunks(scan_executors, static_cast<std::size_t>(d), chunks,
                 [&](std::size_t chunk, std::size_t row_begin,
                     std::size_t row_end) {
       RowScan& local = chunks[chunk];
@@ -147,13 +147,13 @@ PermutationSearchResult search_permutation(
           ? d
           : std::max(0, options.max_fan_in - 1);
 
-  // One private pool serves every climb (start point and restarts alike);
-  // nullptr keeps the scans on the calling thread.
-  const std::unique_ptr<engine::ThreadPool> pool = make_scan_pool(options);
+  const unsigned scan_executors =
+      options.threads > 0 ? static_cast<unsigned>(options.threads)
+                          : engine::ThreadPool::default_threads();
 
   // Paper start point: the conventional index (G = 0).
   ClimbOutcome best = climb(profile, Matrix(d, m), m, max_g_weight,
-                            options.max_iterations, pool.get());
+                            options.max_iterations, scan_executors);
   std::uint64_t start_estimate = best.estimate;
   {
     // Record the estimate of the *starting* function, before any move.
@@ -170,7 +170,7 @@ PermutationSearchResult search_permutation(
   for (int r = 0; r < options.random_restarts; ++r) {
     ClimbOutcome candidate =
         climb(profile, random_constrained_g(d, m, max_g_weight, rng), m,
-              max_g_weight, options.max_iterations, pool.get());
+              max_g_weight, options.max_iterations, scan_executors);
     stats.evaluations += candidate.evaluations;
     ++stats.restarts_used;
     if (candidate.estimate < best.estimate) best = std::move(candidate);

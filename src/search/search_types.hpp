@@ -35,10 +35,13 @@ struct SearchOptions {
   /// full neighborhood; convergence is typically < 30 iterations).
   int max_iterations = 1000;
 
-  /// Worker threads for the permutation neighborhood scan inside one
-  /// search (intra-search parallelism). 1 = serial on the calling thread
-  /// (default), 0 = one worker per hardware thread, K > 1 = K workers on
-  /// a private engine::ThreadPool. The chosen function, every estimate
+  /// Executors for the permutation neighborhood scan inside one search
+  /// (intra-search parallelism), borrowed from the pool the search runs
+  /// on — the campaign's or the serving daemon's; no thread is started.
+  /// 1 = serial (default), K > 1 = at most K executors counting the
+  /// caller, 0 = one per hardware thread. A search called off any pool
+  /// (a --threads 1 campaign, api::tune, xoridx_cli optimize) scans
+  /// serially whatever the value. The chosen function, every estimate
   /// and the full SearchStats are bit-identical for every value: chunks
   /// carry the serial scan rank of their local winner and the reduction
   /// picks the (estimate, rank)-lexicographic minimum — exactly the

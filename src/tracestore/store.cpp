@@ -3,8 +3,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <system_error>
+#include <vector>
 
 #include "io/atomic_file.hpp"
 #include "tracestore/writer.hpp"
@@ -19,37 +21,35 @@ void check(const api::Status& status) {
   if (!status.ok()) throw std::runtime_error(std::string(status.message()));
 }
 
-/// Streaming v1 writer counterpart of TraceWriter, used by convert_trace.
-/// The record count is known up front from the source, so the header is
-/// written once, no patching needed. Atomic like every other artifact:
-/// the destination only appears complete.
-TraceId write_v1_stream(const std::string& path, TraceSource& source) {
+}  // namespace
+
+TraceId save_trace_v1(const std::string& path, TraceInput t) {
   io::AtomicFileWriter out(path);
   check(out.open());
   unsigned char header[v1_header_bytes];
   std::memcpy(header, v1_magic.data(), v1_magic.size());
-  store_le64(header + v1_magic.size(), source.size());
+  store_le64(header + v1_magic.size(), t.size());
   check(out.write(header, v1_header_bytes));
 
   TraceIdHasher hasher;
   std::vector<unsigned char> buf;
-  for_each_access(source, [&](const trace::Access& a) {
-    unsigned char record[v1_record_bytes];
-    store_le64(record, a.addr);
-    record[8] = static_cast<unsigned char>(a.kind);
-    buf.insert(buf.end(), record, record + v1_record_bytes);
-    hasher.update(a);
-    if (buf.size() >= (1u << 20)) {
-      check(out.write(buf.data(), buf.size()));
-      buf.clear();
+  t.for_each_batch([&](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) {
+      unsigned char record[v1_record_bytes];
+      store_le64(record, a.addr);
+      record[8] = static_cast<unsigned char>(a.kind);
+      buf.insert(buf.end(), record, record + v1_record_bytes);
+      hasher.update(a);
+      if (buf.size() >= (1u << 20)) {
+        check(out.write(buf.data(), buf.size()));
+        buf.clear();
+      }
     }
   });
   check(out.write(buf.data(), buf.size()));
   check(out.commit());
   return hasher.digest();
 }
-
-}  // namespace
 
 TraceFormat detect_trace_format(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -106,7 +106,7 @@ TraceId convert_trace(const std::string& in_path, const std::string& out_path,
   const std::unique_ptr<TraceSource> source = open_trace_source(in_path);
   if (to == TraceFormat::v2)
     return save_trace_v2(out_path, *source, chunk_capacity);
-  return write_v1_stream(out_path, *source);
+  return save_trace_v1(out_path, *source);
 }
 
 }  // namespace xoridx::tracestore

@@ -2,7 +2,7 @@
 // streaming open, eager load and format conversion.
 //
 // Everything here works for both on-disk formats — v1 (fixed 9-byte
-// records, trace/trace_io.cpp) and v2 (chunk-compressed, writer/reader) —
+// records, see format.hpp) and v2 (chunk-compressed, writer/reader) —
 // and all streaming paths keep resident memory O(chunk).
 #pragma once
 
@@ -32,6 +32,12 @@ enum class TraceFormat { v1, v2 };
 
 /// Load a file of either format eagerly into an in-memory Trace.
 [[nodiscard]] trace::Trace load_trace_any(const std::string& path);
+
+/// Write a whole trace as a v1 file (a source is reset first and streamed
+/// with O(batch) resident memory). Atomic like every other artifact: the
+/// destination only appears complete. Throws std::runtime_error naming
+/// the path on I/O failure. Returns the trace's content id.
+TraceId save_trace_v1(const std::string& path, TraceInput t);
 
 /// Convert between formats, streaming (never materializes the trace).
 /// Returns the content id of the written trace, which always equals the

@@ -16,7 +16,7 @@
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "trace/generators.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/writer.hpp"
 #include "xoridx/api.hpp"
@@ -525,9 +525,9 @@ TEST(OneShot, TuneMatchesExplore) {
 }
 
 TEST(OneShot, TuneHonorsThreadsAndStaysIdentical) {
-  // The tune path must carry threads=K into the search (not silently
-  // drop it) and, like the engine path, return bit-identical results to
-  // the serial spec.
+  // tune accepts threads=K and, like the engine path, returns
+  // bit-identical results to the serial spec. It runs the search on the
+  // calling thread, off any pool, so the scan itself is serial.
   const trace::Trace t = small_trace();
   const Result<TuneOutcome> serial =
       tune(TraceRef::memory("stride", t), GeometrySpec(1024, 4),
@@ -573,7 +573,7 @@ TEST(OneShot, ConvertTraceReportsSummaryAndErrors) {
   const trace::Trace t = small_trace();
   const std::string v1 = temp_path("xoridx_api_conv.v1");
   const std::string v2 = temp_path("xoridx_api_conv.v2");
-  trace::save_trace(v1, t);
+  tracestore::save_trace_v1(v1, t);
   // Qualified: an unqualified call would be ambiguous with
   // tracestore::convert_trace through ADL on the TraceFormat argument.
   const Result<ConversionSummary> converted =

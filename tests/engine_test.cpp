@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,7 +21,7 @@
 #include "hash/xor_function.hpp"
 #include "serve/json.hpp"
 #include "trace/generators.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 #include "workloads/workload.hpp"
 
 namespace xoridx::engine {
@@ -235,6 +238,44 @@ TEST(Campaign, ParallelRunMatchesSerialByteForByte) {
   EXPECT_FALSE(serial_csv.str().empty());
 }
 
+// A threads=K scan borrows helpers from the pool its cell runs on. On a
+// one-worker pool they queue behind the very cell that submitted them,
+// so the scan must finish without waiting for them — and still produce
+// the serial run's rows.
+TEST(Campaign, ScansOnAOneWorkerPoolFinishAndMatchSerial) {
+  const auto spec = [] {
+    SweepSpec s = small_spec();
+    s.configs = {
+        FunctionConfig::baseline(),
+        FunctionConfig::optimize("perm-t4", FunctionClass::permutation,
+                                 search::SearchOptions::unlimited, false, 1,
+                                 search::SearchOptions{}.seed, 4),
+        FunctionConfig::optimize("perm-2in-t0", FunctionClass::permutation,
+                                 2, false, 0, search::SearchOptions{}.seed,
+                                 0),
+    };
+    return s;
+  };
+  Campaign serial(spec());
+  CampaignOptions sopts;
+  sopts.num_threads = 1;
+  const std::vector<JobResult> expected = serial.run(sopts);
+
+  Campaign pooled(spec());
+  ThreadPool pool(1);
+  CampaignOptions popts;
+  popts.pool = &pool;
+  std::future<std::vector<JobResult>> run =
+      std::async(std::launch::async, [&] { return pooled.run(popts); });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // The run is stuck on the pool's only worker: it cannot be joined.
+    std::fputs("campaign on a one-worker pool did not finish in 60 s\n",
+               stderr);
+    std::abort();
+  }
+  EXPECT_EQ(run.get(), expected);
+}
+
 // Profile construction is deduplicated per (trace, geometry): the two
 // search configs of each cell share one profile.
 TEST(Campaign, ProfileCacheSharedAcrossConfigs) {
@@ -381,7 +422,7 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "xoridx_engine_vanish.bin")
           .string();
-  trace::save_trace(path, trace::stride_trace(0, 4096, 64));
+  tracestore::save_trace_v1(path, trace::stride_trace(0, 4096, 64));
 
   for (const unsigned threads : {1u, 4u}) {
     SweepSpec spec;
@@ -428,7 +469,7 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
 
     // Recreate: the next run builds again instead of replaying the
     // failure (and the next thread-count round finds the file).
-    trace::save_trace(path, trace::stride_trace(0, 4096, 64));
+    tracestore::save_trace_v1(path, trace::stride_trace(0, 4096, 64));
     const std::vector<JobResult> results = campaign.run(options);
     ASSERT_EQ(results.size(), 4u);
     EXPECT_EQ(results[campaign.job_index(1, 0, 0)].misses,

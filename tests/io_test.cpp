@@ -28,7 +28,7 @@
 #include "io/atomic_file.hpp"
 #include "shard/report.hpp"
 #include "trace/generators.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 #include "tracestore/writer.hpp"
 #include "xoridx/io.hpp"
 
@@ -200,8 +200,8 @@ TEST(ErrorNaming, TraceSaveToMissingDirectoryNamesPath) {
   const std::string path = "/nonexistent-xoridx-dir/t.xtr";
   const trace::Trace t = trace::stride_trace(0, 1024, 16);
   try {
-    trace::save_trace(path, t);
-    FAIL() << "save_trace to a missing directory should throw";
+    tracestore::save_trace_v1(path, t);
+    FAIL() << "save_trace_v1 to a missing directory should throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
@@ -383,8 +383,8 @@ TEST_F(FailpointInjection, TraceSaveEnospcThrowsNamingPath) {
   ASSERT_TRUE(fail::configure("io.atomic.write=error(ENOSPC)").ok());
   const trace::Trace t = trace::stride_trace(0, 1024, 16);
   try {
-    trace::save_trace(path, t);
-    FAIL() << "save_trace under injected ENOSPC should throw";
+    tracestore::save_trace_v1(path, t);
+    FAIL() << "save_trace_v1 under injected ENOSPC should throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }

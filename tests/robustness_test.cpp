@@ -2,8 +2,11 @@
 // dimensions, degenerate traces, and the victim-cache model.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <random>
-#include <sstream>
+#include <string>
 
 #include "cache/direct_mapped.hpp"
 #include "cache/simulate.hpp"
@@ -14,7 +17,7 @@
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
 #include "search/optimizer.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 
 namespace xoridx {
 namespace {
@@ -136,24 +139,41 @@ TEST(Degenerate, AddressesAboveHashedBits) {
 // Malformed serialized inputs
 // ---------------------------------------------------------------------------
 
-TEST(MalformedInput, TraceStreamGarbage) {
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Write `bytes` to a scratch file and return its path.
+std::string write_temp(const std::string& name, const std::string& bytes) {
+  const std::string path = temp_path(name);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+  return path;
+}
+
+TEST(MalformedInput, TraceFileGarbage) {
   for (const char* payload :
        {"", "XORIDXT1", "XORIDXT2AAAAAAAA", "short"}) {
-    std::stringstream ss;
-    ss << payload;
-    EXPECT_THROW(trace::read_trace(ss), std::runtime_error) << payload;
+    const std::string path = write_temp("xoridx_garbage.bin", payload);
+    EXPECT_THROW((void)tracestore::load_trace_any(path), std::runtime_error)
+        << payload;
+    std::remove(path.c_str());
   }
 }
 
 TEST(MalformedInput, TraceBadKindByte) {
   trace::Trace t;
   t.append(4, trace::AccessKind::read);
-  std::stringstream ss;
-  trace::write_trace(ss, t);
-  std::string raw = ss.str();
-  raw.back() = 9;  // corrupt the kind byte
-  std::stringstream corrupted(raw);
-  EXPECT_THROW(trace::read_trace(corrupted), std::runtime_error);
+  const std::string path = temp_path("xoridx_bad_kind.bin");
+  tracestore::save_trace_v1(path, t);
+  {
+    // Corrupt the kind byte, the file's last.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(16 + 8);
+    f.put(9);
+  }
+  EXPECT_THROW((void)tracestore::load_trace_any(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(MalformedInput, FunctionTextVariants) {

@@ -3,11 +3,12 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
+#include <fstream>
+#include <string>
 
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_io.hpp"
+#include "tracestore/store.hpp"
 
 namespace xoridx::trace {
 namespace {
@@ -66,45 +67,44 @@ TEST(Trace, FilterKinds) {
   EXPECT_EQ(inst[0].kind, AccessKind::fetch);
 }
 
-TEST(TraceIo, StreamRoundTrip) {
-  Trace t;
-  for (int i = 0; i < 1000; ++i)
-    t.append(static_cast<std::uint64_t>(i) * 12345,
-             static_cast<AccessKind>(i % 3));
-  std::stringstream ss;
-  write_trace(ss, t);
-  const Trace back = read_trace(ss);
-  EXPECT_EQ(t, back);
+std::string temp_path(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "xoridx_trace_test.bin")
-          .string();
+  const std::string path = temp_path("xoridx_trace_test.bin");
   Trace t;
   t.append(0xdeadbeefull, AccessKind::write);
   t.append(0x123456789abcull, AccessKind::fetch);
-  save_trace(path, t);
-  const Trace back = load_trace(path);
-  EXPECT_EQ(t, back);
+  for (int i = 0; i < 1000; ++i)
+    t.append(static_cast<std::uint64_t>(i) * 12345,
+             static_cast<AccessKind>(i % 3));
+  EXPECT_EQ(tracestore::save_trace_v1(path, t), tracestore::trace_id_of(t));
+  EXPECT_EQ(std::filesystem::file_size(path), 16u + 9u * t.size());
+  EXPECT_EQ(tracestore::load_trace_any(path), t);
   std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTATRACEFILE";
-  EXPECT_THROW(read_trace(ss), std::runtime_error);
+  const std::string path = temp_path("xoridx_trace_bad_magic.bin");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "NOTATRACEFILE, and longer than a header";  // the magic fails
+  }
+  EXPECT_THROW(tracestore::V1FileSource{path}, std::runtime_error);
+  EXPECT_THROW((void)tracestore::load_trace_any(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsTruncated) {
+  const std::string path = temp_path("xoridx_trace_truncated.bin");
   Trace t;
   t.append(1, AccessKind::read);
-  std::stringstream ss;
-  write_trace(ss, t);
-  std::string content = ss.str();
-  content.resize(content.size() - 3);
-  std::stringstream truncated(content);
-  EXPECT_THROW(read_trace(truncated), std::runtime_error);
+  tracestore::save_trace_v1(path, t);
+  std::filesystem::resize_file(path, 16 + 9 - 3);
+  EXPECT_THROW(tracestore::V1FileSource{path}, std::runtime_error);
+  EXPECT_THROW((void)tracestore::load_trace_any(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(Generators, StrideTrace) {

@@ -18,7 +18,6 @@
 #include "search/exhaustive_bit_select.hpp"
 #include "search/optimizer.hpp"
 #include "trace/generators.hpp"
-#include "trace/trace_io.hpp"
 #include "tracestore/reader.hpp"
 #include "tracestore/store.hpp"
 #include "tracestore/trace_id.hpp"
@@ -88,7 +87,7 @@ TEST(TraceStore, ConvertRoundTripV1V2V1) {
   const std::string v2_path = temp_path("xoridx_conv.v2");
   const std::string v1_back = temp_path("xoridx_conv_back.v1");
   const trace::Trace t = make_trace(5000);
-  trace::save_trace(v1_path, t);
+  save_trace_v1(v1_path, t);
 
   const TraceId id_v2 = convert_trace(v1_path, v2_path, TraceFormat::v2, 512);
   const TraceId id_v1 = convert_trace(v2_path, v1_back, TraceFormat::v1);
@@ -142,7 +141,7 @@ TEST(TraceStore, ChunkBoundaryStraddlingReads) {
 TEST(TraceStore, V1FileSourceStreamsAndValidates) {
   const std::string path = temp_path("xoridx_v1_stream.v1");
   const trace::Trace t = make_trace(1000);
-  trace::save_trace(path, t);
+  EXPECT_EQ(save_trace_v1(path, t), trace_id_of(t));
 
   const std::unique_ptr<TraceSource> source = open_trace_source(path);
   EXPECT_EQ(source->size(), t.size());
@@ -154,23 +153,27 @@ TEST(TraceStore, V1FileSourceStreamsAndValidates) {
   std::remove(path.c_str());
 }
 
-TEST(TraceStore, ReadTraceRejectsLyingCountCleanly) {
+TEST(TraceStore, V1RejectsLyingCountCleanly) {
   // A v1 header declaring 2^60 accesses over a 3-record body must throw a
   // clear runtime_error (not bad_alloc from a blind preallocation).
-  trace::Trace t = make_trace(3);
-  std::stringstream ss;
-  trace::write_trace(ss, t);
-  std::string bytes = ss.str();
-  // Patch the little-endian count field (offset 8) to a huge value.
-  bytes[8] = static_cast<char>(0xff);
-  bytes[14] = static_cast<char>(0x0f);
-  std::stringstream corrupt(bytes);
+  const std::string path = temp_path("xoridx_v1_lying_count.v1");
+  save_trace_v1(path, make_trace(3));
+  {
+    // Patch the little-endian count field (offset 8) to a huge value.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    f.put(static_cast<char>(0xff));
+    f.seekp(14);
+    f.put(static_cast<char>(0x0f));
+  }
   try {
-    (void)trace::read_trace(corrupt);
+    (void)load_trace_any(path);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
   }
+  std::remove(path.c_str());
 }
 
 TEST(TraceStore, RejectsCorruptV2Files) {
