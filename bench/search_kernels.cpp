@@ -1,12 +1,12 @@
 // Search-kernel microbenchmark: the Eq.-4 hot paths before and after the
 // algebraic kernels (zeta-transform bit-select, coset-delta permutation
-// climbing, parallel neighborhood scans, Walsh-Hadamard general-XOR
-// neighborhoods), with exact equivalence checks between every fast
-// kernel and its naive-enumeration reference. The
-// binary exits nonzero if any equivalence check fails — CI runs it as the
-// perf-smoke gate (no wall-time gating, only correctness).
+// climbing, Walsh-Hadamard general-XOR neighborhoods), with exact
+// equivalence checks between every fast kernel and its naive-enumeration
+// reference. The binary exits nonzero if any equivalence check fails —
+// CI runs it as the perf-smoke gate (no wall-time gating, only
+// correctness).
 //
-//   search_kernels [--small] [--json] [--threads N] [--seed S]
+//   search_kernels [--small] [--json] [--seed S]
 //
 // With --json the machine-readable report (bench_util.hpp JsonReport
 // shape) goes to stdout and the human-readable table to stderr; a
@@ -182,25 +182,14 @@ bool stats_equal(const search::SearchStats& a, const search::SearchStats& b) {
 int main(int argc, char** argv) {
   bool small = false;
   bool json = false;
-  unsigned threads = 0;
   std::uint64_t seed = 42;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) small = true;
     if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = bench::parse_threads(argv[++i]);
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
   }
   const unsigned hardware = engine::ThreadPool::default_threads();
-  const bool threads_given = threads != 0;
-  if (!threads_given) threads = hardware;
-  // Default threads=K rows to a multi-worker pool even on a single-core
-  // host — it still exercises the chunked scan and its determinism
-  // contract; only the speedup flattens to ~1x. An explicit --threads
-  // value (including 1) is honored as given.
-  const unsigned pool_threads =
-      threads_given ? threads : (hardware >= 2 ? hardware : 3);
   std::FILE* out = json ? stderr : stdout;
   bench::JsonReport report("search_kernels");
 
@@ -412,37 +401,16 @@ int main(int argc, char** argv) {
           "rewired permutation search != pre-PR kernels "
           "(function/estimate/stats)");
 
-    // Run as a task on a pool_threads-worker pool, as a campaign cell
-    // runs: the scan borrows its helpers from that pool.
-    search::SearchOptions par = opt;
-    par.threads = static_cast<int>(pool_threads);
-    std::optional<search::PermutationSearchResult> parallel;
-    double par_ms = 1e30;
-    engine::ThreadPool pool(pool_threads);
-    engine::TaskGroup group(&pool);
-    group.run([&] {
-      for (int rep = 0; rep < reps; ++rep) {
-        bench::StopWatch par_watch;
-        parallel = search::search_permutation(profile, m, par);
-        par_ms = std::min(par_ms, par_watch.ms());
-      }
-    });
-    group.wait();
-    check(parallel->function.describe() == fast->function.describe() &&
-              stats_equal(parallel->stats, fast->stats),
-          "threads=K permutation search != serial scan");
-
     std::fprintf(out,
                  "permutation search 16-in, m=8, restarts=%d "
                  "(%llu evaluations):\n"
                  "  pre-PR kernels       %9.3f ms  (%.3g evals/s)\n"
-                 "  coset-delta kernels  %9.3f ms  (%.3g evals/s, %.2fx)\n"
-                 "  + threads=%-2u         %9.3f ms  (%.2fx vs serial)\n\n",
+                 "  coset-delta kernels  %9.3f ms  (%.3g evals/s, %.2fx)\n\n",
                  opt.random_restarts,
                  static_cast<unsigned long long>(fast->stats.evaluations),
                  naive_ms, bench::per_second(naive_stats.evaluations, naive_ms),
                  fast_ms, bench::per_second(fast->stats.evaluations, fast_ms),
-                 naive_ms / fast_ms, pool_threads, par_ms, fast_ms / par_ms);
+                 naive_ms / fast_ms);
     report.row("perm-search-16in")
         .num("m", m)
         .num("restarts", opt.random_restarts)
@@ -452,14 +420,6 @@ int main(int argc, char** argv) {
         .num("evals_per_s", bench::per_second(fast->stats.evaluations, fast_ms))
         .num("speedup", naive_ms / fast_ms)
         .boolean("identical", perm_identical);
-    report.row("perm-search-16in-threads")
-        .num("threads", static_cast<std::uint64_t>(pool_threads))
-        .num("hardware_threads", static_cast<std::uint64_t>(hardware))
-        .num("wall_ms", par_ms)
-        .num("speedup_vs_serial", fast_ms / par_ms)
-        .boolean("identical", parallel->function.describe() ==
-                                  fast->function.describe() &&
-                              stats_equal(parallel->stats, fast->stats));
   }
 
   // ------------------------------------- general-XOR neighborhood pricing
@@ -515,11 +475,6 @@ int main(int argc, char** argv) {
         .boolean("identical", identical);
   }
 
-  if (hardware < 2)
-    std::fprintf(out,
-                 "note: single hardware thread — threads=K rows exercise "
-                 "the chunked scan and its\nidentity contract, but no "
-                 "parallel speedup is possible on this host.\n");
   if (json) report.write(std::cout);
   if (failures != 0) {
     std::fprintf(stderr, "FAIL: %d kernel-equivalence check(s) failed\n",

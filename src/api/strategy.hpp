@@ -31,19 +31,13 @@
 // The hill-climbing strategies take "restarts=N" (seeded random starting
 // points beyond the conventional index) and "seed=S"; results stay a
 // deterministic function of the spec, which campaign sharding relies on.
-// "threads=K" splits the neighborhood scans inside one perm search
-// across at most K executors (0 = one per hardware thread) borrowed from
-// the campaign's or daemon's pool — no thread is started, so --threads
-// bounds the thread count. Under --threads 1, api::tune and xoridx_cli
-// optimize the scans run serially. A pure wall-clock knob: the chosen
-// function, estimates and stats are bit-identical for every K. xor and
-// bitselect accept the option for grammar uniformity, but it no longer
-// changes how they run: xor prices a whole
-// neighborhood from one serial Walsh-Hadamard transform, and zeta-view
-// bitselect candidates are O(1), both far too cheap to amortize a pool
-// dispatch. Their results were always identical for every K. xor takes
-// no fan-in option: the null-space search has no fan-in constraint, so
-// "xor:fanin=N" is a parse error.
+// "threads=K" is accepted on every search strategy for grammar
+// uniformity (and for specs written when perm scanned in parallel), but
+// no search reads it: every neighborhood scan runs serially on the cell's
+// own thread, and the chosen function, estimates and stats are the same
+// for every K. A chunked perm scan measured slower than the serial one.
+// xor takes no fan-in option: the null-space search has no fan-in
+// constraint, so "xor:fanin=N" is a parse error.
 //
 // Examples: "base", "perm:fanin=2", "perm:2", "xor:revert",
 // "perm:restarts=4:seed=7", "bitselect:exact", "3c". A strategy's label

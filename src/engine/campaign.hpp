@@ -70,9 +70,9 @@ struct FunctionConfig {
       std::string label = "fa");
   /// Profile-guided search of one function class / fan-in limit.
   /// `random_restarts` > 0 adds seeded restarts beyond the conventional
-  /// starting point (deterministic for a fixed seed); `threads` splits
-  /// the neighborhood scans inside the search (bit-identical results for
-  /// every value, see OptimizeIndexJob::threads).
+  /// starting point (deterministic for a fixed seed); `threads` is the
+  /// spec's threads=K, which no search reads (see
+  /// OptimizeIndexJob::threads).
   [[nodiscard]] static FunctionConfig optimize(
       std::string label, search::FunctionClass function_class,
       int max_fan_in = search::SearchOptions::unlimited,

@@ -39,10 +39,9 @@ struct OptimizeIndexJob {
   bool revert_if_worse = false;
   int random_restarts = 0;
   std::uint64_t seed = search::SearchOptions{}.seed;
-  /// Executors for the neighborhood scans, borrowed from the campaign's
-  /// pool (SearchOptions::threads: 1 = serial, 0 = hardware threads,
-  /// K = at most K). Purely a wall-clock knob — results are bit-identical
-  /// for every value.
+  /// The spec's threads=K, carried into SearchOptions::threads. No
+  /// search reads it (every scan is serial); results are identical for
+  /// every value.
   int threads = 1;
 };
 

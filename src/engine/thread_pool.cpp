@@ -5,12 +5,6 @@
 
 namespace xoridx::engine {
 
-namespace {
-thread_local ThreadPool* current_pool = nullptr;
-}  // namespace
-
-ThreadPool* ThreadPool::current() noexcept { return current_pool; }
-
 unsigned ThreadPool::default_threads() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -69,7 +63,6 @@ bool ThreadPool::pop_locked(std::size_t self, QueueEntry& out,
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
-  current_pool = this;
   for (;;) {
     QueueEntry entry;
     bool stolen = false;

@@ -46,11 +46,6 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// The pool whose worker is running the calling thread, or nullptr
-  /// off every pool. Lets a task hand work to its own pool without the
-  /// pool being threaded through every call on the way down.
-  [[nodiscard]] static ThreadPool* current() noexcept;
-
   /// All hardware threads, at least 1.
   [[nodiscard]] static unsigned default_threads() noexcept;
 

@@ -1,12 +1,15 @@
 #include "search/permutation_search.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "search/estimator.hpp"
-#include "search/parallel_scan.hpp"
+#include "search/scan_best.hpp"
 
 namespace xoridx::search {
 
@@ -31,79 +34,59 @@ struct ClimbOutcome {
   int iterations = 0;
 };
 
-/// Per-chunk outcome of one neighborhood scan over a range of rows.
-struct RowScan {
-  ScanBest best;
-  std::uint64_t evaluations = 0;
-};
-
 ClimbOutcome climb(const profile::ConflictProfile& profile, Matrix g, int m,
-                   int max_g_column_weight, int max_iterations,
-                   unsigned scan_executors) {
+                   int max_g_column_weight, int max_iterations) {
   XORIDX_SPAN("search", "climb_permutation");
   const int d = g.rows();  // n - m
   std::vector<Word> basis = null_basis(g, m);
   std::uint64_t current = estimate_misses_basis(profile, basis);
   ClimbOutcome out{std::move(g), current, 1, 0};
 
-  std::vector<RowScan> chunks;
+  std::vector<Word> core(static_cast<std::size_t>(d > 0 ? d - 1 : 0));
+  std::vector<Word> ws;
+  std::vector<std::ptrdiff_t> ranks;
+  std::vector<std::uint64_t> sums;
+  ws.reserve(static_cast<std::size_t>(m));
+  ranks.reserve(static_cast<std::size_t>(m));
   for (int iter = 0; iter < max_iterations; ++iter) {
     // Neighbors toggle G[r][c], i.e. replace basis vector r with
     // basis[r] ^ e_c. All m candidates of a row share the d-1 dimensional
     // core span(basis \ {basis[r]}): price the core once, then each
     // neighbor costs one coset sum over 2^(d-1) members instead of a full
     // 2^d re-enumeration — and the row's coset sums run batched over a
-    // single Gray-code pass. The candidate scan rank r * m + c reproduces
-    // the serial (r outer, c inner) visiting order exactly.
-    scan_chunks(scan_executors, static_cast<std::size_t>(d), chunks,
-                [&](std::size_t chunk, std::size_t row_begin,
-                    std::size_t row_end) {
-      RowScan& local = chunks[chunk];
-      local.best.estimate = out.estimate;
-      std::vector<Word> core(static_cast<std::size_t>(d > 0 ? d - 1 : 0));
-      std::vector<Word> ws;
-      std::vector<std::ptrdiff_t> ranks;
-      std::vector<std::uint64_t> sums;
-      ws.reserve(static_cast<std::size_t>(m));
-      ranks.reserve(static_cast<std::size_t>(m));
-      for (std::size_t r = row_begin; r < row_end; ++r) {
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(d); ++i)
-          if (i != r) core[k++] = basis[i];
-        ws.clear();
-        ranks.clear();
-        for (int c = 0; c < m; ++c) {
-          const bool setting = !out.g.get(static_cast<int>(r), c);
-          if (setting && out.g.column_weight(c) >= max_g_column_weight)
-            continue;  // fan-in cap would be exceeded
-          ws.push_back(basis[r] ^ gf2::unit(c));
-          ranks.push_back(static_cast<std::ptrdiff_t>(r) * m + c);
-        }
-        if (ws.empty()) continue;
-        // estimate(span(core + w)) = estimate(core) + coset_sum(core, w);
-        // every w of this row carries the distinct high bit e_r, so it
-        // lies outside span(core) and the identity is exact.
-        const std::uint64_t core_estimate =
-            estimate_misses_basis(profile, core);
-        sums.assign(ws.size(), 0);
-        coset_sums(profile, core, ws, sums);
-        local.evaluations += ws.size();
-        for (std::size_t i = 0; i < ws.size(); ++i)
-          local.best.offer(core_estimate + sums[i], ranks[i]);
-      }
-    });
-
+    // single Gray-code pass. Candidates are ranked r * m + c (r outer,
+    // c inner).
     ScanBest best;
     best.estimate = out.estimate;
     std::uint64_t scan_evaluations = 0;
-    for (const RowScan& chunk : chunks) {
-      best.merge(chunk.best);
-      scan_evaluations += chunk.evaluations;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(d); ++r) {
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < static_cast<std::size_t>(d); ++i)
+        if (i != r) core[k++] = basis[i];
+      ws.clear();
+      ranks.clear();
+      for (int c = 0; c < m; ++c) {
+        const bool setting = !out.g.get(static_cast<int>(r), c);
+        if (setting && out.g.column_weight(c) >= max_g_column_weight)
+          continue;  // fan-in cap would be exceeded
+        ws.push_back(basis[r] ^ gf2::unit(c));
+        ranks.push_back(static_cast<std::ptrdiff_t>(r) * m + c);
+      }
+      if (ws.empty()) continue;
+      // estimate(span(core + w)) = estimate(core) + coset_sum(core, w);
+      // every w of this row carries the distinct high bit e_r, so it
+      // lies outside span(core) and the identity is exact.
+      const std::uint64_t core_estimate = estimate_misses_basis(profile, core);
+      sums.assign(ws.size(), 0);
+      coset_sums(profile, core, ws, sums);
+      scan_evaluations += ws.size();
+      for (std::size_t i = 0; i < ws.size(); ++i)
+        best.offer(core_estimate + sums[i], ranks[i]);
     }
     out.evaluations += scan_evaluations;
     // Evaluation-count convention (SearchStats::evaluations): one per
     // candidate passing the fan-in gate, independent of evaluation
-    // strategy and chunking.
+    // strategy.
     assert(scan_evaluations <= static_cast<std::uint64_t>(d) *
                                    static_cast<std::uint64_t>(m));
     if (best.rank < 0) break;  // local optimum (steepest descent stops)
@@ -147,13 +130,9 @@ PermutationSearchResult search_permutation(
           ? d
           : std::max(0, options.max_fan_in - 1);
 
-  const unsigned scan_executors =
-      options.threads > 0 ? static_cast<unsigned>(options.threads)
-                          : engine::ThreadPool::default_threads();
-
   // Paper start point: the conventional index (G = 0).
   ClimbOutcome best = climb(profile, Matrix(d, m), m, max_g_weight,
-                            options.max_iterations, scan_executors);
+                            options.max_iterations);
   std::uint64_t start_estimate = best.estimate;
   {
     // Record the estimate of the *starting* function, before any move.
@@ -170,7 +149,7 @@ PermutationSearchResult search_permutation(
   for (int r = 0; r < options.random_restarts; ++r) {
     ClimbOutcome candidate =
         climb(profile, random_constrained_g(d, m, max_g_weight, rng), m,
-              max_g_weight, options.max_iterations, scan_executors);
+              max_g_weight, options.max_iterations);
     stats.evaluations += candidate.evaluations;
     ++stats.restarts_used;
     if (candidate.estimate < best.estimate) best = std::move(candidate);

@@ -22,7 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "search/estimator.hpp"
-#include "search/parallel_scan.hpp"
+#include "search/scan_best.hpp"
 
 namespace xoridx::search {
 

@@ -167,8 +167,8 @@ TEST(StrategyGrammar, BitSelectModes) {
 }
 
 TEST(StrategyGrammar, ThreadsOptionParsesIntoSearchJobs) {
-  // threads=K is a pure wall-clock knob on the hill-climbing strategies;
-  // 0 means one worker per hardware thread and the default is serial.
+  // threads=K parses on the hill-climbing strategies (0 included) and is
+  // carried into the search job; the default is 1.
   const Result<Strategy> perm = parse_strategy("perm:threads=4");
   ASSERT_TRUE(perm.ok()) << perm.status().to_string();
   EXPECT_EQ(as_optimize(*perm)->threads, 4);
@@ -526,8 +526,7 @@ TEST(OneShot, TuneMatchesExplore) {
 
 TEST(OneShot, TuneHonorsThreadsAndStaysIdentical) {
   // tune accepts threads=K and, like the engine path, returns
-  // bit-identical results to the serial spec. It runs the search on the
-  // calling thread, off any pool, so the scan itself is serial.
+  // bit-identical results to the serial spec: every scan is serial.
   const trace::Trace t = small_trace();
   const Result<TuneOutcome> serial =
       tune(TraceRef::memory("stride", t), GeometrySpec(1024, 4),

@@ -9,13 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <optional>
 #include <random>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/geometry.hpp"
@@ -23,7 +18,6 @@
 #include "profile/conflict_profile.hpp"
 #include "search/bit_select_search.hpp"
 #include "search/estimator.hpp"
-#include "search/parallel_scan.hpp"
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
 #include "xor_climb_oracle.hpp"
@@ -162,20 +156,6 @@ bool stats_equal(const SearchStats& a, const SearchStats& b) {
          a.best_estimate == b.best_estimate;
 }
 
-/// Run `body` as a task on a fresh `workers`-worker pool and wait for
-/// it. A threads=K scan borrows helpers only from the pool its caller
-/// runs on: called from the test thread it would scan serially.
-template <typename Body>
-void on_pool(unsigned workers, Body&& body) {
-  engine::ThreadPool pool(workers);
-  engine::TaskGroup group(&pool);
-  group.run([&] {
-    ASSERT_EQ(engine::ThreadPool::current(), &pool);
-    body();
-  });
-  group.wait();
-}
-
 TEST(ParallelScanIdentity, PermutationAndBitSelectOverTable2Small) {
   const std::vector<cache::CacheGeometry> geometries = {
       cache::CacheGeometry(1024, 4), cache::CacheGeometry(4096, 4),
@@ -188,31 +168,25 @@ TEST(ParallelScanIdentity, PermutationAndBitSelectOverTable2Small) {
       const profile::ConflictProfile p =
           profile::build_conflict_profile(w.data, geom, 16);
       SearchOptions serial;
+      SearchOptions par;
+      par.threads = 3;
       const PermutationSearchResult ps =
           search_permutation(p, geom.index_bits(), serial);
+      const PermutationSearchResult pp =
+          search_permutation(p, geom.index_bits(), par);
+      EXPECT_EQ(ps.function.describe(), pp.function.describe())
+          << name << " @ " << geom.to_string();
+      EXPECT_TRUE(stats_equal(ps.stats, pp.stats))
+          << name << " @ " << geom.to_string();
+
       const BitSelectSearchResult bs =
           search_bit_select(p, geom.index_bits(), serial);
-      // Caps below, at and above the pool's three workers.
-      for (const int k : {2, 3, 8}) {
-        SearchOptions par;
-        par.threads = k;
-        std::optional<PermutationSearchResult> pp;
-        std::optional<BitSelectSearchResult> bp;
-        on_pool(3, [&] {
-          pp = search_permutation(p, geom.index_bits(), par);
-          bp = search_bit_select(p, geom.index_bits(), par);
-        });
-        ASSERT_TRUE(pp && bp);
-        EXPECT_EQ(ps.function.describe(), pp->function.describe())
-            << name << " @ " << geom.to_string() << " threads=" << k;
-        EXPECT_TRUE(stats_equal(ps.stats, pp->stats))
-            << name << " @ " << geom.to_string() << " threads=" << k;
-
-        EXPECT_EQ(bs.function.describe(), bp->function.describe())
-            << name << " @ " << geom.to_string() << " threads=" << k;
-        EXPECT_TRUE(stats_equal(bs.stats, bp->stats))
-            << name << " @ " << geom.to_string() << " threads=" << k;
-      }
+      const BitSelectSearchResult bp =
+          search_bit_select(p, geom.index_bits(), par);
+      EXPECT_EQ(bs.function.describe(), bp.function.describe())
+          << name << " @ " << geom.to_string();
+      EXPECT_TRUE(stats_equal(bs.stats, bp.stats))
+          << name << " @ " << geom.to_string();
     }
   }
 }
@@ -238,14 +212,13 @@ TEST(ParallelScanIdentity, GeneralXorWithRestartsOverTable2Subset) {
       par.threads = 3;
       const SubspaceSearchResult xs =
           search_general_xor(p, geom.index_bits(), serial);
-      std::optional<SubspaceSearchResult> xp;
-      on_pool(3, [&] { xp = search_general_xor(p, geom.index_bits(), par); });
-      ASSERT_TRUE(xp);
-      EXPECT_EQ(xs.function.describe(), xp->function.describe())
+      const SubspaceSearchResult xp =
+          search_general_xor(p, geom.index_bits(), par);
+      EXPECT_EQ(xs.function.describe(), xp.function.describe())
           << name << " @ " << geom.to_string();
-      EXPECT_EQ(xs.null_space, xp->null_space)
+      EXPECT_EQ(xs.null_space, xp.null_space)
           << name << " @ " << geom.to_string();
-      EXPECT_TRUE(stats_equal(xs.stats, xp->stats))
+      EXPECT_TRUE(stats_equal(xs.stats, xp.stats))
           << name << " @ " << geom.to_string();
 
       const SubspaceSearchResult xo =
@@ -263,196 +236,11 @@ TEST(ParallelScanIdentity, ThreadsZeroMeansHardwareAndStaysIdentical) {
   const profile::ConflictProfile p = random_profile(12, rng);
   SearchOptions serial;
   SearchOptions hw;
-  hw.threads = 0;  // one worker per hardware thread
+  hw.threads = 0;
   const PermutationSearchResult a = search_permutation(p, 6, serial);
-  std::optional<PermutationSearchResult> b;
-  on_pool(2, [&] { b = search_permutation(p, 6, hw); });
-  ASSERT_TRUE(b);
-  EXPECT_EQ(a.function.describe(), b->function.describe());
-  EXPECT_TRUE(stats_equal(a.stats, b->stats));
-}
-
-// ---------------------------------------------------------------------------
-// scan_chunks: the executor every threads=K scan runs on
-// ---------------------------------------------------------------------------
-
-/// A candidate cost with many ties (minimum 0 at ranks 90, 187, ...), so
-/// the rank-order merge's tie rule decides the winner.
-std::uint64_t tied_cost(std::size_t rank) {
-  return ((rank + 7) * 2654435761u) % 97;
-}
-
-struct ChunkRecord {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  ScanBest best;
-};
-
-/// Scan [0, 1000) of tied_cost with `cap` executors, recording each
-/// chunk's range and winner.
-std::vector<ChunkRecord> record_scan(unsigned cap) {
-  std::vector<ChunkRecord> records;
-  scan_chunks(cap, 1000, records,
-              [&](std::size_t i, std::size_t begin, std::size_t end) {
-                ChunkRecord& rec = records[i];
-                rec.begin = begin;
-                rec.end = end;
-                rec.best.estimate = 1000;
-                for (std::size_t r = begin; r < end; ++r)
-                  rec.best.offer(tied_cost(r), static_cast<std::ptrdiff_t>(r));
-              });
-  return records;
-}
-
-// Chunk boundaries depend only on (count, cap) — not on the pool the
-// scan borrows from — each chunk's result only on its range, and the
-// chunks merged in order pick the serial scan's winner for every cap.
-TEST(ScanChunks, BoundariesAndResultsDependOnlyOnTheCap) {
-  constexpr std::size_t count = 1000;
-  ScanBest serial{1000, -1};
-  for (std::size_t r = 0; r < count; ++r)
-    serial.offer(tied_cost(r), static_cast<std::ptrdiff_t>(r));
-  ASSERT_EQ(serial.rank, 90);
-
-  for (unsigned cap = 2; cap <= 5; ++cap) {
-    const std::size_t chunks = 4 * cap;
-    std::vector<ChunkRecord> first;
-    for (const unsigned workers : {1u, 3u}) {
-      for (int rep = 0; rep < 3; ++rep) {
-        std::vector<ChunkRecord> records;
-        on_pool(workers, [&] { records = record_scan(cap); });
-        ASSERT_EQ(records.size(), chunks) << cap << " executors";
-        std::size_t next = 0;
-        ScanBest merged{1000, -1};
-        for (std::size_t i = 0; i < chunks; ++i) {
-          EXPECT_EQ(records[i].begin, next);
-          EXPECT_EQ(records[i].end - records[i].begin,
-                    count / chunks + (i < count % chunks ? 1 : 0));
-          next = records[i].end;
-          merged.merge(records[i].best);
-        }
-        EXPECT_EQ(next, count);
-        EXPECT_EQ(merged.rank, serial.rank) << cap << " executors";
-        EXPECT_EQ(merged.estimate, serial.estimate);
-        if (first.empty()) {
-          first = records;
-          continue;
-        }
-        for (std::size_t i = 0; i < chunks; ++i) {
-          EXPECT_EQ(records[i].begin, first[i].begin);
-          EXPECT_EQ(records[i].end, first[i].end);
-          EXPECT_EQ(records[i].best.rank, first[i].best.rank);
-          EXPECT_EQ(records[i].best.estimate, first[i].best.estimate);
-        }
-      }
-    }
-  }
-}
-
-// Off any pool, or with a cap of one, the scan is the serial one: a
-// single chunk over the whole range on the calling thread.
-TEST(ScanChunks, OffAnyPoolOrCappedAtOneRunsOneChunk) {
-  ASSERT_EQ(engine::ThreadPool::current(), nullptr);
-  for (const unsigned cap : {0u, 1u, 4u, 64u}) {
-    const std::vector<ChunkRecord> records = record_scan(cap);
-    ASSERT_EQ(records.size(), 1u) << cap;
-    EXPECT_EQ(records[0].begin, 0u);
-    EXPECT_EQ(records[0].end, 1000u);
-    EXPECT_EQ(records[0].best.rank, 90);
-  }
-  on_pool(3, [] {
-    const std::vector<ChunkRecord> records = record_scan(1);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].end, 1000u);
-  });
-}
-
-// From a one-worker pool's only worker, the helpers queue behind the
-// caller: it must scan every chunk itself and return without waiting for
-// them, and the helpers, run after it returned, must find nothing to do.
-TEST(ScanChunks, OneWorkerPoolsOnlyWorkerScansEveryChunkItself) {
-  for (int rep = 0; rep < 20; ++rep) {
-    std::vector<std::thread::id> ran_on;
-    std::thread::id caller;
-    on_pool(1, [&] {
-      caller = std::this_thread::get_id();
-      scan_chunks(4u, 64, ran_on,
-                  [&](std::size_t i, std::size_t, std::size_t) {
-                    ran_on[i] = std::this_thread::get_id();
-                  });
-    });
-    ASSERT_EQ(ran_on.size(), 16u);
-    for (std::size_t i = 0; i < ran_on.size(); ++i)
-      EXPECT_EQ(ran_on[i], caller) << "chunk " << i;
-  }
-}
-
-// With a free worker in the caller's pool, a borrowed helper takes
-// chunks: each of the caller's chunks waits until one ran elsewhere.
-TEST(ScanChunks, HelpersFromTheCallersPoolTakeChunks) {
-  std::vector<std::thread::id> ran_on;
-  std::thread::id caller;
-  std::atomic<bool> helped{false};
-  on_pool(2, [&] {
-    caller = std::this_thread::get_id();
-    scan_chunks(2u, 64, ran_on,
-                [&](std::size_t i, std::size_t, std::size_t) {
-                  ran_on[i] = std::this_thread::get_id();
-                  if (ran_on[i] != caller) {
-                    helped = true;
-                    return;
-                  }
-                  const auto deadline = std::chrono::steady_clock::now() +
-                                        std::chrono::seconds(10);
-                  while (!helped && std::chrono::steady_clock::now() < deadline)
-                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                });
-  });
-  EXPECT_TRUE(helped);
-  EXPECT_EQ(ran_on.size(), 8u);
-}
-
-/// Scan 64 candidates (16 chunks at a cap of 4) from a task on a
-/// 3-worker pool; the chunks in `failing` throw "chunk <i>", the one
-/// listed first after a delay so that a later chunk's error is recorded
-/// earlier in time. Returns the message that reached the caller; `ran`
-/// marks every chunk that ran.
-std::string failing_scan(const std::vector<std::size_t>& failing,
-                         std::vector<int>& ran) {
-  std::string message = "no error";
-  on_pool(3, [&] {
-    try {
-      scan_chunks(4u, 64, ran,
-                  [&](std::size_t i, std::size_t, std::size_t) {
-                    ran[i] = 1;
-                    const auto it =
-                        std::find(failing.begin(), failing.end(), i);
-                    if (it == failing.end()) return;
-                    if (it == failing.begin())
-                      std::this_thread::sleep_for(
-                          std::chrono::milliseconds(20));
-                    throw std::runtime_error("chunk " + std::to_string(i));
-                  });
-    } catch (const std::runtime_error& e) {
-      message = e.what();
-    }
-  });
-  return message;
-}
-
-TEST(ScanChunks, RethrowsOnlyAfterEveryChunkRan) {
-  std::vector<int> ran;
-  EXPECT_EQ(failing_scan({0}, ran), "chunk 0");
-  ASSERT_EQ(ran.size(), 16u);
-  for (std::size_t i = 0; i < ran.size(); ++i)
-    EXPECT_EQ(ran[i], 1) << "chunk " << i;
-}
-
-TEST(ScanChunks, LowestFailingChunkWins) {
-  std::vector<int> ran;
-  EXPECT_EQ(failing_scan({5, 11}, ran), "chunk 5");
-  for (std::size_t i = 0; i < ran.size(); ++i)
-    EXPECT_EQ(ran[i], 1) << "chunk " << i;
+  const PermutationSearchResult b = search_permutation(p, 6, hw);
+  EXPECT_EQ(a.function.describe(), b.function.describe());
+  EXPECT_TRUE(stats_equal(a.stats, b.stats));
 }
 
 // ---------------------------------------------------------------------------
@@ -538,25 +326,23 @@ TEST(EvaluationConvention, CountsCandidatesNotEnumerationWork) {
   // reports).
   const profile::ConflictProfile empty(8, 64);  // n = 8, flat landscape
   for (const int threads : {1, 3}) {
-    on_pool(3, [&] {
-      SearchOptions opt;
-      opt.threads = threads;
+    SearchOptions opt;
+    opt.threads = threads;
 
-      // Permutation, m = 4, d = 4: start + d * m neighbors.
-      const PermutationSearchResult perm = search_permutation(empty, 4, opt);
-      EXPECT_EQ(perm.stats.evaluations, 1u + 4u * 4u) << threads;
-      EXPECT_EQ(perm.stats.iterations, 0) << threads;
+    // Permutation, m = 4, d = 4: start + d * m neighbors.
+    const PermutationSearchResult perm = search_permutation(empty, 4, opt);
+    EXPECT_EQ(perm.stats.evaluations, 1u + 4u * 4u) << threads;
+    EXPECT_EQ(perm.stats.iterations, 0) << threads;
 
-      // General XOR, d = 4: start + (2^d - 1) * 2 * (2^(n-d) - 1) neighbors.
-      const SubspaceSearchResult gen = search_general_xor(empty, 4, opt);
-      EXPECT_EQ(gen.stats.evaluations, 1u + 15u * 2u * 15u) << threads;
-      EXPECT_EQ(gen.stats.iterations, 0) << threads;
+    // General XOR, d = 4: start + (2^d - 1) * 2 * (2^(n-d) - 1) neighbors.
+    const SubspaceSearchResult gen = search_general_xor(empty, 4, opt);
+    EXPECT_EQ(gen.stats.evaluations, 1u + 15u * 2u * 15u) << threads;
+    EXPECT_EQ(gen.stats.iterations, 0) << threads;
 
-      // Bit-select, m = 4: start + selected * unselected drop/add pairs.
-      const BitSelectSearchResult bits = search_bit_select(empty, 4, opt);
-      EXPECT_EQ(bits.stats.evaluations, 1u + 4u * 4u) << threads;
-      EXPECT_EQ(bits.stats.iterations, 0) << threads;
-    });
+    // Bit-select, m = 4: start + selected * unselected drop/add pairs.
+    const BitSelectSearchResult bits = search_bit_select(empty, 4, opt);
+    EXPECT_EQ(bits.stats.evaluations, 1u + 4u * 4u) << threads;
+    EXPECT_EQ(bits.stats.iterations, 0) << threads;
   }
 }
 
