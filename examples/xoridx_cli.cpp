@@ -751,7 +751,7 @@ int cmd_engine(int argc, char** argv) {
          .interval_s = progress_s,
          // Watchdog: a shard that stops completing cells for ~10 sample
          // windows (at least 30s) is probably wedged — warn, naming the
-         // cell run_shard last reported via set_activity.
+         // trace slice run_shard last reported via set_activity.
          .stall_warn_s = std::max(30.0, 10.0 * progress_s)});
     if (progress_ms > 0) reporter.start();
     const api::Result<shard::Report> report =

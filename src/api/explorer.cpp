@@ -89,46 +89,9 @@ Result<std::unique_ptr<engine::Campaign>> internal::build_campaign(
   spec.configs = std::move(lowered->configs);
 
   for (const TraceRef& ref : request.traces) {
-    engine::TraceEntry entry = ref.lower();
-    if (!entry.trace && !entry.streaming) {
-      // Eager file ref: load() both validates and attributes, so a
-      // separate header pre-check would only re-open the file.
-      Result<trace::Trace> loaded = ref.load();
-      if (!loaded.ok()) return loaded.status();
-      entry.path.clear();
-      entry.trace =
-          std::make_shared<const trace::Trace>(std::move(*loaded));
-    } else if (entry.source_factory) {
-      if (Status status = ref.validate(); !status.ok()) return status;
-      // Resolve the content id / access count here (one factory open,
-      // shared with the campaign via metadata_resolved) so a failing
-      // source names its trace.
-      try {
-        engine::resolve_source_metadata(entry);
-      } catch (...) {
-        return status_from_current_exception(StatusCode::io_error)
-            .with_trace(entry.name);
-      }
-    } else if (entry.streaming) {
-      // Streaming file ref: read the header metadata once, with
-      // attribution; the campaign reuses the filled fields instead of
-      // re-parsing the header.
-      std::error_code ec;
-      if (!std::filesystem::exists(entry.path, ec))
-        return Status(StatusCode::not_found,
-                      "trace file not found: " + entry.path)
-            .with_trace(entry.name);
-      try {
-        engine::resolve_file_metadata(entry);
-      } catch (...) {
-        return status_from_current_exception(StatusCode::io_error)
-            .with_trace(entry.name);
-      }
-    } else {
-      // In-memory ref: attachment check only.
-      if (Status status = ref.validate(); !status.ok()) return status;
-    }
-    spec.traces.push_back(std::move(entry));
+    Result<engine::TraceEntry> entry = ref.lower();
+    if (!entry.ok()) return entry.status();
+    spec.traces.push_back(std::move(*entry));
   }
 
   try {
@@ -228,14 +191,7 @@ Result<TuneOutcome> tune(const TraceRef& trace, const GeometrySpec& geometry,
   Result<std::unique_ptr<tracestore::TraceSource>> source = trace.open();
   if (!source.ok()) return source.status();
 
-  search::OptimizeOptions options;
-  options.hashed_bits = hashed_bits;
-  options.search.function_class = search_job->function_class;
-  options.search.max_fan_in = search_job->max_fan_in;
-  options.search.random_restarts = search_job->random_restarts;
-  options.search.seed = search_job->seed;
-  options.search.threads = search_job->threads;
-  options.revert_if_worse = search_job->revert_if_worse;
+  const search::OptimizeOptions options = search_job->options(hashed_bits);
   try {
     const profile::ConflictProfile prof =
         profile::build_conflict_profile(**source, *geom, hashed_bits);

@@ -17,4 +17,16 @@ Status status_from_current_exception(StatusCode runtime_code) {
   }
 }
 
+Status cell_error_status(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const engine::CampaignError& e) {
+    return status_from_campaign_error(e);
+  } catch (const std::exception& e) {
+    return {StatusCode::internal, e.what()};
+  } catch (...) {
+    return {StatusCode::internal, "unknown cell failure"};
+  }
+}
+
 }  // namespace xoridx::api::internal

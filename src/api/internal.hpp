@@ -3,6 +3,7 @@
 // or benches.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -30,14 +31,13 @@ struct LoweredRequest {
 /// bound, geometry validation (including m <= n) and strategy lowering.
 /// Explorer::explore and shard::ShardPlan::partition both call this, so
 /// sharded and unsharded runs accept exactly the same requests with
-/// exactly the same errors. Trace resolution is NOT covered — the two
-/// callers need different depths (explore materializes, the plan only
-/// reads metadata).
+/// exactly the same errors. Traces are not covered: explore lowers each
+/// TraceRef, the plan reads only its identity().
 [[nodiscard]] Result<LoweredRequest> validate_and_lower(
     const ExplorationRequest& request);
 
-/// Validate the request, resolve every trace ref (eager refs load here,
-/// streaming refs resolve their metadata) and construct the campaign —
+/// Validate the request, lower every trace ref (TraceRef::lower: eager
+/// files load here) and construct the campaign —
 /// the whole front half of Explorer::explore. `shared_profiles`
 /// (optional) substitutes an externally-owned ProfileCache so concurrent
 /// campaigns (the serving daemon) share profile/zeta builds. Campaign is
@@ -50,5 +50,9 @@ struct LoweredRequest {
 /// exception's class and the failing cell.
 [[nodiscard]] Status status_from_campaign_error(
     const engine::CampaignError& e);
+
+/// The Status of a failed run_cells cell: its CampaignError mapped by
+/// status_from_campaign_error; anything else is internal.
+[[nodiscard]] Status cell_error_status(const std::exception_ptr& error);
 
 }  // namespace xoridx::api::internal

@@ -2,9 +2,9 @@
 
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 
 #include "api/internal.hpp"
-#include "tracestore/reader.hpp"
 #include "tracestore/store.hpp"
 
 namespace xoridx::api {
@@ -12,21 +12,6 @@ namespace xoridx::api {
 namespace {
 
 using internal::status_from_current_exception;
-
-Status check_file_header(const std::string& path) {
-  try {
-    // Constructing a reader validates magic, header fields and the
-    // chunk index (v2) or record count vs file size (v1) — without
-    // touching trace bodies.
-    if (tracestore::detect_trace_format(path) == tracestore::TraceFormat::v2)
-      tracestore::MmapTraceReader reader(path, /*prefetch=*/false);
-    else
-      tracestore::V1FileSource source(path);
-  } catch (...) {
-    return status_from_current_exception(StatusCode::io_error);
-  }
-  return {};
-}
 
 }  // namespace
 
@@ -106,14 +91,39 @@ Status TraceRef::precheck() const {
   return {StatusCode::internal, "unreachable"};
 }
 
-Status TraceRef::validate() const {
-  Status status = precheck();
-  if (!status.ok()) return status;
-  if (kind_ == Kind::file || kind_ == Kind::streaming_file) {
-    status = check_file_header(path_);
-    if (!status.ok()) status.with_trace(name_);
+std::unique_ptr<tracestore::TraceSource> TraceRef::open_custom() const {
+  std::unique_ptr<tracestore::TraceSource> source = factory_();
+  if (!source)
+    throw std::runtime_error("trace '" + name_ +
+                             "': source factory returned null");
+  return source;
+}
+
+Result<TraceRef::Identity> TraceRef::identity() const {
+  if (Status status = precheck(); !status.ok()) return status;
+  try {
+    switch (kind_) {
+      case Kind::memory:
+        return Identity{tracestore::trace_id_of(*trace_), trace_->size()};
+      case Kind::file:
+      case Kind::streaming_file: {
+        const tracestore::TraceFileInfo info =
+            tracestore::trace_file_info(path_);
+        return Identity{info.id, info.accesses};
+      }
+      case Kind::custom_source: {
+        const std::unique_ptr<tracestore::TraceSource> source = open_custom();
+        // No header to read the id from: one scan, unless it was given.
+        const std::uint64_t accesses = source->size();
+        return Identity{id_.empty() ? tracestore::trace_id_of(*source) : id_,
+                        accesses};
+      }
+    }
+  } catch (...) {
+    return status_from_current_exception(StatusCode::io_error)
+        .with_trace(name_);
   }
-  return status;
+  return Status(StatusCode::internal, "unreachable");
 }
 
 Result<trace::Trace> TraceRef::load() const {
@@ -125,14 +135,8 @@ Result<trace::Trace> TraceRef::load() const {
       case Kind::file:
       case Kind::streaming_file:
         return tracestore::load_trace_any(path_);
-      case Kind::custom_source: {
-        const std::unique_ptr<tracestore::TraceSource> src = factory_();
-        if (!src)
-          return Status(StatusCode::io_error,
-                        "trace '" + name_ + "': source factory returned null")
-              .with_trace(name_);
-        return tracestore::drain_to_trace(*src);
-      }
+      case Kind::custom_source:
+        return tracestore::drain_to_trace(*open_custom());
     }
   } catch (...) {
     return status_from_current_exception(StatusCode::io_error)
@@ -151,14 +155,8 @@ Result<std::unique_ptr<tracestore::TraceSource>> TraceRef::open() const {
       case Kind::file:
       case Kind::streaming_file:
         return tracestore::open_trace_source(path_);
-      case Kind::custom_source: {
-        std::unique_ptr<tracestore::TraceSource> src = factory_();
-        if (!src)
-          return Status(StatusCode::io_error,
-                        "trace '" + name_ + "': source factory returned null")
-              .with_trace(name_);
-        return src;
-      }
+      case Kind::custom_source:
+        return open_custom();
     }
   } catch (...) {
     return status_from_current_exception(StatusCode::io_error)
@@ -167,26 +165,27 @@ Result<std::unique_ptr<tracestore::TraceSource>> TraceRef::open() const {
   return Status(StatusCode::internal, "unreachable");
 }
 
-engine::TraceEntry TraceRef::lower() const {
+Result<engine::TraceEntry> TraceRef::lower() const {
+  if (kind_ == Kind::file) {
+    // An eager file is loaded here, then resolved like an in-memory trace.
+    Result<trace::Trace> loaded = load();
+    if (!loaded.ok()) return loaded.status();
+    return memory(name_, std::move(*loaded)).lower();
+  }
+  if (kind_ == Kind::memory) {
+    if (Status status = precheck(); !status.ok()) return status;
+    return engine::TraceEntry::in_memory(name_, trace_);
+  }
+  Result<Identity> resolved = identity();
+  if (!resolved.ok()) return resolved.status();
   engine::TraceEntry entry;
   entry.name = name_;
-  entry.id = id_;
-  switch (kind_) {
-    case Kind::memory:
-      entry.trace = trace_;
-      break;
-    case Kind::file:
-      entry.path = path_;
-      break;
-    case Kind::streaming_file:
-      entry.path = path_;
-      entry.streaming = true;
-      break;
-    case Kind::custom_source:
-      entry.streaming = true;
-      entry.source_factory = factory_;
-      break;
-  }
+  entry.id = resolved->id;
+  entry.accesses = resolved->accesses;
+  if (kind_ == Kind::custom_source)
+    entry.open = factory_;
+  else
+    entry.open = [path = path_] { return tracestore::open_trace_source(path); };
   return entry;
 }
 

@@ -5,10 +5,14 @@
 // callers build one ref (memory / file / streaming / custom source) and
 // every API operation accepts it. The one-shot operations open the ref as
 // a source and hand it to the internal consumers, which take a
-// tracestore::TraceInput; sweeps lower it to an engine::TraceEntry. Refs
-// are cheap to copy; an in-memory ref shares ownership of its trace.
+// tracestore::TraceInput; sweeps lower it to a resolved
+// engine::TraceEntry, and shard plans read only its identity. This is
+// the one place that turns a trace kind into a content id, a length and
+// a data handle. Refs are cheap to copy; an in-memory ref shares
+// ownership of its trace.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -72,10 +76,17 @@ class TraceRef {
     return kind_ == Kind::streaming_file || kind_ == Kind::custom_source;
   }
 
-  /// Cheap structural check: the backing exists and its header parses
-  /// (memory refs: a trace is attached; files: magic + header are
-  /// valid). Does not scan trace bodies.
-  [[nodiscard]] Status validate() const;
+  /// A trace's content id and length.
+  struct Identity {
+    tracestore::TraceId id;
+    std::uint64_t accesses = 0;
+  };
+
+  /// The content id and length, without loading the trace: a memory ref
+  /// hashes its trace, a file ref reads the file header (a v1 file pays
+  /// one scan for the id), a custom source is opened once and scanned
+  /// only when no id was given. Every error names the trace.
+  [[nodiscard]] Result<Identity> identity() const;
 
   /// Materialize the trace (copies a memory ref's trace; loads/drains
   /// the other kinds).
@@ -85,18 +96,21 @@ class TraceRef {
   [[nodiscard]] Result<std::unique_ptr<tracestore::TraceSource>> open()
       const;
 
-  /// Lower to the engine's sweep-entry form. Internal seam used by the
-  /// Explorer; stable for frontends that drive engine::Campaign
-  /// directly.
-  [[nodiscard]] engine::TraceEntry lower() const;
+  /// Lower to the engine's resolved sweep entry: a memory ref or an
+  /// eager file (loaded here) becomes an in-memory entry; a streaming
+  /// file or custom source becomes its identity plus an open factory.
+  /// Every error names the trace. Internal seam used by the Explorer;
+  /// stable for frontends that drive engine::Campaign directly.
+  [[nodiscard]] Result<engine::TraceEntry> lower() const;
 
  private:
   TraceRef(Kind kind, std::string name) : kind_(kind), name_(std::move(name)) {}
 
-  /// The cheap subset of validate(): attachment/existence checks only,
-  /// no header parsing. load()/open() use this so they don't open the
-  /// backing file twice.
+  /// Attachment/existence checks only, no header parsing: a missing
+  /// file is not_found, a missing trace or factory invalid_argument.
   [[nodiscard]] Status precheck() const;
+  /// A fresh source from the custom factory; throws when it returns null.
+  [[nodiscard]] std::unique_ptr<tracestore::TraceSource> open_custom() const;
 
   Kind kind_ = Kind::memory;
   std::string name_;

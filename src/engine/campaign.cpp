@@ -15,7 +15,6 @@
 #include "obs/span.hpp"
 #include "search/exhaustive_bit_select.hpp"
 #include "search/optimizer.hpp"
-#include "tracestore/store.hpp"
 
 namespace xoridx::engine {
 
@@ -51,39 +50,14 @@ FunctionConfig FunctionConfig::classify(std::string label) {
   return {std::move(label), ClassifyMissesJob{}};
 }
 
-namespace {
-
-/// A fresh source for a streaming entry: from its factory when it has
-/// one, otherwise from its file.
-std::unique_ptr<tracestore::TraceSource> open_source(const TraceEntry& entry) {
-  if (!entry.source_factory) return tracestore::open_trace_source(entry.path);
-  std::unique_ptr<tracestore::TraceSource> source = entry.source_factory();
-  if (!source)
-    throw std::runtime_error("trace '" + entry.name +
-                             "': source factory returned null");
-  return source;
-}
-
-}  // namespace
-
-void resolve_file_metadata(TraceEntry& entry) {
-  // Header-level metadata only: the trace itself stays on disk.
-  const tracestore::TraceFileInfo info =
-      tracestore::trace_file_info(entry.path);
-  if (entry.id.empty()) entry.id = info.id;
-  entry.accesses = info.accesses;
-  entry.metadata_resolved = true;
-}
-
-void resolve_source_metadata(TraceEntry& entry) {
-  if (!entry.source_factory)
-    throw std::invalid_argument("trace '" + entry.name +
-                                "' has no source factory");
-  const std::unique_ptr<tracestore::TraceSource> source = open_source(entry);
-  entry.accesses = source->size();
-  // No header to read the id from: one scan over the source.
-  if (entry.id.empty()) entry.id = tracestore::trace_id_of(*source);
-  entry.metadata_resolved = true;
+TraceEntry TraceEntry::in_memory(std::string name,
+                                 std::shared_ptr<const trace::Trace> trace) {
+  TraceEntry entry;
+  entry.name = std::move(name);
+  entry.id = tracestore::trace_id_of(*trace);
+  entry.accesses = trace->size();
+  entry.trace = std::move(trace);
+  return entry;
 }
 
 Campaign::Campaign(SweepSpec spec,
@@ -92,25 +66,12 @@ Campaign::Campaign(SweepSpec spec,
       owns_profiles_(shared_profiles == nullptr) {
   profile_cache_ = owns_profiles_ ? std::make_shared<ProfileCache>()
                                   : std::move(shared_profiles);
-  for (TraceEntry& entry : spec_.traces) {
-    if (!entry.trace && entry.path.empty() && !entry.source_factory)
+  for (const TraceEntry& entry : spec_.traces)
+    if (!entry.trace == !entry.open || entry.id.empty())
       throw std::invalid_argument(
           "campaign trace '" + entry.name +
-          "' has neither data nor a file path nor a source factory");
-    if (!entry.trace && !entry.streaming && !entry.source_factory)
-      entry.trace = std::make_shared<const trace::Trace>(  // eager file
-          tracestore::load_trace_any(entry.path));
-    if (entry.source_factory) {
-      entry.streaming = true;  // factories are always streamed
-      if (!entry.metadata_resolved) resolve_source_metadata(entry);
-    } else if (entry.streaming) {
-      // Skipped when the caller (api::Explorer) already filled it.
-      if (!entry.metadata_resolved) resolve_file_metadata(entry);
-    } else {
-      if (entry.id.empty()) entry.id = tracestore::trace_id_of(*entry.trace);
-      entry.accesses = entry.trace->size();
-    }
-  }
+          "' needs a content id and exactly one of an in-memory trace and "
+          "an open factory");
   for (const cache::CacheGeometry& geom : spec_.geometries)
     if (geom.index_bits() > spec_.hashed_bits)
       throw std::invalid_argument(
@@ -141,8 +102,11 @@ Campaign::Campaign(SweepSpec spec,
 
 template <typename F>
 auto Campaign::with_input(const TraceEntry& entry, F&& f) {
-  if (!entry.streaming) return f(tracestore::TraceInput(*entry.trace));
-  const std::unique_ptr<tracestore::TraceSource> source = open_source(entry);
+  if (entry.trace) return f(tracestore::TraceInput(*entry.trace));
+  const std::unique_ptr<tracestore::TraceSource> source = entry.open();
+  if (!source)
+    throw std::runtime_error("trace '" + entry.name +
+                             "': source factory returned null");
   return f(tracestore::TraceInput(*source));
 }
 
@@ -275,14 +239,8 @@ JobResult Campaign::execute(const Job& job) {
 
     void operator()(const OptimizeIndexJob& j) const {
       const ProfileCache::ProfilePtr prof = profile();
-      search::OptimizeOptions options;
-      options.hashed_bits = self.spec_.hashed_bits;
-      options.search.function_class = j.function_class;
-      options.search.max_fan_in = j.max_fan_in;
-      options.search.random_restarts = j.random_restarts;
-      options.search.seed = j.seed;
-      options.search.threads = j.threads;
-      options.revert_if_worse = j.revert_if_worse;
+      const search::OptimizeOptions options =
+          j.options(self.spec_.hashed_bits);
       // The conventional-index run is memoized per (trace, geometry);
       // passing it in saves every optimize job a full-trace simulation
       // (a whole decode pass for streaming entries).

@@ -2,7 +2,9 @@
 // on a thread pool with deterministic aggregation.
 //
 // This is the engine behind the Table-2/Table-3 benches and the design-
-// space CLI. A SweepSpec names traces, cache geometries and per-cell job
+// space CLI. A SweepSpec names resolved traces (SweepSpec::add_trace, or
+// api::TraceRef::lower() for files and custom sources: the campaign loads
+// and resolves nothing itself), cache geometries and per-cell job
 // configs; the campaign expands the cross product into typed jobs
 // (job.hpp), deduplicates ConflictProfile construction per (trace,
 // geometry) behind a ProfileCache, runs the jobs concurrently, and
@@ -33,25 +35,25 @@
 
 namespace xoridx::engine {
 
-/// One trace of a sweep: an in-memory Trace, a file opened through the
-/// trace store, or a caller-supplied TraceSource factory (remote chunk
-/// fetch, synthetic generators, ...). A streaming entry never
-/// materializes the trace — every job pulls its own TraceSource, keeping
-/// resident decoded memory O(chunk) per running job.
+/// One resolved trace of a sweep: its content id and length, plus its
+/// data as exactly one of an in-memory Trace and an `open` factory (a
+/// trace file, a remote chunk fetch, a synthetic generator, ...).
+/// api::TraceRef::lower() is the one place that turns a trace kind into
+/// an entry. A streaming entry never materializes the trace: every job
+/// pulls its own source, keeping resident decoded memory O(chunk) per
+/// running job.
 struct TraceEntry {
   std::string name;
+  tracestore::TraceId id;  ///< stable content id; must not be empty
+  std::uint64_t accesses = 0;
   std::shared_ptr<const trace::Trace> trace;  ///< null for streaming entries
-  std::string path;        ///< backing file; empty for in-memory entries
-  bool streaming = false;  ///< read through the trace store (mmap)
-  /// When set, streaming jobs open sources here instead of `path`. Must
-  /// be callable concurrently; each call returns an independent source.
-  std::function<std::unique_ptr<tracestore::TraceSource>()> source_factory;
-  tracestore::TraceId id;  ///< stable content id; Campaign fills it if empty
-  std::uint64_t accesses = 0;  ///< filled by Campaign
-  /// True once id/accesses are known for a streaming entry. Campaign
-  /// resolves unresolved entries at construction; callers that resolve
-  /// ahead of time (api::Explorer) set it to skip the second pass.
-  bool metadata_resolved = false;
+  /// Streaming entries only: each call returns an independent source.
+  /// Must be callable concurrently.
+  std::function<std::unique_ptr<tracestore::TraceSource>()> open;
+
+  /// An in-memory entry; the content id is hashed here.
+  [[nodiscard]] static TraceEntry in_memory(
+      std::string name, std::shared_ptr<const trace::Trace> trace);
 };
 
 /// One column of a sweep: a label plus the job payload run for every
@@ -93,55 +95,14 @@ struct SweepSpec {
 
   /// Convenience: take ownership of a trace under a name.
   void add_trace(std::string name, trace::Trace t) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.trace = std::make_shared<const trace::Trace>(std::move(t));
-    traces.push_back(std::move(entry));
-  }
-
-  /// A trace file (v1 or v2). With `streaming` the campaign reads it
-  /// through the trace store chunk by chunk; otherwise it is loaded
-  /// eagerly at campaign construction.
-  void add_trace_file(std::string name, std::string path,
-                      bool streaming = false) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.path = std::move(path);
-    entry.streaming = streaming;
-    traces.push_back(std::move(entry));
-  }
-
-  /// A streaming trace behind a caller-supplied source factory. With an
-  /// empty `id` the campaign computes the content id with one scan at
-  /// construction.
-  void add_trace_source(
-      std::string name,
-      std::function<std::unique_ptr<tracestore::TraceSource>()> factory,
-      tracestore::TraceId id = {}) {
-    TraceEntry entry;
-    entry.name = std::move(name);
-    entry.streaming = true;
-    entry.source_factory = std::move(factory);
-    entry.id = id;
-    traces.push_back(std::move(entry));
+    traces.push_back(TraceEntry::in_memory(
+        std::move(name), std::make_shared<const trace::Trace>(std::move(t))));
   }
 
   [[nodiscard]] std::size_t job_count() const {
     return traces.size() * geometries.size() * configs.size();
   }
 };
-
-/// Fill a streaming file entry's id/accesses from its file header (one
-/// header parse; v1 files pay a content-id scan). Throws on
-/// missing/corrupt files; callers wanting Status-style attribution
-/// (api::Explorer) wrap it.
-void resolve_file_metadata(TraceEntry& entry);
-
-/// Open one source of a factory-backed entry and fill its metadata:
-/// accesses from size(), and — when `entry.id` is empty — the content
-/// id via a full scan. Throws whatever the factory or source throws;
-/// callers wanting Status-style attribution (api::Explorer) wrap it.
-void resolve_source_metadata(TraceEntry& entry);
 
 /// A job failure with the sweep cell attached: which (trace, geometry,
 /// strategy label) was executing when the underlying layer threw. The
@@ -226,6 +187,9 @@ class Campaign {
   /// ProfileCache for the campaign's private one, so many campaigns —
   /// e.g. concurrent daemon requests tuning against the same hot traces
   /// — pay for one profile/zeta build per (trace content, geometry, n).
+  /// Throws std::invalid_argument for an entry without a content id or
+  /// without exactly one of `trace` and `open`, and for a geometry that
+  /// needs more index bits than the sweep hashes.
   explicit Campaign(SweepSpec spec,
                     std::shared_ptr<ProfileCache> shared_profiles = nullptr);
 

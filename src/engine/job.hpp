@@ -17,6 +17,7 @@
 #include "cache/geometry.hpp"
 #include "cache/simulate.hpp"
 #include "hash/index_function.hpp"
+#include "search/optimizer.hpp"
 #include "search/search_types.hpp"
 
 namespace xoridx::engine {
@@ -43,6 +44,20 @@ struct OptimizeIndexJob {
   /// search reads it (every scan is serial); results are identical for
   /// every value.
   int threads = 1;
+
+  /// The optimizer's options for this job over `hashed_bits` address
+  /// bits: the one lowering of a search job, for campaigns and api::tune.
+  [[nodiscard]] search::OptimizeOptions options(int hashed_bits) const {
+    search::OptimizeOptions out;
+    out.hashed_bits = hashed_bits;
+    out.search.function_class = function_class;
+    out.search.max_fan_in = max_fan_in;
+    out.search.random_restarts = random_restarts;
+    out.search.seed = seed;
+    out.search.threads = threads;
+    out.revert_if_worse = revert_if_worse;
+    return out;
+  }
 };
 
 /// Exhaustive bit-selecting search (Patel et al. baseline). With

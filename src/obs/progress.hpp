@@ -9,8 +9,8 @@
 // surface.
 //
 // warn() prints immediately and works even when metrics are disabled or
-// compiled out: operator-facing degradation notices (e.g. a shard batch
-// falling back to one-cell requests) must not vanish with XORIDX_OBS=OFF.
+// compiled out: operator-facing degradation notices must not vanish with
+// XORIDX_OBS=OFF.
 #pragma once
 
 #include <condition_variable>
@@ -32,7 +32,7 @@ class ProgressReporter {
     double interval_s = 1.0;
     /// Watchdog: warn when done_counter makes no progress for this many
     /// seconds (0 disables). The warning names the last activity set via
-    /// set_activity() so a wedged shard says *which cell* it is stuck on.
+    /// set_activity() so a wedged shard says what it is stuck on.
     /// Checked once per interval, so stalls shorter than interval_s go
     /// unnoticed; re-warns after each further full stall window.
     double stall_warn_s = 0.0;
@@ -58,8 +58,8 @@ class ProgressReporter {
   /// build configuration.
   void warn(const std::string& message);
 
-  /// Name what the pipeline is currently working on ("trace 'gcc' cell
-  /// 12: 16KiB xor") for the stall watchdog's warning line. Thread-safe;
+  /// Name what the pipeline is currently working on ("trace 'gcc' batch
+  /// (12 cells)") for the stall watchdog's warning line. Thread-safe;
   /// cheap enough to call per cell.
   void set_activity(std::string activity);
 

@@ -16,18 +16,6 @@ namespace {
 using api::Status;
 using api::StatusCode;
 
-Status cell_error_status(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const engine::CampaignError& e) {
-    return api::internal::status_from_campaign_error(e);
-  } catch (const std::exception& e) {
-    return Status(StatusCode::internal, e.what());
-  } catch (...) {
-    return Status(StatusCode::internal, "unknown cell failure");
-  }
-}
-
 }  // namespace
 
 Service::Service(ServiceOptions options)
@@ -260,7 +248,7 @@ void Service::run_request(PendingRequest& pending) {
               break;
             case engine::CellState::failed:
               cell.state = CellEvent::State::failed;
-              cell.error = cell_error_status(outcome.error);
+              cell.error = api::internal::cell_error_status(outcome.error);
               ++summary.failed;
               break;
             case engine::CellState::cancelled:

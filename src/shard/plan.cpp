@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <exception>
 #include <utility>
 #include <variant>
 
 #include "api/internal.hpp"
 #include "engine/campaign.hpp"
-#include "tracestore/store.hpp"
-#include "tracestore/trace_id.hpp"
 
 namespace xoridx::shard {
 
@@ -60,46 +57,16 @@ class FingerprintHasher {
   std::uint64_t count_ = 0;
 };
 
-/// Resolved identity of one request trace: everything partitioning and
-/// fingerprinting need, without materializing the trace.
-struct TraceMeta {
-  std::string name;
-  tracestore::TraceId id;
-  std::uint64_t accesses = 0;
-};
-
-Result<std::vector<TraceMeta>> resolve_traces(
+/// Every request trace's identity, without materializing any: the
+/// partition must not load the traces the shards will read.
+Result<std::vector<api::TraceRef::Identity>> resolve_traces(
     const ExplorationRequest& request) {
-  std::vector<TraceMeta> out;
+  std::vector<api::TraceRef::Identity> out;
   out.reserve(request.traces.size());
   for (const api::TraceRef& ref : request.traces) {
-    if (Status status = ref.validate(); !status.ok()) return status;
-    TraceMeta meta;
-    meta.name = ref.name();
-    try {
-      engine::TraceEntry entry = ref.lower();
-      if (entry.trace) {
-        meta.id = entry.id.empty() ? tracestore::trace_id_of(*entry.trace)
-                                   : entry.id;
-        meta.accesses = entry.trace->size();
-      } else if (entry.source_factory) {
-        engine::resolve_source_metadata(entry);
-        meta.id = entry.id;
-        meta.accesses = entry.accesses;
-      } else {
-        // File-backed (eager or streaming): header-level metadata only —
-        // partitioning must not load the trace the shards will read.
-        const tracestore::TraceFileInfo info =
-            tracestore::trace_file_info(entry.path);
-        meta.id = info.id;
-        meta.accesses = info.accesses;
-      }
-    } catch (...) {
-      return api::internal::status_from_current_exception(
-                 StatusCode::io_error)
-          .with_trace(meta.name);
-    }
-    out.push_back(std::move(meta));
+    Result<api::TraceRef::Identity> identity = ref.identity();
+    if (!identity.ok()) return identity.status();
+    out.push_back(*identity);
   }
   return out;
 }
@@ -157,7 +124,7 @@ void fold_payload(FingerprintHasher& h, const engine::JobPayload& payload) {
 /// Validated, lowered view of a request: what both the fingerprint and
 /// the partition are computed from.
 struct RequestSummary {
-  std::vector<TraceMeta> traces;
+  std::vector<api::TraceRef::Identity> traces;
   std::vector<cache::CacheGeometry> geometries;
   std::vector<engine::FunctionConfig> configs;
   Fingerprint fingerprint;
@@ -173,7 +140,8 @@ Result<RequestSummary> summarize(const ExplorationRequest& request) {
   RequestSummary summary;
   summary.geometries = std::move(lowered->geometries);
   summary.configs = std::move(lowered->configs);
-  Result<std::vector<TraceMeta>> traces = resolve_traces(request);
+  Result<std::vector<api::TraceRef::Identity>> traces =
+      resolve_traces(request);
   if (!traces.ok()) return traces.status();
   summary.traces = std::move(*traces);
 
@@ -181,11 +149,11 @@ Result<RequestSummary> summarize(const ExplorationRequest& request) {
   h.str("xoridx-exploration-request-v1");
   h.u64(static_cast<std::uint64_t>(request.hashed_bits));
   h.u64(summary.traces.size());
-  for (const TraceMeta& t : summary.traces) {
-    h.str(t.name);
-    h.u64(t.id.lo);
-    h.u64(t.id.hi);
-    h.u64(t.accesses);
+  for (std::size_t t = 0; t < summary.traces.size(); ++t) {
+    h.str(request.traces[t].name());
+    h.u64(summary.traces[t].id.lo);
+    h.u64(summary.traces[t].id.hi);
+    h.u64(summary.traces[t].accesses);
   }
   h.u64(summary.geometries.size());
   for (const cache::CacheGeometry& g : summary.geometries) {

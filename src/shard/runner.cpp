@@ -1,10 +1,13 @@
 #include "shard/runner.hpp"
 
-#include <cstdio>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include <sys/resource.h>
 
+#include "api/internal.hpp"
+#include "engine/campaign.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -16,6 +19,7 @@ using api::ExplorationRequest;
 using api::Result;
 using api::Status;
 using api::StatusCode;
+using api::internal::cell_error_status;
 
 CellError cell_error_from(const Status& status) {
   CellError error;
@@ -35,24 +39,6 @@ CellError cancelled_cell_error() {
   error.code = StatusCode::cancelled;
   error.message = "cancelled before the cell ran";
   return error;
-}
-
-/// One-cell request: the deterministic fallback unit. Whatever made the
-/// batched trace request fail, re-running each cell alone yields either
-/// its row or its own attributed Status — independent of which sibling
-/// cell failed first in the batch (under threads that order is racy).
-ExplorationRequest one_cell(const ExplorationRequest& request,
-                            std::size_t trace, std::size_t geometry,
-                            std::size_t strategy) {
-  ExplorationRequest sub;
-  sub.traces = {request.traces[trace]};
-  sub.geometries = {request.geometries[geometry]};
-  sub.strategies = {request.strategies[strategy]};
-  sub.hashed_bits = request.hashed_bits;
-  sub.num_threads = 1;
-  sub.cancel = request.cancel;
-  sub.profile_cache_bytes = request.profile_cache_bytes;
-  return sub;
 }
 
 /// High-water resident set of this process, in bytes (0 when the query
@@ -100,11 +86,17 @@ api::Result<Report> run_shard(const api::ExplorationRequest& request,
   report.ranges = plan.ranges(shard_index);
 
   for (const ShardPlan::TraceSlice& slice : plan.slices(shard_index)) {
-    const auto cell_index = [&](std::size_t geometry, std::size_t strategy) {
-      return (static_cast<std::uint64_t>(slice.trace) * geometry_count +
-              geometry) *
-                 strategy_count +
-             strategy;
+    // The slice's cells in campaign order: geometry-major, then strategy.
+    std::vector<std::uint64_t> cells;
+    for (const std::size_t g : slice.geometries)
+      for (std::size_t s = 0; s < strategy_count; ++s)
+        cells.push_back(
+            (static_cast<std::uint64_t>(slice.trace) * geometry_count + g) *
+                strategy_count +
+            s);
+    const auto record_error = [&](std::uint64_t index, CellError error) {
+      report.cells.push_back(Cell{index, std::move(error)});
+      XORIDX_OBS_COUNT("shard.cell_errors", 1);
     };
 
     // A fired token marks every cell of the remaining slices instead of
@@ -112,12 +104,8 @@ api::Result<Report> run_shard(const api::ExplorationRequest& request,
     // each abandoned one with a cancelled error) and mergeable, it is
     // just partial.
     if (request.cancel.cancelled()) {
-      for (const std::size_t g : slice.geometries)
-        for (std::size_t s = 0; s < strategy_count; ++s) {
-          report.cells.push_back(
-              Cell{cell_index(g, s), cancelled_cell_error()});
-          XORIDX_OBS_COUNT("shard.cell_errors", 1);
-        }
+      for (const std::uint64_t index : cells)
+        record_error(index, cancelled_cell_error());
       continue;
     }
 
@@ -127,85 +115,47 @@ api::Result<Report> run_shard(const api::ExplorationRequest& request,
       sub.geometries.push_back(request.geometries[g]);
     sub.strategies = request.strategies;
     sub.hashed_bits = request.hashed_bits;
-    sub.num_threads = request.num_threads;
-    sub.cancel = request.cancel;
     sub.profile_cache_bytes = request.profile_cache_bytes;
 
     XORIDX_SPAN_NAMED(span, "shard", "trace_slice");
     XORIDX_SPAN_DETAIL(span, request.traces[slice.trace].name());
     if (reporter != nullptr)
-      reporter->set_activity(
-          "trace '" + request.traces[slice.trace].name() + "' batch (" +
-          std::to_string(slice.geometries.size() * strategy_count) +
-          " cells)");
+      reporter->set_activity("trace '" + request.traces[slice.trace].name() +
+                             "' batch (" + std::to_string(cells.size()) +
+                             " cells)");
 
-    Result<api::Report> batched = api::Explorer::explore(sub);
-    if (batched.ok()) {
-      std::size_t row = 0;
-      for (const std::size_t g : slice.geometries)
-        for (std::size_t s = 0; s < strategy_count; ++s)
-          report.cells.push_back(
-              Cell{cell_index(g, s), std::move(batched->rows[row++])});
-      XORIDX_OBS_COUNT("shard.cells_done",
-                       slice.geometries.size() * strategy_count);
-      continue;
-    }
-    // A cancelled batch is not a failure to diagnose: mark the slice's
-    // cells cancelled (the remaining slices are handled by the check at
-    // the top of the loop) rather than degrading to one-cell retries
-    // that would each immediately see the fired token.
-    if (batched.status().code() == StatusCode::cancelled) {
-      for (const std::size_t g : slice.geometries)
-        for (std::size_t s = 0; s < strategy_count; ++s) {
-          report.cells.push_back(
-              Cell{cell_index(g, s), cancelled_cell_error()});
-          XORIDX_OBS_COUNT("shard.cell_errors", 1);
-        }
-      continue;
-    }
-    // The batch failed mid-sweep: degrade to one cell per request so
-    // every cell gets its own row or its own attributed error, in a way
-    // that does not depend on scheduling or on the shard layout. Partial
-    // degradation is invisible in the Report when the retries succeed,
-    // so tell the operator explicitly which trace fell back.
-    {
-      const std::string warning =
-          "trace '" + request.traces[slice.trace].name() +
-          "' batch failed (" + batched.status().message() +
-          "); degrading to one-cell requests";
-      if (reporter != nullptr) {
-        reporter->warn(warning);
-      } else {
-        std::fprintf(stderr, "[shard %u/%u] warning: %s\n", shard_index,
-                     plan.num_shards(), warning.c_str());
-      }
-    }
-    for (const std::size_t g : slice.geometries) {
-      for (std::size_t s = 0; s < strategy_count; ++s) {
-        if (request.cancel.cancelled()) {
-          report.cells.push_back(
-              Cell{cell_index(g, s), cancelled_cell_error()});
-          XORIDX_OBS_COUNT("shard.cell_errors", 1);
-          continue;
-        }
-        if (reporter != nullptr)
-          reporter->set_activity(
-              "cell " + std::to_string(cell_index(g, s)) + ": trace '" +
-              request.traces[slice.trace].name() + "' " +
-              request.geometries[g].to_string() + " " +
-              request.strategies[s].label);
-        Result<api::Report> single =
-            api::Explorer::explore(one_cell(request, slice.trace, g, s));
-        if (single.ok()) {
-          report.cells.push_back(
-              Cell{cell_index(g, s), std::move(single->rows.front())});
-        } else {
-          report.cells.push_back(
-              Cell{cell_index(g, s), cell_error_from(single.status())});
-          XORIDX_OBS_COUNT("shard.cell_errors", 1);
-        }
+    // One campaign per slice, so the trace is loaded or streamed once and
+    // its profiles are shared across strategies. run_cells settles every
+    // cell on its own: a failing cell gets its own attributed error
+    // without stopping its siblings.
+    Result<std::unique_ptr<engine::Campaign>> built =
+        api::internal::build_campaign(sub);
+    if (!built.ok()) {
+      for (const std::uint64_t index : cells) {
+        record_error(index, cell_error_from(built.status()));
         XORIDX_OBS_COUNT("shard.cells_done", 1);
       }
+      continue;
+    }
+    engine::CampaignOptions options;
+    options.num_threads = request.num_threads;
+    options.cancel = request.cancel;
+    std::vector<engine::CellOutcome> outcomes = (*built)->run_cells(options);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      engine::CellOutcome& out = outcomes[i];
+      switch (out.state) {
+        case engine::CellState::done:
+          report.cells.push_back(Cell{cells[i], std::move(out.result)});
+          break;
+        case engine::CellState::failed:
+          record_error(cells[i],
+                       cell_error_from(cell_error_status(out.error)));
+          break;
+        case engine::CellState::cancelled:
+          record_error(cells[i], cancelled_cell_error());
+          continue;  // abandoned, not done
+      }
+      XORIDX_OBS_COUNT("shard.cells_done", 1);
     }
   }
   // Attach the worker's observability section (format v2). Gated on the

@@ -1,10 +1,11 @@
 // Shard execution: run the cells one shard owns and collect a Report.
 //
-// A shard executes its slices through api::Explorer — one batched
-// sub-request per owned trace (so the trace is loaded/streamed once and
-// the ProfileCache is shared across its strategies), falling back to
-// one-cell requests when a batch fails so every failing cell is recorded
-// individually as a CellError instead of aborting the shard. Cell
+// A shard runs each of its slices as one campaign (api::internal::
+// build_campaign, then Campaign::run_cells), so the trace is loaded or
+// streamed once and the ProfileCache is shared across its strategies.
+// run_cells settles every cell on its own, so a failing cell is recorded
+// as its own CellError and its siblings still run; a cancelled run keeps
+// the rows of the cells that finished and marks the rest cancelled. Cell
 // results are a pure function of (trace content, geometry, strategy), so
 // the same cell produces the same bytes whether it runs in a 1-shard or
 // an N-shard campaign — the property the differential tests pin down.
@@ -26,11 +27,10 @@ namespace xoridx::shard {
 /// Run the cells shard `shard_index` (1-based) of `plan` owns. The plan
 /// must have been computed from this request (the grid shape is checked
 /// here; content mismatches surface as fingerprint rejects at merge).
-/// `reporter` (optional) receives operator-facing warnings — notably
-/// when a failed trace batch degrades to one-cell requests; without one
-/// the warning goes directly to stderr. Progress and error counts tick
-/// the registry counters shard.cells_done / shard.cell_errors either
-/// way; none of this changes the returned Report.
+/// `reporter` (optional) is told which trace slice is running. Progress
+/// and error counts tick the registry counters shard.cells_done /
+/// shard.cell_errors either way; none of this changes the returned
+/// Report.
 [[nodiscard]] api::Result<Report> run_shard(
     const api::ExplorationRequest& request, const ShardPlan& plan,
     std::uint32_t shard_index, obs::ProgressReporter* reporter = nullptr);

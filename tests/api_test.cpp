@@ -4,6 +4,7 @@
 // identity between the facade and the engine it lowers onto.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -253,7 +254,7 @@ TEST(StrategyGrammar, ListParsingFailsOnFirstBadToken) {
 
 TEST(TraceRefTest, MissingFileIsNotFoundNotThrow) {
   const TraceRef ref = TraceRef::file(temp_path("xoridx_api_nope.trc"));
-  const Status status = ref.validate();
+  const Status status = ref.identity().status();
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::not_found);
   EXPECT_NE(status.message().find("xoridx_api_nope.trc"), std::string::npos);
@@ -294,10 +295,150 @@ TEST(TraceRefTest, CustomSourceRoundTrips) {
   const TraceRef ref = TraceRef::source("custom", [shared] {
     return std::make_unique<tracestore::MemorySource>(shared);
   });
-  EXPECT_TRUE(ref.validate().ok());
+  EXPECT_TRUE(ref.identity().ok());
   const Result<trace::Trace> loaded = ref.load();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), shared->size());
+}
+
+// -------------------------------------------------- trace resolution
+
+// Every kind of ref over the same content resolves to the same id and
+// length: identity() without loading anything, lower() as the entry a
+// campaign runs (exactly one of an in-memory trace and an open factory).
+TEST(TraceResolution, EveryKindResolvesToTheContentId) {
+  const auto shared = std::make_shared<const trace::Trace>(small_trace());
+  const tracestore::TraceId expected = tracestore::trace_id_of(*shared);
+  const std::string v1 = temp_path("xoridx_api_resolve.v1");
+  const std::string v2 = temp_path("xoridx_api_resolve.v2");
+  tracestore::save_trace_v1(v1, *shared);
+  tracestore::save_trace_v2(v2, *shared);
+  const auto factory = [shared] {
+    return std::make_unique<tracestore::MemorySource>(shared);
+  };
+
+  for (const TraceRef& ref :
+       {TraceRef::memory("memory", shared),
+        TraceRef::borrowed("borrowed", *shared), TraceRef::file("file-v1", v1),
+        TraceRef::file("file-v2", v2), TraceRef::streaming("streaming-v1", v1),
+        TraceRef::streaming("streaming-v2", v2),
+        TraceRef::source("source", factory),
+        TraceRef::source("source-id", factory, expected)}) {
+    const Result<TraceRef::Identity> identity = ref.identity();
+    ASSERT_TRUE(identity.ok()) << identity.status().to_string();
+    EXPECT_EQ(identity->id, expected) << ref.name();
+    EXPECT_EQ(identity->accesses, shared->size()) << ref.name();
+
+    const Result<engine::TraceEntry> entry = ref.lower();
+    ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+    EXPECT_EQ(entry->name, ref.name());
+    EXPECT_EQ(entry->id, expected) << ref.name();
+    EXPECT_EQ(entry->accesses, shared->size()) << ref.name();
+    EXPECT_EQ(entry->trace == nullptr, ref.is_streaming()) << ref.name();
+    EXPECT_EQ(entry->open == nullptr, !ref.is_streaming()) << ref.name();
+    if (entry->open) EXPECT_EQ(entry->open()->size(), shared->size());
+  }
+  std::remove(v1.c_str());
+  std::remove(v2.c_str());
+}
+
+TEST(TraceResolution, ErrorsNameTheTraceFromBothCalls) {
+  const std::string absent = temp_path("xoridx_api_resolve_absent.v2");
+  const std::string corrupt = temp_path("xoridx_api_resolve_corrupt.v2");
+  tracestore::save_trace_v2(corrupt, small_trace());
+  {
+    std::fstream f(corrupt, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(tracestore::v2_off_index_offset));
+    const char big[8] = {~0, ~0, ~0, ~0, ~0, ~0, ~0, 0x7f};
+    f.write(big, 8);
+  }
+  const auto null_source = [] {
+    return std::unique_ptr<tracestore::TraceSource>();
+  };
+
+  struct Case {
+    TraceRef ref;
+    StatusCode code;
+  };
+  for (const Case& c :
+       {Case{TraceRef::file("missing-file", absent), StatusCode::not_found},
+        Case{TraceRef::streaming("missing-stream", absent),
+             StatusCode::not_found},
+        Case{TraceRef::memory("detached", nullptr),
+             StatusCode::invalid_argument},
+        Case{TraceRef::source("null-factory", nullptr),
+             StatusCode::invalid_argument},
+        Case{TraceRef::source("null-source", null_source),
+             StatusCode::io_error},
+        Case{TraceRef::file("corrupt-file", corrupt), StatusCode::io_error},
+        Case{TraceRef::streaming("corrupt-stream", corrupt),
+             StatusCode::io_error}}) {
+    for (const Status& status :
+         {c.ref.identity().status(), c.ref.lower().status()}) {
+      EXPECT_EQ(status.code(), c.code) << status.to_string();
+      EXPECT_EQ(status.trace(), c.ref.name()) << status.to_string();
+    }
+  }
+  std::remove(corrupt.c_str());
+}
+
+/// Counts what a custom source costs: factory opens, and full passes
+/// (a pass ends when the source reports the end of the trace).
+struct SourceCounts {
+  std::atomic<int> opens{0};
+  std::atomic<int> passes{0};
+};
+
+class CountingSource final : public tracestore::TraceSource {
+ public:
+  CountingSource(std::shared_ptr<const trace::Trace> t, SourceCounts& counts)
+      : inner_(std::move(t)), counts_(counts) {}
+  std::size_t next_batch(std::span<trace::Access> out) override {
+    const std::size_t got = inner_.next_batch(out);
+    if (got == 0) ++counts_.passes;
+    return got;
+  }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+
+ private:
+  tracestore::MemorySource inner_;
+  SourceCounts& counts_;
+};
+
+// Explore resolves a custom source with one open, and scans it only when
+// no id was given. With a fired token no cell runs, so the counts are
+// resolution alone; a "base" run adds one open and one pass (the
+// baseline simulation).
+TEST(TraceResolution, ExploreOpensACustomSourceOnceToResolveIt) {
+  const auto shared = std::make_shared<const trace::Trace>(small_trace());
+  for (const bool with_id : {false, true}) {
+    for (const bool cancelled : {true, false}) {
+      SourceCounts counts;
+      ExplorationRequest request;
+      request.traces.push_back(TraceRef::source(
+          "counted",
+          [&counts, shared] {
+            ++counts.opens;
+            return std::make_unique<CountingSource>(shared, counts);
+          },
+          with_id ? tracestore::trace_id_of(*shared) : tracestore::TraceId{}));
+      request.geometries = {GeometrySpec(1024, 4)};
+      request.strategies = {parse_strategy("base").value()};
+      engine::CancellationSource cancel;
+      if (cancelled) cancel.cancel();
+      request.cancel = cancel.token();
+
+      const Result<Report> report = Explorer::explore(request);
+      EXPECT_EQ(report.status().code(),
+                cancelled ? StatusCode::cancelled : StatusCode::ok);
+      const int resolve_passes = with_id ? 0 : 1;
+      EXPECT_EQ(counts.opens, cancelled ? 1 : 2)
+          << "with_id=" << with_id << " cancelled=" << cancelled;
+      EXPECT_EQ(counts.passes, resolve_passes + (cancelled ? 0 : 1))
+          << "with_id=" << with_id << " cancelled=" << cancelled;
+    }
+  }
 }
 
 // ----------------------------------------------------- Explorer errors

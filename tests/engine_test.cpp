@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/trace_ref.hpp"
 #include "cache/simulate.hpp"
 #include "engine/campaign.hpp"
 #include "engine/profile_cache.hpp"
@@ -414,7 +415,8 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
   for (const unsigned threads : {1u, 4u}) {
     SweepSpec spec;
     spec.add_trace("healthy", trace::stride_trace(0, 4096, 64));
-    spec.add_trace_file("vanishing", path, /*streaming=*/true);
+    spec.traces.push_back(
+        api::TraceRef::streaming("vanishing", path).lower().value());
     spec.geometries = {CacheGeometry(1024, 4)};
     spec.configs = {
         FunctionConfig::baseline("base"),

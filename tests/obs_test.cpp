@@ -447,7 +447,7 @@ TEST(ProgressReporter, EmitsFinalLineWithTotalsAndCacheRate) {
   EXPECT_NE(out.find("done in"), std::string::npos) << out;
 }
 
-// -------------------------------- shard degradation warning (satellite)
+// ------------------------------------------ shard failing-cell counters
 
 class ExplodingSource final : public tracestore::TraceSource {
  public:
@@ -471,7 +471,7 @@ api::ExplorationRequest exploding_request() {
   return request;
 }
 
-TEST(ShardRunner, BatchDegradationWarnsThroughReporterNamingTheTrace) {
+TEST(ShardRunner, FailingCellsAreCountedAndNameTheirTrace) {
   SwitchGuard guard;
   set_metrics_enabled(true);
   const api::ExplorationRequest request = exploding_request();
@@ -479,20 +479,13 @@ TEST(ShardRunner, BatchDegradationWarnsThroughReporterNamingTheTrace) {
   ASSERT_TRUE(plan.ok());
 
   const Snapshot before = registry().snapshot();
-  CaptureFile capture;
-  ProgressReporter reporter({.done_counter = "shard.cells_done",
-                             .error_counter = "shard.cell_errors",
-                             .label = "unit",
-                             .stream = capture.get()});
-  const auto report = shard::run_shard(request, *plan, 1, &reporter);
+  const auto report = shard::run_shard(request, *plan, 1);
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   EXPECT_EQ(report->error_count(), 2u);
-
-  const std::string out = capture.contents();
-  EXPECT_NE(out.find("warning"), std::string::npos) << out;
-  EXPECT_NE(out.find("'exploding'"), std::string::npos) << out;
-  EXPECT_NE(out.find("degrading to one-cell requests"), std::string::npos)
-      << out;
+  for (const shard::Cell& cell : report->cells) {
+    ASSERT_FALSE(cell.ok());
+    EXPECT_EQ(cell.error().trace, "exploding");
+  }
 
   const Snapshot after = registry().snapshot();
   const std::uint64_t done =

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -557,6 +558,62 @@ TEST(ShardCancellation, FiredTokenFlushesCancelMarkedReport) {
     EXPECT_EQ(cell.error().code, api::StatusCode::cancelled);
   }
   EXPECT_EQ(report->error_count(), report->cells.size());
+}
+
+/// A trace source that fires a cancellation after `passes` full passes
+/// over the trace (a pass ends when the source reports the end).
+class CancellingSource final : public tracestore::TraceSource {
+ public:
+  CancellingSource(std::shared_ptr<const trace::Trace> t,
+                   engine::CancellationSource& cancel,
+                   std::atomic<int>& passes_left)
+      : inner_(std::move(t)), cancel_(cancel), passes_left_(passes_left) {}
+  std::size_t next_batch(std::span<trace::Access> out) override {
+    const std::size_t got = inner_.next_batch(out);
+    if (got == 0 && --passes_left_ == 0) cancel_.cancel();
+    return got;
+  }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+
+ private:
+  tracestore::MemorySource inner_;
+  engine::CancellationSource& cancel_;
+  std::atomic<int>& passes_left_;
+};
+
+// A token fired mid-slice: cells that finished keep their rows, the
+// running cell finishes too, and only cells not yet started are marked
+// cancelled. Serially, the second pass over the trace is the "fa" cell
+// (the first is the baseline "base" reuses), so "base" and "fa" finish
+// and "3c" is abandoned.
+TEST(ShardCancellation, CellsFinishedBeforeTheCancelKeepTheirRows) {
+  const auto shared = std::make_shared<const trace::Trace>(
+      trace::stride_trace(0, 4096, 64));
+  engine::CancellationSource cancel;
+  std::atomic<int> passes_left{2};
+  api::ExplorationRequest request;
+  request.traces.push_back(api::TraceRef::source(
+      "cancelling",
+      [&] {
+        return std::make_unique<CancellingSource>(shared, cancel,
+                                                  passes_left);
+      },
+      tracestore::trace_id_of(*shared)));
+  request.geometries = {api::GeometrySpec(1024, 4)};
+  request.strategies = api::parse_strategies("base,fa,3c").value();
+  request.num_threads = 1;
+  request.cancel = cancel.token();
+
+  const auto plan = shard::ShardPlan::partition(request, 1);
+  ASSERT_TRUE(plan.ok());
+  const auto report = shard::run_shard(request, *plan, 1);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_EQ(report->cells.size(), 3u);
+  EXPECT_TRUE(report->cells[0].ok());
+  EXPECT_TRUE(report->cells[1].ok());
+  ASSERT_FALSE(report->cells[2].ok());
+  EXPECT_EQ(report->cells[2].error().code, api::StatusCode::cancelled);
 }
 
 // ------------------------------------------------------------- JSON
