@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace xoridx::engine {
 
 unsigned ThreadPool::default_threads() noexcept {
@@ -24,6 +28,15 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
+#if defined(__GLIBC__)
+  // glibc gives each worker its own arena and keeps what the workers
+  // freed cached there, up to a trim threshold that grows after every
+  // large free. How much stays resident then depends on which worker
+  // freed which buffer last, so a process that runs pooled campaigns back
+  // to back has a resident set that drifts from run to run. Hand the
+  // exited workers' free pages back to the OS.
+  ::malloc_trim(0);
+#endif
 }
 
 void ThreadPool::submit(Task task) {

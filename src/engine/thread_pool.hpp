@@ -34,6 +34,7 @@ class ThreadPool {
   explicit ThreadPool(unsigned num_threads = 0);
 
   /// Drains nothing: outstanding tasks are completed before destruction.
+  /// On glibc, then returns the heap pages the workers freed to the OS.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
