@@ -166,26 +166,28 @@ Result<std::unique_ptr<tracestore::TraceSource>> TraceRef::open() const {
 }
 
 Result<engine::TraceEntry> TraceRef::lower() const {
-  if (kind_ == Kind::file) {
-    // An eager file is loaded here, then resolved like an in-memory trace.
-    Result<trace::Trace> loaded = load();
-    if (!loaded.ok()) return loaded.status();
-    return memory(name_, std::move(*loaded)).lower();
-  }
   if (kind_ == Kind::memory) {
     if (Status status = precheck(); !status.ok()) return status;
     return engine::TraceEntry::in_memory(name_, trace_);
   }
+  // Every other kind takes its id from identity(): a v2 file's header
+  // holds it, so only a v1 file or a custom source without one is hashed.
   Result<Identity> resolved = identity();
   if (!resolved.ok()) return resolved.status();
   engine::TraceEntry entry;
   entry.name = name_;
   entry.id = resolved->id;
   entry.accesses = resolved->accesses;
-  if (kind_ == Kind::custom_source)
+  if (kind_ == Kind::file) {
+    // An eager file is loaded here.
+    Result<trace::Trace> loaded = load();
+    if (!loaded.ok()) return loaded.status();
+    entry.trace = std::make_shared<const trace::Trace>(std::move(*loaded));
+  } else if (kind_ == Kind::custom_source) {
     entry.open = factory_;
-  else
+  } else {
     entry.open = [path = path_] { return tracestore::open_trace_source(path); };
+  }
   return entry;
 }
 

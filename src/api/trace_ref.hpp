@@ -99,6 +99,7 @@ class TraceRef {
   /// Lower to the engine's resolved sweep entry: a memory ref or an
   /// eager file (loaded here) becomes an in-memory entry; a streaming
   /// file or custom source becomes its identity plus an open factory.
+  /// Every kind but a memory ref takes its id from identity().
   /// Every error names the trace. Internal seam used by the Explorer;
   /// stable for frontends that drive engine::Campaign directly.
   [[nodiscard]] Result<engine::TraceEntry> lower() const;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+#include <set>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "cache/direct_mapped.hpp"
 #include "cache/fully_associative.hpp"
@@ -52,6 +56,46 @@ CacheStats simulate_direct_mapped_blocks(std::span<const std::uint64_t> blocks,
   cache.run(blocks);
   count_pass(cache.stats().accesses);
   return cache.stats();
+}
+
+std::vector<std::uint64_t> min_suffix_hits(
+    std::span<const std::uint64_t> blocks, std::size_t lines,
+    std::size_t stride) {
+  assert(lines > 0 && stride > 0);
+  const std::size_t n = blocks.size();
+  std::vector<std::uint64_t> hits((n + stride - 1) / stride + 1, 0);
+  // MIN as interval packing. A hit at j on the block last used at i keeps
+  // that block in a line over accesses i+1 .. j-1, beside the line the
+  // access in between needs, so at most lines-1 such reuse intervals may
+  // overlap at any access. Taking the intervals by decreasing i and
+  // placing each on the busy slot that frees up soonest after it ends (or
+  // on an idle slot) packs the most of them; the packing after i is the
+  // best one for the suffix from i, so one backward pass serves them all.
+  std::unordered_map<std::uint64_t, std::size_t> next_use;
+  // Per busy slot: the access its earliest placed interval starts at.
+  std::set<std::size_t> busy;
+  std::size_t idle = lines - 1;
+  std::uint64_t packed = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    const auto [it, first_use] = next_use.try_emplace(blocks[i], i);
+    if (!first_use) {
+      const std::size_t j = std::exchange(it->second, i);
+      if (j == i + 1) {
+        ++packed;  // holds the block over no other access
+      } else if (auto slot = busy.lower_bound(j - 1); slot != busy.end()) {
+        auto node = busy.extract(slot);
+        node.value() = i;  // below every other key: i only decreases
+        busy.insert(busy.begin(), std::move(node));
+        ++packed;
+      } else if (idle > 0) {
+        --idle;
+        busy.insert(busy.begin(), i);
+        ++packed;
+      }
+    }
+    if (i % stride == 0) hits[i / stride] = packed;
+  }
+  return hits;
 }
 
 CacheStats simulate_fully_associative(tracestore::TraceInput t,

@@ -8,8 +8,10 @@
 // it simulated to the `simulate.passes` / `simulate.accesses` counters.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "cache/geometry.hpp"
 #include "hash/index_function.hpp"
@@ -28,6 +30,17 @@ namespace xoridx::cache {
 [[nodiscard]] CacheStats simulate_direct_mapped_blocks(
     std::span<const std::uint64_t> blocks, const CacheGeometry& geometry,
     const hash::IndexFunction& index_fn);
+
+/// Hits of Belady's MIN (optimal replacement) in a `lines`-line cache
+/// started empty, on every suffix of `blocks` that starts at a multiple of
+/// `stride`: element k is for the suffix from block min(k * stride, size),
+/// so the last element is the empty suffix's 0. No cache of `lines` lines
+/// hits more often, whatever its index function, replacement or start
+/// state, except that a start state of `lines` blocks can add up to
+/// `lines` hits. One backward pass; counts no simulation pass.
+[[nodiscard]] std::vector<std::uint64_t> min_suffix_hits(
+    std::span<const std::uint64_t> blocks, std::size_t lines,
+    std::size_t stride);
 
 /// Fully-associative LRU miss count at equal capacity (Table 3, `FA`).
 [[nodiscard]] CacheStats simulate_fully_associative(

@@ -15,10 +15,9 @@ unsigned ThreadPool::default_threads() noexcept {
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   const unsigned n = num_threads == 0 ? default_threads() : num_threads;
-  queues_.resize(n);
   workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  for (unsigned i = 0; i < n; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -46,46 +45,22 @@ void ThreadPool::submit(Task task) {
 #endif
   {
     std::lock_guard lock(mutex_);
-    queues_[next_queue_].push_back(std::move(entry));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(entry));
     XORIDX_OBS_GAUGE_ADD("engine.pool.queue_depth", 1);
   }
   work_cv_.notify_one();
 }
 
-bool ThreadPool::pop_locked(std::size_t self, QueueEntry& out,
-                            bool& stolen) {
-  if (!queues_[self].empty()) {
-    out = std::move(queues_[self].front());
-    queues_[self].pop_front();
-    stolen = false;
-    return true;
-  }
-  std::size_t victim = queues_.size();
-  std::size_t victim_load = 0;
-  for (std::size_t i = 0; i < queues_.size(); ++i)
-    if (i != self && queues_[i].size() > victim_load) {
-      victim = i;
-      victim_load = queues_[i].size();
-    }
-  if (victim == queues_.size()) return false;
-  out = std::move(queues_[victim].back());
-  queues_[victim].pop_back();
-  stolen = true;
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     QueueEntry entry;
-    bool stolen = false;
     {
       std::unique_lock lock(mutex_);
-      work_cv_.wait(
-          lock, [&] { return pop_locked(self, entry, stolen) || stopping_; });
-      if (!entry.task) return;  // stopping, queues drained
+      work_cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping, queue drained
+      entry = std::move(queue_.front());
+      queue_.pop_front();
       XORIDX_OBS_GAUGE_ADD("engine.pool.queue_depth", -1);
-      if (stolen) XORIDX_OBS_COUNT("engine.pool.steals", 1);
     }
 #if XORIDX_OBS_ENABLED
     const std::uint64_t run_start = obs::now_ns();

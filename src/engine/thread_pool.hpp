@@ -1,12 +1,13 @@
 // Fixed-size thread pool for the evaluation engine.
 //
-// Each worker owns a deque: submissions are distributed round-robin, a
-// worker pops from the front of its own deque and, when that runs dry,
-// steals from the back of the most loaded sibling. A single mutex guards
-// the queues — campaign jobs are milliseconds to seconds of simulation or
-// search, so queue contention is negligible and the per-worker layout
-// mainly preserves locality and keeps the door open for finer-grained
-// locking when job granularity shrinks (see ROADMAP: sharded sweeps).
+// One FIFO queue under one mutex: every idle worker takes the oldest
+// queued task, so tasks start in submit order whichever worker is free.
+// Campaign jobs are milliseconds to seconds of simulation or search, so
+// queue contention is negligible. Submit order matters: a campaign queues
+// its cells slot by slot and releases a slot's profile after the slot's
+// last cell, so a worker stuck in one long cell must not keep later
+// slots' cells queued behind it while the other workers build profiles
+// they cannot yet release.
 //
 // The pool has no pool-wide wait: callers wait for their own work through
 // a TaskGroup, so many groups (the serving daemon's concurrent campaigns)
@@ -60,17 +61,13 @@ class ThreadPool {
 #endif
   };
 
-  void worker_loop(std::size_t self);
-  /// Pop from own queue front, else steal from the back of the most
-  /// loaded sibling (reported via `stolen`). Caller must hold `mutex_`.
-  bool pop_locked(std::size_t self, QueueEntry& out, bool& stolen);
+  void worker_loop();
 
-  std::vector<std::deque<QueueEntry>> queues_;  ///< one per worker
+  std::deque<QueueEntry> queue_;  ///< guarded by mutex_
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  ///< signalled on submit and shutdown
-  std::size_t next_queue_ = 0;       ///< round-robin submission cursor
   bool stopping_ = false;
 };
 

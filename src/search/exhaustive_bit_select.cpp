@@ -1,5 +1,6 @@
 #include "search/exhaustive_bit_select.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -80,6 +81,21 @@ ExhaustiveBitSelectResult optimal_bit_select_blocks(
     low[k] = low[k - 1] | (rest & (~rest + 1));
   }
 
+  // rest_floor[k]: misses every candidate still takes after the first k
+  // chunks, whatever it cached so far. Belady's MIN on the rest, started
+  // empty, hits at least as often as any direct-mapped cache with as many
+  // lines; a start state of L lines adds at most L hits.
+  constexpr std::size_t chunk = 1024;
+  const std::size_t lines = geometry.num_sets();
+  std::vector<std::uint64_t> rest_floor =
+      cache::min_suffix_hits(blocks, lines, chunk);
+  for (std::size_t k = 0; k < rest_floor.size(); ++k) {
+    const std::uint64_t rest =
+        blocks.size() - std::min(k * chunk, blocks.size());
+    const std::uint64_t misses = rest - rest_floor[k];
+    rest_floor[k] = misses > lines ? misses - lines : 0;
+  }
+
   ExhaustiveBitSelectResult result{
       hash::BitSelectFunction::conventional(n, m), ~std::uint64_t{0}, 0};
   std::uint32_t best_mask = (1u << m) - 1;
@@ -92,11 +108,20 @@ ExhaustiveBitSelectResult optimal_bit_select_blocks(
     const std::uint32_t fixed = mask & constant;
     if (fixed != low[std::popcount(fixed)]) return;
     cache.reconfigure(hash::CompiledIndex::bit_select(n, mask));
-    // Once a candidate's misses reach the best so far it can at most tie,
-    // and a tie keeps the earlier candidate: stop simulating it there.
-    simulated += cache.run(blocks, result.misses);
     ++passes;
-    if (cache.stats().misses < result.misses) {
+    // Once a candidate's misses plus the floor of the rest reach the best
+    // so far it can at most tie, and a tie keeps the earlier candidate:
+    // stop simulating it there. Within a chunk the floor at its end holds.
+    std::size_t at = 0;
+    for (std::size_t k = 1; at < blocks.size(); ++k) {
+      const std::uint64_t stop =
+          result.misses > rest_floor[k] ? result.misses - rest_floor[k] : 0;
+      at += cache.run(blocks.subspan(at, std::min(chunk, blocks.size() - at)),
+                      stop);
+      if (cache.stats().misses >= stop) break;
+    }
+    simulated += at;
+    if (at == blocks.size() && cache.stats().misses < result.misses) {
       result.misses = cache.stats().misses;
       best_mask = mask;
     }

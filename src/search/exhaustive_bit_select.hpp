@@ -11,11 +11,17 @@
 // candidate's index tables built straight from its selection mask.
 //
 // Candidates are visited in Gosper order (ascending masks, conventional
-// first) and each one stops as soon as its running miss count reaches
-// the best count so far: from there it can at most tie, and a tie keeps
-// the earlier candidate. The winner and its misses are therefore those of
-// a full simulation of every candidate; most candidates just stop after
-// a short prefix of the trace.
+// first) and each one stops as soon as its running miss count plus a
+// floor on the misses of the rest of the trace reaches the best count so
+// far: from there it can at most tie, and a tie keeps the earlier
+// candidate. The floor comes from one backward pass before the sweep:
+// Belady's MIN on the rest of the trace, with one line per set, less one
+// miss per line for whatever the candidate has cached by then (see
+// cache::min_suffix_hits). It is taken every 1024 blocks, and a candidate
+// runs chunk by chunk against the floor at its chunk's end. Only a
+// candidate that reaches the end of the trace can win, so the winner and
+// its misses are those of a full simulation of every candidate; most
+// candidates just stop after a short prefix of the trace.
 //
 // Not every candidate is simulated. A hashed bit that takes one value
 // over the whole footprint adds the same constant to every index, and a
@@ -29,7 +35,8 @@
 //
 // `candidates` still counts every selection, C(n, m). The obs counters
 // `simulate.passes` and `simulate.accesses` count the candidates that ran
-// and the accesses they simulated.
+// (one per class, however early each stopped) and the accesses they
+// simulated; the MIN pass counts in neither.
 #pragma once
 
 #include <cstdint>

@@ -338,6 +338,28 @@ TEST(TraceResolution, EveryKindResolvesToTheContentId) {
     EXPECT_EQ(entry->open == nullptr, !ref.is_streaming()) << ref.name();
     if (entry->open) EXPECT_EQ(entry->open()->size(), shared->size());
   }
+
+  // A v2 file's id is read from its header, eager or streaming, never
+  // hashed from the trace: stamp another id into the header and both
+  // kinds report it.
+  const tracestore::TraceId stamped{expected.lo ^ 1, expected.hi};
+  {
+    std::fstream f(v2, std::ios::in | std::ios::out | std::ios::binary);
+    unsigned char lo[8];
+    tracestore::store_le64(lo, stamped.lo);
+    f.seekp(static_cast<std::streamoff>(tracestore::v2_off_id_lo));
+    f.write(reinterpret_cast<const char*>(lo), sizeof lo);
+  }
+  for (const TraceRef& ref : {TraceRef::file("file-v2", v2),
+                              TraceRef::streaming("streaming-v2", v2)}) {
+    const Result<TraceRef::Identity> identity = ref.identity();
+    ASSERT_TRUE(identity.ok()) << identity.status().to_string();
+    EXPECT_EQ(identity->id, stamped) << ref.name();
+    const Result<engine::TraceEntry> entry = ref.lower();
+    ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+    EXPECT_EQ(entry->id, stamped) << ref.name();
+    EXPECT_EQ(entry->accesses, shared->size()) << ref.name();
+  }
   std::remove(v1.c_str());
   std::remove(v2.c_str());
 }

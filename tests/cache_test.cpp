@@ -2,7 +2,14 @@
 // associative, skewed, and the 3C classification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
+#include <set>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/direct_mapped.hpp"
@@ -412,6 +419,136 @@ TEST(Simulate, FullyAssociativeDriver) {
       t.append(static_cast<std::uint64_t>(i) * 4, trace::AccessKind::read);
   const CacheStats fa = simulate_fully_associative(t, geom);
   EXPECT_EQ(fa.misses, 100u);  // fits: compulsory only
+}
+
+// ---------------------------------------------------------------------------
+// Belady MIN on every suffix
+// ---------------------------------------------------------------------------
+
+/// Next use of each block of `blocks`, or `never`.
+constexpr std::size_t never = std::numeric_limits<std::size_t>::max();
+std::vector<std::size_t> next_uses(std::span<const std::uint64_t> blocks) {
+  std::vector<std::size_t> next(blocks.size(), never);
+  std::unordered_map<std::uint64_t, std::size_t> seen;
+  for (std::size_t i = blocks.size(); i-- > 0;) {
+    if (const auto it = seen.find(blocks[i]); it != seen.end())
+      next[i] = it->second;
+    seen[blocks[i]] = i;
+  }
+  return next;
+}
+
+/// Forward Belady MIN: on a miss with every line full, evict the cached
+/// block whose next use is furthest away. Hits on blocks[from..], started
+/// empty; `next` is next_uses(blocks).
+std::uint64_t forward_min_hits(std::span<const std::uint64_t> blocks,
+                               std::span<const std::size_t> next,
+                               std::size_t lines, std::size_t from) {
+  std::set<std::pair<std::size_t, std::uint64_t>> by_next_use;
+  std::unordered_map<std::uint64_t, std::size_t> cached;  // block -> next use
+  std::uint64_t hits = 0;
+  for (std::size_t i = from; i < blocks.size(); ++i) {
+    const std::uint64_t b = blocks[i];
+    if (const auto it = cached.find(b); it != cached.end()) {
+      ++hits;
+      by_next_use.erase({it->second, b});
+      cached.erase(it);
+    } else if (cached.size() == lines) {
+      const auto victim = std::prev(by_next_use.end());
+      cached.erase(victim->second);
+      by_next_use.erase(victim);
+    }
+    by_next_use.insert({next[i], b});
+    cached[b] = next[i];
+  }
+  return hits;
+}
+
+/// Random blocks over `footprint` addresses: runs of a sequential sweep,
+/// random jumps and the odd back-to-back repeat.
+std::vector<std::uint64_t> min_test_blocks(std::size_t length,
+                                           std::uint64_t footprint,
+                                           std::mt19937_64& rng) {
+  std::vector<std::uint64_t> blocks;
+  std::uint64_t b = 0;
+  while (blocks.size() < length) {
+    const std::uint64_t pick = rng() % 8;
+    if (pick == 0) b = rng() % footprint;
+    else if (pick != 1) b = (b + 1) % footprint;
+    blocks.push_back(b * 37 + 5);
+  }
+  return blocks;
+}
+
+TEST(MinSuffixHits, EqualsForwardBeladyOnEverySuffix) {
+  std::mt19937_64 rng(61);
+  for (const std::size_t lines : {2u, 4u, 16u, 64u, 1024u}) {
+    for (const std::uint64_t footprint : {lines / 2 + 1, 3 * lines + 7}) {
+      for (const std::size_t length :
+           {0u, 1u, 700u, 1023u, 1024u, 1025u, 2047u, 2048u, 2049u}) {
+        const std::vector<std::uint64_t> blocks =
+            min_test_blocks(length, footprint, rng);
+        SCOPED_TRACE("lines=" + std::to_string(lines) + " footprint=" +
+                     std::to_string(footprint) +
+                     " length=" + std::to_string(length));
+        const std::vector<std::uint64_t> every =
+            min_suffix_hits(blocks, lines, 1);
+        ASSERT_EQ(every.size(), length + 1);
+        EXPECT_EQ(every[length], 0u);
+        // Every suffix of the short traces; a sample of the long ones,
+        // with every suffix next to a 1024-block boundary.
+        const std::vector<std::size_t> next = next_uses(blocks);
+        for (std::size_t s = 0; s < length; ++s) {
+          if (length > 700 && s % 1024 > 1 && s % 1024 < 1023 && s % 61 != 0)
+            continue;
+          ASSERT_EQ(every[s], forward_min_hits(blocks, next, lines, s)) << s;
+        }
+        // A coarser stride samples the same suffixes, ending at the empty
+        // one.
+        const std::vector<std::uint64_t> sampled =
+            min_suffix_hits(blocks, lines, 1024);
+        ASSERT_EQ(sampled.size(), (length + 1023) / 1024 + 1);
+        for (std::size_t k = 0; k < sampled.size(); ++k)
+          EXPECT_EQ(sampled[k], every[std::min(k * 1024, length)]) << k;
+      }
+    }
+  }
+}
+
+TEST(MinSuffixHits, BoundsAWarmDirectMappedCacheOnTheRest) {
+  // The exhaustive sweep's floor: after any prefix, a direct-mapped cache
+  // of L lines hits at most MIN's hits on the rest plus L.
+  std::mt19937_64 rng(67);
+  const CacheGeometry geom(64, 4);  // 16 lines
+  const std::vector<std::uint64_t> blocks = min_test_blocks(3000, 60, rng);
+  const std::vector<std::uint64_t> hits =
+      min_suffix_hits(blocks, geom.num_sets(), 100);
+  for (int trial = 0; trial < 8; ++trial) {
+    DirectMappedCache dm(
+        geom, hash::CompiledIndex(hash::XorFunction::conventional(
+                  12, geom.index_bits())));
+    if (trial > 0) {
+      std::vector<int> positions;
+      for (int bit = 0; bit < 12; ++bit) positions.push_back(bit);
+      std::shuffle(positions.begin(), positions.end(), rng);
+      positions.resize(static_cast<std::size_t>(geom.index_bits()));
+      std::sort(positions.begin(), positions.end());
+      dm.reconfigure(
+          hash::CompiledIndex(hash::BitSelectFunction(12, positions)));
+    }
+    for (std::size_t k = 0; k + 1 < hits.size(); ++k) {
+      const std::uint64_t misses0 = dm.stats().misses;
+      const std::uint64_t accesses0 = dm.stats().accesses;
+      const std::size_t from = k * 100;
+      // Warm from the prefix, then count the rest's hits.
+      DirectMappedCache rest = dm;
+      rest.run(std::span(blocks).subspan(from));
+      const std::uint64_t rest_hits = (rest.stats().accesses - accesses0) -
+                                      (rest.stats().misses - misses0);
+      EXPECT_LE(rest_hits, hits[k] + geom.num_sets()) << trial << " " << k;
+      dm.run(std::span(blocks).subspan(from, 100));
+    }
+  }
 }
 
 }  // namespace

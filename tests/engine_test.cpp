@@ -2,9 +2,12 @@
 // expansion, parallel-vs-serial determinism, and the result sinks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "engine/report.hpp"
 #include "engine/thread_pool.hpp"
 #include "hash/xor_function.hpp"
+#include "profile/conflict_profile.hpp"
 #include "serve/json.hpp"
 #include "trace/generators.hpp"
 #include "tracestore/store.hpp"
@@ -88,6 +92,42 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
       pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
   }  // destructor joins after draining
   EXPECT_EQ(counter.load(), 100);
+}
+
+// One worker is held in a task; the other must start every task queued
+// behind it in submit order.
+TEST(ThreadPool, QueuedTasksStartInSubmitOrderPastABlockedWorker) {
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool blocker_running = false;
+  bool release = false;
+  std::vector<std::size_t> order;
+  TaskGroup group(&pool);
+  group.run([&] {
+    std::unique_lock lock(mutex);
+    blocker_running = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return blocker_running; });
+  }
+  constexpr std::size_t tasks = 64;
+  for (std::size_t i = 0; i < tasks; ++i)
+    group.run([&, i] {
+      std::lock_guard lock(mutex);
+      order.push_back(i);
+      if (order.size() == tasks) {
+        release = true;
+        cv.notify_all();
+      }
+    });
+  group.wait();
+  std::vector<std::size_t> expected(tasks);
+  for (std::size_t i = 0; i < tasks; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, DefaultThreadsAtLeastOne) {
@@ -293,6 +333,55 @@ TEST(Campaign, PrivateProfilesReleasedAfterTheirLastReader) {
   EXPECT_EQ(campaign.profiles().misses(), 8u);
   EXPECT_EQ(campaign.profiles().hits(), 8u);
   EXPECT_EQ(campaign.profiles().size(), 0u);
+}
+
+// lame's exhaustive cell comes first and runs far longer than any other
+// cell. While one worker runs it, the other goes on through the queue in
+// submit order, so each slot's two profile readers run, and release the
+// slot's profile, before later slots' profiles are built: the campaign
+// never holds more than a few profiles. (Rows stream in spec order, so none is written before the
+// long cell ends: a thread samples the cache's bytes instead of a sink.)
+TEST(Campaign, ALongCellDoesNotPileUpProfiles) {
+  SweepSpec spec;
+  spec.hashed_bits = 16;
+  spec.geometries = {CacheGeometry(1024, 4)};
+  spec.configs = {
+      FunctionConfig::optimal_bit_select("opt"),
+      FunctionConfig::optimize("perm-2in", FunctionClass::permutation, 2),
+      FunctionConfig::optimize("bitselect", FunctionClass::bit_select),
+  };
+  std::vector<std::string> names{"lame"};
+  for (const std::string& name :
+       workloads::workload_names(workloads::Suite::table2))
+    if (name != "lame") names.push_back(name);
+  for (const std::string& name : names) {
+    workloads::Workload w =
+        workloads::make_workload(name, workloads::Scale::small);
+    spec.add_trace(w.name, std::move(w.data));
+  }
+  const std::size_t profile_bytes =
+      profile::build_conflict_profile(trace::stride_trace(0, 64, 4),
+                                      spec.geometries[0], spec.hashed_bits)
+          .memory_bytes();
+
+  Campaign campaign(std::move(spec));
+  std::atomic<bool> done{false};
+  std::size_t peak = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak = std::max(peak, campaign.profiles().bytes());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  CampaignOptions options;
+  options.num_threads = 2;
+  campaign.run(options);
+  done.store(true);
+  sampler.join();
+  EXPECT_EQ(campaign.profiles().misses(), names.size());
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, 3 * profile_bytes) << peak / profile_bytes
+                                     << " profiles held";
 }
 
 // Reader counts follow the cache's key, (content, geometry), not the

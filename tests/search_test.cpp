@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <random>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cache/direct_mapped.hpp"
 #include "cache/simulate.hpp"
 #include "gf2/counting.hpp"
 #include "gf2/enumerate.hpp"
@@ -20,6 +24,7 @@
 #include "search/permutation_search.hpp"
 #include "search/subspace_search.hpp"
 #include "trace/generators.hpp"
+#include "workloads/workload.hpp"
 
 namespace xoridx::search {
 namespace {
@@ -321,9 +326,11 @@ std::uint64_t simulate_passes_counter() {
   return obs::registry().snapshot().counter("simulate.passes");
 }
 
+/// The sweep must find `want`, the exact winner, with one simulated
+/// candidate per constant-bit class.
 void expect_same_sweep(const std::vector<std::uint64_t>& blocks,
-                       const CacheGeometry& geom, int n) {
-  const ExhaustiveBitSelectResult want = unbounded_sweep(blocks, geom, n);
+                       const CacheGeometry& geom, int n,
+                       const ExhaustiveBitSelectResult& want) {
   const std::uint64_t passes0 = simulate_passes_counter();
   const ExhaustiveBitSelectResult got =
       optimal_bit_select_blocks(blocks, geom, n);
@@ -336,6 +343,11 @@ void expect_same_sweep(const std::vector<std::uint64_t>& blocks,
   if (obs::compiled() && obs::metrics_enabled())
     EXPECT_EQ(passes, selection_classes(n, geom.index_bits(),
                                         constant_bits(blocks, n)));
+}
+
+void expect_same_sweep(const std::vector<std::uint64_t>& blocks,
+                       const CacheGeometry& geom, int n) {
+  expect_same_sweep(blocks, geom, n, unbounded_sweep(blocks, geom, n));
 }
 
 TEST(OptimalBitSelect, BoundedSweepMatchesUnboundedOnRandomTraces) {
@@ -486,6 +498,126 @@ TEST(OptimalBitSelect, BackToBackRepeatsDoNotChangeTheSweep) {
     EXPECT_GT(passes1 - passes0, 0u);
     EXPECT_LE(accesses1 - accesses0, (passes1 - passes0) * runs);
   }
+}
+
+/// The sweep without the rest-of-trace floor: the first member of each
+/// constant-bit class in Gosper order, each stopped once its misses reach
+/// the best so far. Returns the result and the accesses it simulated.
+std::pair<ExhaustiveBitSelectResult, std::uint64_t> stop_at_best_sweep(
+    const std::vector<std::uint64_t>& blocks, const CacheGeometry& geom,
+    int n) {
+  const int m = geom.index_bits();
+  const std::uint32_t constant = constant_bits(blocks, n);
+  ExhaustiveBitSelectResult best{hash::BitSelectFunction::conventional(n, m),
+                                 ~std::uint64_t{0}, 0};
+  std::uint64_t accesses = 0;
+  gf2::for_each_combination(n, m, [&](std::uint32_t mask) {
+    ++best.candidates;
+    std::uint32_t lowest = 0;
+    std::uint32_t rest = constant;
+    for (int k = std::popcount(mask & constant); k > 0; --k) {
+      lowest |= rest & (~rest + 1);
+      rest &= rest - 1;
+    }
+    if ((mask & constant) != lowest) return;
+    cache::DirectMappedCache dm(geom, hash::CompiledIndex::bit_select(n, mask));
+    accesses += dm.run(blocks, best.misses);
+    if (dm.stats().misses < best.misses) {
+      best.misses = dm.stats().misses;
+      std::vector<int> positions;
+      for (int i = 0; i < n; ++i)
+        if ((mask >> i) & 1u) positions.push_back(i);
+      best.function = hash::BitSelectFunction(n, positions);
+    }
+  });
+  return {best, accesses};
+}
+
+std::uint64_t simulate_accesses_counter() {
+  return obs::registry().snapshot().counter("simulate.accesses");
+}
+
+/// A workload's block addresses with back-to-back repeats dropped, as the
+/// trace entry point of the sweep extracts them.
+std::vector<std::uint64_t> workload_blocks(std::string_view name,
+                                           const CacheGeometry& geom) {
+  const workloads::Workload w =
+      workloads::make_workload(name, workloads::Scale::small);
+  std::vector<std::uint64_t> blocks;
+  for (const trace::Access& a : w.data.accesses()) {
+    const std::uint64_t block = a.addr >> geom.offset_bits();
+    if (blocks.empty() || blocks.back() != block) blocks.push_back(block);
+  }
+  return blocks;
+}
+
+TEST(OptimalBitSelect, RestOfTraceFloorKeepsTheSweepOnLongCapacityHeavyTraces) {
+  // Half the blocks on a stride of 8, half random over six times the
+  // line count, over several 1024-block chunks and on and either side of
+  // a chunk boundary: even the best selection misses on most blocks, so
+  // the floor of the rest stops candidates before the running best alone
+  // would.
+  std::mt19937_64 rng(53);
+  for (const std::size_t length : {3071u, 3072u, 3073u, 5000u}) {
+    for (const std::uint32_t sets : {8u, 32u}) {
+      const int n = 10;
+      const CacheGeometry geom(sets * 4, 4);
+      std::vector<std::uint64_t> blocks;
+      while (blocks.size() < length) {
+        const std::uint64_t block =
+            rng() % 2 != 0 ? (rng() % (2 * sets)) << 3 : rng() % (6 * sets);
+        if (blocks.empty() || blocks.back() != block) blocks.push_back(block);
+      }
+      SCOPED_TRACE("length=" + std::to_string(length) +
+                   " sets=" + std::to_string(sets));
+      const std::uint64_t accesses0 = simulate_accesses_counter();
+      expect_same_sweep(blocks, geom, n);
+      const std::uint64_t accesses = simulate_accesses_counter() - accesses0;
+      if (obs::compiled() && obs::metrics_enabled())
+        EXPECT_LT(accesses, stop_at_best_sweep(blocks, geom, n).second);
+    }
+  }
+}
+
+TEST(OptimalBitSelect, RestOfTraceFloorKeepsTheSweepOnWorkloads) {
+  // 16 hashed bits, as the evaluation runs them. Simulating every
+  // candidate to the end takes seconds here, so the reference is the
+  // sweep stopped at the running best alone, which the random traces
+  // above hold to the unbounded sweep.
+  for (const char* name : {"rijndael", "adpcm_enc", "dijkstra"}) {
+    for (const std::uint32_t size : {1024u, 4096u}) {
+      const CacheGeometry geom(size, 4);
+      SCOPED_TRACE(std::string(name) + " @" + std::to_string(size));
+      const std::vector<std::uint64_t> blocks = workload_blocks(name, geom);
+      expect_same_sweep(blocks, geom, 16,
+                        stop_at_best_sweep(blocks, geom, 16).first);
+    }
+  }
+}
+
+TEST(OptimalBitSelect, RestOfTraceFloorPrunesMostOfLame) {
+  // lame @1 KB: the best selection still misses on most blocks, so the
+  // running best alone stops candidates late. The floor must save at
+  // least 40% of the simulated accesses and keep the winner.
+  if (!obs::compiled() || !obs::metrics_enabled())
+    GTEST_SKIP() << "needs the simulate.accesses counter";
+  const CacheGeometry geom(1024, 4);
+  const std::vector<std::uint64_t> blocks = workload_blocks("lame", geom);
+  const auto [want, stop_at_best_accesses] =
+      stop_at_best_sweep(blocks, geom, 16);
+  const std::uint64_t passes0 = simulate_passes_counter();
+  const std::uint64_t accesses0 = simulate_accesses_counter();
+  const ExhaustiveBitSelectResult got =
+      optimal_bit_select_blocks(blocks, geom, 16);
+  const std::uint64_t accesses = simulate_accesses_counter() - accesses0;
+  EXPECT_EQ(got.function.positions(), want.function.positions());
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(
+      simulate_passes_counter() - passes0,
+      selection_classes(16, geom.index_bits(), constant_bits(blocks, 16)));
+  EXPECT_LE(accesses * 10, stop_at_best_accesses * 6)
+      << accesses << " of " << stop_at_best_accesses;
 }
 
 // ---------------------------------------------------------------------------
