@@ -875,9 +875,9 @@ int cmd_fleet(int argc, char** argv) {
   if (const int rc = build_sweep_request(argv[2], sweep, request); rc != 0)
     return rc;
 
-  // The dispatcher partitions again internally; this plan is for the
-  // banner and the progress total (and catches request errors before
-  // any worker is launched).
+  // Partition once: the plan gives the banner and the progress total,
+  // catches request errors before any worker is launched, and is what
+  // the dispatcher runs.
   const api::Result<shard::ShardPlan> plan = shard::ShardPlan::partition(
       request, static_cast<std::uint32_t>(num_shards));
   if (!plan.ok()) return fail(plan.status());
@@ -929,7 +929,6 @@ int cmd_fleet(int argc, char** argv) {
   if (progress_ms > 0) reporter.start();
 
   fleet::FleetOptions options;
-  options.num_shards = static_cast<std::uint32_t>(num_shards);
   options.max_parallel = static_cast<std::uint32_t>(max_parallel);
   options.max_attempts = static_cast<std::uint32_t>(max_attempts);
   options.heartbeat_timeout_s = static_cast<double>(heartbeat_timeout_s);
@@ -942,7 +941,7 @@ int cmd_fleet(int argc, char** argv) {
   options.resume = resume;
 
   api::Result<fleet::FleetResult> result =
-      fleet::dispatch_fleet(request, options);
+      fleet::dispatch_fleet(*plan, options);
   reporter.stop();
   if (!result.ok()) return fail(result.status());
   const shard::Report& merged = result->merged;

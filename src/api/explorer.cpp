@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <filesystem>
+#include <numeric>
 #include <utility>
 #include <variant>
 
@@ -35,7 +36,7 @@ std::string GeometrySpec::to_string() const {
 
 unsigned default_threads() { return engine::ThreadPool::default_threads(); }
 
-Result<internal::LoweredRequest> internal::validate_and_lower(
+Result<internal::ResolvedRequest> internal::resolve(
     const ExplorationRequest& request) {
   if (request.traces.empty())
     return Status(StatusCode::invalid_argument,
@@ -54,7 +55,7 @@ Result<internal::LoweredRequest> internal::validate_and_lower(
                       std::to_string(request.hashed_bits) +
                       " (the conflict profile holds 2^n counters)");
 
-  LoweredRequest lowered;
+  ResolvedRequest resolved;
   for (const GeometrySpec& g : request.geometries) {
     Result<cache::CacheGeometry> geom = g.validate();
     if (!geom.ok()) return geom.status();
@@ -66,30 +67,34 @@ Result<internal::LoweredRequest> internal::validate_and_lower(
                         std::to_string(request.hashed_bits) +
                         " address bits (m <= n required)")
           .with_geometry(geom->to_string());
-    lowered.geometries.push_back(*geom);
+    resolved.geometries.push_back(*geom);
   }
   for (const Strategy& strategy : request.strategies) {
     Result<engine::FunctionConfig> config = lower_strategy(strategy);
     if (!config.ok()) return config.status();
-    lowered.configs.push_back(std::move(*config));
+    resolved.configs.push_back(std::move(*config));
   }
-  return lowered;
+  for (const TraceRef& ref : request.traces) {
+    Result<TraceRef::Identity> identity = ref.identity();
+    if (!identity.ok()) return identity.status();
+    resolved.traces.push_back(*identity);
+  }
+  return resolved;
 }
 
 Result<std::unique_ptr<engine::Campaign>> internal::build_campaign(
-    const ExplorationRequest& request,
+    const ExplorationRequest& request, const ResolvedRequest& resolved,
+    std::span<const std::size_t> traces,
+    std::span<const std::size_t> geometries,
     std::shared_ptr<engine::ProfileCache> shared_profiles) {
-  Result<internal::LoweredRequest> lowered =
-      internal::validate_and_lower(request);
-  if (!lowered.ok()) return lowered.status();
-
   engine::SweepSpec spec;
   spec.hashed_bits = request.hashed_bits;
-  spec.geometries = std::move(lowered->geometries);
-  spec.configs = std::move(lowered->configs);
-
-  for (const TraceRef& ref : request.traces) {
-    Result<engine::TraceEntry> entry = ref.lower();
+  for (const std::size_t g : geometries)
+    spec.geometries.push_back(resolved.geometries[g]);
+  spec.configs = resolved.configs;
+  for (const std::size_t t : traces) {
+    Result<engine::TraceEntry> entry =
+        request.traces[t].lower(resolved.traces[t]);
     if (!entry.ok()) return entry.status();
     spec.traces.push_back(std::move(*entry));
   }
@@ -106,6 +111,17 @@ Result<std::unique_ptr<engine::Campaign>> internal::build_campaign(
   }
 }
 
+Result<std::unique_ptr<engine::Campaign>> internal::build_campaign(
+    const ExplorationRequest& request, const ResolvedRequest& resolved,
+    std::shared_ptr<engine::ProfileCache> shared_profiles) {
+  std::vector<std::size_t> traces(resolved.traces.size());
+  std::vector<std::size_t> geometries(resolved.geometries.size());
+  std::iota(traces.begin(), traces.end(), std::size_t{0});
+  std::iota(geometries.begin(), geometries.end(), std::size_t{0});
+  return build_campaign(request, resolved, traces, geometries,
+                        std::move(shared_profiles));
+}
+
 Status internal::status_from_campaign_error(const engine::CampaignError& e) {
   // Preserve the wrapped exception's class: environment failures
   // (unreadable chunks, vanished files) are io_error, not internal.
@@ -120,8 +136,10 @@ Status internal::status_from_campaign_error(const engine::CampaignError& e) {
 }
 
 Result<Report> Explorer::explore(const ExplorationRequest& request) {
+  Result<internal::ResolvedRequest> resolved = internal::resolve(request);
+  if (!resolved.ok()) return resolved.status();
   Result<std::unique_ptr<engine::Campaign>> built =
-      internal::build_campaign(request);
+      internal::build_campaign(request, *resolved);
   if (!built.ok()) return built.status();
   engine::Campaign& campaign = **built;
 

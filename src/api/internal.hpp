@@ -5,6 +5,7 @@
 
 #include <exception>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "api/explorer.hpp"
@@ -20,30 +21,41 @@ namespace xoridx::api::internal {
 /// non-standard exceptions -> internal.
 [[nodiscard]] Status status_from_current_exception(StatusCode runtime_code);
 
-/// The request's geometries and strategies, validated and lowered to the
-/// engine's types.
-struct LoweredRequest {
+/// A request validated and resolved once per run: its geometries, its
+/// strategies lowered to the engine's configs, and each trace's content
+/// id and length, all in request order. Explorer::explore, a
+/// serve::Service request and shard::ShardPlan compute it once and hand
+/// it on, so no trace is hashed, header-read or scanned twice in a run.
+struct ResolvedRequest {
+  std::vector<TraceRef::Identity> traces;
   std::vector<cache::CacheGeometry> geometries;
   std::vector<engine::FunctionConfig> configs;
 };
 
 /// The one request-validation path: empty-field checks, the hashed_bits
-/// bound, geometry validation (including m <= n) and strategy lowering.
-/// Explorer::explore and shard::ShardPlan::partition both call this, so
-/// sharded and unsharded runs accept exactly the same requests with
-/// exactly the same errors. Traces are not covered: explore lowers each
-/// TraceRef, the plan reads only its identity().
-[[nodiscard]] Result<LoweredRequest> validate_and_lower(
+/// bound, geometry validation (including m <= n), strategy lowering and
+/// each trace's TraceRef::identity() (nothing is loaded), in that order.
+/// Sharded, unsharded and served runs accept exactly the same requests
+/// with exactly the same errors.
+[[nodiscard]] Result<ResolvedRequest> resolve(
     const ExplorationRequest& request);
 
-/// Validate the request, lower every trace ref (TraceRef::lower: eager
-/// files load here) and construct the campaign —
-/// the whole front half of Explorer::explore. `shared_profiles`
-/// (optional) substitutes an externally-owned ProfileCache so concurrent
-/// campaigns (the serving daemon) share profile/zeta builds. Campaign is
-/// not movable (it owns synchronization state), hence the unique_ptr.
+/// Lower the selected traces with their resolved identities
+/// (TraceRef::lower: eager files load here) and construct the campaign
+/// over `traces` x `geometries` (indices into the request, ascending) x
+/// every strategy. `shared_profiles` (optional) substitutes an
+/// externally-owned ProfileCache so concurrent campaigns (the serving
+/// daemon) share profile/zeta builds. Campaign is not movable (it owns
+/// synchronization state), hence the unique_ptr.
 [[nodiscard]] Result<std::unique_ptr<engine::Campaign>> build_campaign(
-    const ExplorationRequest& request,
+    const ExplorationRequest& request, const ResolvedRequest& resolved,
+    std::span<const std::size_t> traces,
+    std::span<const std::size_t> geometries,
+    std::shared_ptr<engine::ProfileCache> shared_profiles = nullptr);
+
+/// The campaign over the whole request.
+[[nodiscard]] Result<std::unique_ptr<engine::Campaign>> build_campaign(
+    const ExplorationRequest& request, const ResolvedRequest& resolved,
     std::shared_ptr<engine::ProfileCache> shared_profiles = nullptr);
 
 /// Map a CampaignError onto the Status model, preserving the wrapped

@@ -165,20 +165,15 @@ Result<std::unique_ptr<tracestore::TraceSource>> TraceRef::open() const {
   return Status(StatusCode::internal, "unreachable");
 }
 
-Result<engine::TraceEntry> TraceRef::lower() const {
-  if (kind_ == Kind::memory) {
-    if (Status status = precheck(); !status.ok()) return status;
-    return engine::TraceEntry::in_memory(name_, trace_);
-  }
-  // Every other kind takes its id from identity(): a v2 file's header
-  // holds it, so only a v1 file or a custom source without one is hashed.
-  Result<Identity> resolved = identity();
-  if (!resolved.ok()) return resolved.status();
+Result<engine::TraceEntry> TraceRef::lower(const Identity& identity) const {
+  if (Status status = precheck(); !status.ok()) return status;
   engine::TraceEntry entry;
   entry.name = name_;
-  entry.id = resolved->id;
-  entry.accesses = resolved->accesses;
-  if (kind_ == Kind::file) {
+  entry.id = identity.id;
+  entry.accesses = identity.accesses;
+  if (kind_ == Kind::memory) {
+    entry.trace = trace_;
+  } else if (kind_ == Kind::file) {
     // An eager file is loaded here.
     Result<trace::Trace> loaded = load();
     if (!loaded.ok()) return loaded.status();

@@ -5,11 +5,11 @@
 // callers build one ref (memory / file / streaming / custom source) and
 // every API operation accepts it. The one-shot operations open the ref as
 // a source and hand it to the internal consumers, which take a
-// tracestore::TraceInput; sweeps lower it to a resolved
-// engine::TraceEntry, and shard plans read only its identity. This is
-// the one place that turns a trace kind into a content id, a length and
-// a data handle. Refs are cheap to copy; an in-memory ref shares
-// ownership of its trace.
+// tracestore::TraceInput; a sweep resolves each ref's identity() once
+// and lowers the ref under it to an engine::TraceEntry. This is the one
+// place that turns a trace kind into a content id, a length and a data
+// handle. Refs are cheap to copy; an in-memory ref shares ownership of
+// its trace.
 #pragma once
 
 #include <cstdint>
@@ -96,13 +96,15 @@ class TraceRef {
   [[nodiscard]] Result<std::unique_ptr<tracestore::TraceSource>> open()
       const;
 
-  /// Lower to the engine's resolved sweep entry: a memory ref or an
+  /// Lower to the engine's resolved sweep entry under `identity`, the
+  /// ref's identity() its caller already resolved: a memory ref or an
   /// eager file (loaded here) becomes an in-memory entry; a streaming
-  /// file or custom source becomes its identity plus an open factory.
-  /// Every kind but a memory ref takes its id from identity().
-  /// Every error names the trace. Internal seam used by the Explorer;
-  /// stable for frontends that drive engine::Campaign directly.
-  [[nodiscard]] Result<engine::TraceEntry> lower() const;
+  /// file or custom source becomes the identity plus an open factory.
+  /// Nothing is hashed, header-read or scanned again. Every error names
+  /// the trace. Internal seam used by the Explorer; stable for frontends
+  /// that drive engine::Campaign directly.
+  [[nodiscard]] Result<engine::TraceEntry> lower(
+      const Identity& identity) const;
 
  private:
   TraceRef(Kind kind, std::string name) : kind_(kind), name_(std::move(name)) {}

@@ -3,14 +3,14 @@
 //
 // This is the engine behind the Table-2/Table-3 benches and the design-
 // space CLI. A SweepSpec names resolved traces (SweepSpec::add_trace, or
-// api::TraceRef::lower() for files and custom sources: the campaign loads
-// and resolves nothing itself), cache geometries and per-cell job
-// configs; the campaign expands the cross product into typed jobs
-// (job.hpp), deduplicates ConflictProfile construction per (trace,
-// geometry) behind a ProfileCache, runs the jobs concurrently, and
-// aggregates results in insertion (spec) order — so a run with N threads
-// produces output byte-identical to a serial run. Results stream to an
-// optional ResultSink as the ordered prefix completes.
+// api::TraceRef::lower(identity) for files and custom sources: the
+// campaign loads and resolves nothing itself), cache geometries and
+// per-cell job configs; the campaign expands the cross product into
+// typed jobs (job.hpp), deduplicates ConflictProfile construction per
+// (trace, geometry) behind a ProfileCache, runs the jobs concurrently,
+// and aggregates results in insertion (spec) order — so a run with N
+// threads produces output byte-identical to a serial run. Results stream
+// to an optional ResultSink as the ordered prefix completes.
 #pragma once
 
 #include <atomic>
@@ -38,10 +38,10 @@ namespace xoridx::engine {
 /// One resolved trace of a sweep: its content id and length, plus its
 /// data as exactly one of an in-memory Trace and an `open` factory (a
 /// trace file, a remote chunk fetch, a synthetic generator, ...).
-/// api::TraceRef::lower() is the one place that turns a trace kind into
-/// an entry. A streaming entry never materializes the trace: every job
-/// pulls its own source, keeping resident decoded memory O(chunk) per
-/// running job.
+/// api::TraceRef::lower(identity) is the one place that turns a trace
+/// kind into an entry. A streaming entry never materializes the trace:
+/// every job pulls its own source, keeping resident decoded memory
+/// O(chunk) per running job.
 struct TraceEntry {
   std::string name;
   tracestore::TraceId id;  ///< stable content id; must not be empty

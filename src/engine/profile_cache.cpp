@@ -111,12 +111,6 @@ ProfileCache::ProfilePtr ProfileCache::get_or_build(
   return future.get();
 }
 
-ProfileCache::ProfilePtr ProfileCache::get_or_build(
-    tracestore::TraceInput t, const cache::CacheGeometry& geometry,
-    int hashed_bits) {
-  return get_or_build(tracestore::trace_id_of(t), t, geometry, hashed_bits);
-}
-
 std::size_t ProfileCache::size() const {
   std::lock_guard lock(mutex_);
   return entries_.size();

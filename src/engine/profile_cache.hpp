@@ -50,14 +50,8 @@ class ProfileCache {
   /// Return the profile for (trace content, geometry, hashed_bits),
   /// building it on first request with one pass over `t` (an in-memory
   /// trace is walked in place, a source is reset and streamed in batches).
+  /// `id` is the content id of `t`, which the caller already resolved.
   /// Thread-safe; concurrent requests for one key build exactly once.
-  /// Computes the trace's content id (one extra pass); callers that
-  /// already know it should use the id-taking overload.
-  [[nodiscard]] ProfilePtr get_or_build(tracestore::TraceInput t,
-                                        const cache::CacheGeometry& geometry,
-                                        int hashed_bits);
-
-  /// Same, with `id` the precomputed content id of `t`.
   [[nodiscard]] ProfilePtr get_or_build(const tracestore::TraceId& id,
                                         tracestore::TraceInput t,
                                         const cache::CacheGeometry& geometry,

@@ -15,7 +15,6 @@
 #include "fleet/manifest.hpp"
 #include "io/atomic_file.hpp"
 #include "obs/metrics.hpp"
-#include "shard/plan.hpp"
 
 namespace xoridx::fleet {
 
@@ -67,7 +66,7 @@ double elapsed_s(clock::time_point since) {
 
 }  // namespace
 
-api::Result<FleetResult> dispatch_fleet(const api::ExplorationRequest& request,
+api::Result<FleetResult> dispatch_fleet(const shard::ShardPlan& plan,
                                         const FleetOptions& options) {
   if (options.launcher == nullptr)
     return Status(StatusCode::invalid_argument, "fleet needs a launcher");
@@ -76,15 +75,9 @@ api::Result<FleetResult> dispatch_fleet(const api::ExplorationRequest& request,
   if (options.worker_argv.empty())
     return Status(StatusCode::invalid_argument,
                   "fleet needs a worker argv template");
-  if (options.num_shards == 0)
-    return Status(StatusCode::invalid_argument, "fleet needs >= 1 shard");
   if (options.max_attempts == 0)
     return Status(StatusCode::invalid_argument,
                   "fleet needs >= 1 attempt per shard");
-
-  auto plan_result = shard::ShardPlan::partition(request, options.num_shards);
-  if (!plan_result.ok()) return plan_result.status();
-  const shard::ShardPlan& plan = plan_result.value();
 
   {
     std::error_code ec;
@@ -116,7 +109,7 @@ api::Result<FleetResult> dispatch_fleet(const api::ExplorationRequest& request,
     std::filesystem::remove(probe, ec);
   }
 
-  const std::uint32_t n = options.num_shards;
+  const std::uint32_t n = plan.num_shards();
   const std::uint32_t max_parallel =
       options.max_parallel == 0 ? n : options.max_parallel;
   shard::IncrementalMerger merger(plan.fingerprint(), n);

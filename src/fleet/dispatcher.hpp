@@ -1,11 +1,11 @@
 // Fleet dispatch: run a sharded campaign across worker processes and
 // merge the results deterministically.
 //
-// The dispatcher partitions an ExplorationRequest with the existing
-// ShardPlan (every worker computes the same plan from the same request —
-// zero coordination), launches one worker per shard through a Launcher
-// backend, and supervises them: heartbeat staleness or an exit without a
-// valid report kills/requeues the shard up to max_attempts. Reports are
+// The dispatcher takes the caller's ShardPlan (every worker computes the
+// same plan from the same request — zero coordination), launches one
+// worker per shard through a Launcher backend, and supervises them:
+// heartbeat staleness or an exit without a valid report kills/requeues
+// the shard up to max_attempts. Reports are
 // validated and folded the moment they land (IncrementalMerger runs
 // every per-report check merge_reports would), so a corrupt or
 // wrong-campaign report triggers a retry immediately instead of at the
@@ -23,17 +23,16 @@
 #include <string>
 #include <vector>
 
-#include "api/explorer.hpp"
 #include "api/status.hpp"
 #include "engine/cancellation.hpp"
 #include "fleet/launcher.hpp"
 #include "obs/progress.hpp"
+#include "shard/plan.hpp"
 #include "shard/report.hpp"
 
 namespace xoridx::fleet {
 
 struct FleetOptions {
-  std::uint32_t num_shards = 1;
   /// Workers running at once; 0 means all shards in parallel.
   std::uint32_t max_parallel = 0;
   /// Total launches allowed per shard (first try + retries).
@@ -84,12 +83,13 @@ struct FleetResult {
 [[nodiscard]] std::string shard_log_path(const std::string& work_dir,
                                          std::uint32_t shard_index);
 
-/// Run the campaign across worker processes. Returns the merged report
-/// (byte-identical, via Report::write_csv, to the unsharded run) or the
-/// first unrecoverable error: invalid options/request, a shard
-/// exhausting max_attempts (the message names the shard and its log),
-/// or cancellation.
+/// Run the campaign `plan` partitions across worker processes, one per
+/// shard; workers must rebuild the request the plan was computed from.
+/// Returns the merged report (byte-identical, via Report::write_csv, to
+/// the unsharded run) or the first unrecoverable error: invalid options,
+/// a shard exhausting max_attempts (the message names the shard and its
+/// log), or cancellation.
 [[nodiscard]] api::Result<FleetResult> dispatch_fleet(
-    const api::ExplorationRequest& request, const FleetOptions& options);
+    const shard::ShardPlan& plan, const FleetOptions& options);
 
 }  // namespace xoridx::fleet

@@ -170,56 +170,54 @@ void Service::run_request(PendingRequest& pending) {
   XORIDX_SPAN_NAMED(span, "serve", "request");
   XORIDX_SPAN_DETAIL(span, pending.id);
   const engine::CancellationToken token = pending.cancel.token();
+  // Every terminal error: settle first, then deliver the event.
+  const auto fail = [&](const Status& status) {
+    settle(pending);
+    if (pending.events.on_error) pending.events.on_error(status);
+  };
 
   // Cancelled (or shut down) while queued: never started, so no cell
   // stream — one terminal error instead.
   if (token.cancelled()) {
     XORIDX_OBS_COUNT("serve.cancelled_requests", 1);
-    settle(pending);
-    if (pending.events.on_error)
-      pending.events.on_error(Status(
-          StatusCode::cancelled, "request cancelled while queued"));
-    return;
+    return fail(
+        Status(StatusCode::cancelled, "request cancelled while queued"));
   }
 
+  // Resolve once: the memo key fingerprints the same resolved request
+  // the campaign then runs. A request that does not resolve (a vanished
+  // trace file, a bad field) fails with its attribution.
+  api::Result<api::internal::ResolvedRequest> resolved =
+      api::internal::resolve(pending.request);
+  if (!resolved.ok()) return fail(resolved.status());
+
   // Whole-request memo: a structurally identical request replays its
-  // recorded stream without touching the engine. Fingerprinting can
-  // fail (e.g. a vanished trace file); then the request just runs and
-  // fails with proper attribution.
-  shard::Fingerprint fingerprint;
-  bool memoizable = false;
-  if (options_.memo_capacity > 0) {
-    if (api::Result<shard::Fingerprint> fp =
-            shard::fingerprint_request(pending.request);
-        fp.ok()) {
-      fingerprint = *fp;
-      memoizable = true;
-      MemoEntry replay_copy;
-      bool hit = false;
-      {
-        std::lock_guard lock(mutex_);
-        if (const auto it = memo_.find(fingerprint); it != memo_.end()) {
-          it->second.last_use = ++memo_clock_;
-          replay_copy = it->second;
-          ++memo_hits_;
-          hit = true;
-        }
+  // recorded stream without touching the engine.
+  const bool memoizable = options_.memo_capacity > 0;
+  const shard::Fingerprint fingerprint =
+      shard::fingerprint_request(pending.request, *resolved);
+  if (memoizable) {
+    MemoEntry replay_copy;
+    bool hit = false;
+    {
+      std::lock_guard lock(mutex_);
+      if (const auto it = memo_.find(fingerprint); it != memo_.end()) {
+        it->second.last_use = ++memo_clock_;
+        replay_copy = it->second;
+        ++memo_hits_;
+        hit = true;
       }
-      if (hit) {
-        XORIDX_OBS_COUNT("serve.memo_hits", 1);
-        replay(pending, replay_copy);
-        return;
-      }
+    }
+    if (hit) {
+      XORIDX_OBS_COUNT("serve.memo_hits", 1);
+      replay(pending, replay_copy);
+      return;
     }
   }
 
   api::Result<std::unique_ptr<engine::Campaign>> built =
-      api::internal::build_campaign(pending.request, profiles_);
-  if (!built.ok()) {
-    settle(pending);
-    if (pending.events.on_error) pending.events.on_error(built.status());
-    return;
-  }
+      api::internal::build_campaign(pending.request, *resolved, profiles_);
+  if (!built.ok()) return fail(built.status());
   engine::Campaign& campaign = **built;
 
   const std::uint64_t misses_before = profiles_->misses();
@@ -263,10 +261,7 @@ void Service::run_request(PendingRequest& pending) {
   } catch (const std::exception& e) {
     // run_cells reports per-cell failures through outcomes; reaching
     // here means the campaign machinery itself failed.
-    settle(pending);
-    if (pending.events.on_error)
-      pending.events.on_error(Status(StatusCode::internal, e.what()));
-    return;
+    return fail(Status(StatusCode::internal, e.what()));
   }
 
   summary.profiles_built = profiles_->misses() - misses_before;

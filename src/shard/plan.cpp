@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <memory>
 #include <utility>
 #include <variant>
 
@@ -57,20 +58,6 @@ class FingerprintHasher {
   std::uint64_t count_ = 0;
 };
 
-/// Every request trace's identity, without materializing any: the
-/// partition must not load the traces the shards will read.
-Result<std::vector<api::TraceRef::Identity>> resolve_traces(
-    const ExplorationRequest& request) {
-  std::vector<api::TraceRef::Identity> out;
-  out.reserve(request.traces.size());
-  for (const api::TraceRef& ref : request.traces) {
-    Result<api::TraceRef::Identity> identity = ref.identity();
-    if (!identity.ok()) return identity.status();
-    out.push_back(*identity);
-  }
-  return out;
-}
-
 /// Relative cost of running one strategy over one (trace, geometry) cell,
 /// per trace access. Rough constants — what matters is the ordering:
 /// exhaustive bit-select >> hill climbing (scaled by restarts) >>
@@ -121,56 +108,34 @@ void fold_payload(FingerprintHasher& h, const engine::JobPayload& payload) {
   std::visit(Visitor{h}, payload);
 }
 
-/// Validated, lowered view of a request: what both the fingerprint and
-/// the partition are computed from.
-struct RequestSummary {
-  std::vector<api::TraceRef::Identity> traces;
-  std::vector<cache::CacheGeometry> geometries;
-  std::vector<engine::FunctionConfig> configs;
-  Fingerprint fingerprint;
-};
+}  // namespace
 
-Result<RequestSummary> summarize(const ExplorationRequest& request) {
-  // The one shared validation path — sharded and unsharded runs must
-  // accept exactly the same requests with the same errors.
-  Result<api::internal::LoweredRequest> lowered =
-      api::internal::validate_and_lower(request);
-  if (!lowered.ok()) return lowered.status();
-
-  RequestSummary summary;
-  summary.geometries = std::move(lowered->geometries);
-  summary.configs = std::move(lowered->configs);
-  Result<std::vector<api::TraceRef::Identity>> traces =
-      resolve_traces(request);
-  if (!traces.ok()) return traces.status();
-  summary.traces = std::move(*traces);
-
+Fingerprint fingerprint_request(
+    const api::ExplorationRequest& request,
+    const api::internal::ResolvedRequest& resolved) {
   FingerprintHasher h;
   h.str("xoridx-exploration-request-v1");
   h.u64(static_cast<std::uint64_t>(request.hashed_bits));
-  h.u64(summary.traces.size());
-  for (std::size_t t = 0; t < summary.traces.size(); ++t) {
+  h.u64(resolved.traces.size());
+  for (std::size_t t = 0; t < resolved.traces.size(); ++t) {
     h.str(request.traces[t].name());
-    h.u64(summary.traces[t].id.lo);
-    h.u64(summary.traces[t].id.hi);
-    h.u64(summary.traces[t].accesses);
+    h.u64(resolved.traces[t].id.lo);
+    h.u64(resolved.traces[t].id.hi);
+    h.u64(resolved.traces[t].accesses);
   }
-  h.u64(summary.geometries.size());
-  for (const cache::CacheGeometry& g : summary.geometries) {
+  h.u64(resolved.geometries.size());
+  for (const cache::CacheGeometry& g : resolved.geometries) {
     h.u64(g.size_bytes);
     h.u64(g.block_bytes);
     h.u64(g.associativity);
   }
-  h.u64(summary.configs.size());
-  for (const engine::FunctionConfig& c : summary.configs) {
+  h.u64(resolved.configs.size());
+  for (const engine::FunctionConfig& c : resolved.configs) {
     h.str(c.label);
     fold_payload(h, c.payload);
   }
-  summary.fingerprint = h.digest();
-  return summary;
+  return h.digest();
 }
-
-}  // namespace
 
 std::string Fingerprint::to_string() const {
   char buf[36];
@@ -220,9 +185,10 @@ api::Result<ShardRef> parse_shard_ref(std::string_view spec) {
 
 api::Result<Fingerprint> fingerprint_request(
     const api::ExplorationRequest& request) {
-  Result<RequestSummary> summary = summarize(request);
-  if (!summary.ok()) return summary.status();
-  return summary->fingerprint;
+  Result<api::internal::ResolvedRequest> resolved =
+      api::internal::resolve(request);
+  if (!resolved.ok()) return resolved.status();
+  return fingerprint_request(request, *resolved);
 }
 
 api::Result<ShardPlan> ShardPlan::partition(
@@ -230,33 +196,32 @@ api::Result<ShardPlan> ShardPlan::partition(
   if (num_shards == 0)
     return Status(StatusCode::invalid_argument,
                   "cannot partition a request into 0 shards");
-  Result<RequestSummary> summarized = summarize(request);
-  if (!summarized.ok()) return summarized.status();
-  const RequestSummary& summary = *summarized;
+  Result<api::internal::ResolvedRequest> resolved =
+      api::internal::resolve(request);
+  if (!resolved.ok()) return resolved.status();
 
   ShardPlan plan;
-  plan.fingerprint_ = summary.fingerprint;
-  plan.traces_ = summary.traces.size();
-  plan.geometries_ = summary.geometries.size();
-  plan.strategies_ = summary.configs.size();
-  plan.total_cells_ = static_cast<std::uint64_t>(plan.traces_) *
-                      plan.geometries_ * plan.strategies_;
+  plan.fingerprint_ = fingerprint_request(request, *resolved);
+  plan.resolved_ = std::make_shared<const api::internal::ResolvedRequest>(
+      std::move(*resolved));
+  const std::size_t traces = plan.trace_count();
+  const std::size_t geometries = plan.geometry_count();
   plan.shards_.resize(num_shards);
   plan.costs_.assign(num_shards, 0.0);
 
   // Per-(trace, geometry) cost: trace length x the summed strategy
   // weights (the geometry itself contributes a constant factor).
   double weight_sum = 0.0;
-  for (const engine::FunctionConfig& c : summary.configs)
+  for (const engine::FunctionConfig& c : plan.resolved_->configs)
     weight_sum += strategy_weight(c.payload);
-  std::vector<double> group_cost(plan.traces_);
+  std::vector<double> group_cost(traces);
   double total_cost = 0.0;
-  for (std::size_t t = 0; t < plan.traces_; ++t) {
+  for (std::size_t t = 0; t < traces; ++t) {
     group_cost[t] =
         static_cast<double>(std::max<std::uint64_t>(
-            1, summary.traces[t].accesses)) *
+            1, plan.resolved_->traces[t].accesses)) *
         weight_sum;
-    total_cost += group_cost[t] * static_cast<double>(plan.geometries_);
+    total_cost += group_cost[t] * static_cast<double>(geometries);
   }
   const double ideal = total_cost / static_cast<double>(num_shards);
 
@@ -264,8 +229,8 @@ api::Result<ShardPlan> ShardPlan::partition(
   // loaded shard. A trace that fits the ideal per-shard budget keeps all
   // its geometries together (ProfileCache / trace-load affinity); a
   // trace too big for one shard splits at geometry granularity.
-  std::vector<std::size_t> order(plan.traces_);
-  for (std::size_t t = 0; t < plan.traces_; ++t) order[t] = t;
+  std::vector<std::size_t> order(traces);
+  for (std::size_t t = 0; t < traces; ++t) order[t] = t;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return group_cost[a] > group_cost[b];
@@ -286,12 +251,12 @@ api::Result<ShardPlan> ShardPlan::partition(
   };
   for (const std::size_t t : order) {
     const double trace_cost =
-        group_cost[t] * static_cast<double>(plan.geometries_);
-    if (plan.geometries_ == 1 || trace_cost <= ideal) {
+        group_cost[t] * static_cast<double>(geometries);
+    if (geometries == 1 || trace_cost <= ideal) {
       const std::uint32_t s = least_loaded();
-      for (std::size_t g = 0; g < plan.geometries_; ++g) assign(s, t, g);
+      for (std::size_t g = 0; g < geometries; ++g) assign(s, t, g);
     } else {
-      for (std::size_t g = 0; g < plan.geometries_; ++g)
+      for (std::size_t g = 0; g < geometries; ++g)
         assign(least_loaded(), t, g);
     }
   }
@@ -308,13 +273,25 @@ api::Result<ShardPlan> ShardPlan::partition(
   return plan;
 }
 
+std::size_t ShardPlan::trace_count() const noexcept {
+  return resolved_->traces.size();
+}
+
+std::size_t ShardPlan::geometry_count() const noexcept {
+  return resolved_->geometries.size();
+}
+
+std::size_t ShardPlan::strategy_count() const noexcept {
+  return resolved_->configs.size();
+}
+
 std::vector<CellRange> ShardPlan::ranges(std::uint32_t shard_index) const {
   std::vector<CellRange> out;
-  const std::uint64_t cells_per_group = strategies_;
+  const std::uint64_t cells_per_group = strategy_count();
   for (const TraceSlice& slice : slices(shard_index)) {
     for (const std::size_t g : slice.geometries) {
       const std::uint64_t begin =
-          (static_cast<std::uint64_t>(slice.trace) * geometries_ + g) *
+          (static_cast<std::uint64_t>(slice.trace) * geometry_count() + g) *
           cells_per_group;
       if (!out.empty() && out.back().end == begin)
         out.back().end = begin + cells_per_group;  // coalesce adjacent

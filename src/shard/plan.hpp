@@ -17,12 +17,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/explorer.hpp"
 #include "api/status.hpp"
+
+namespace xoridx::api::internal {
+struct ResolvedRequest;  // api/internal.hpp, private to the library
+}  // namespace xoridx::api::internal
 
 namespace xoridx::shard {
 
@@ -65,10 +70,12 @@ struct ShardRef {
 
 class ShardPlan {
  public:
-  /// Validate the request (same checks as Explorer::explore, plus trace
-  /// metadata resolution) and partition it into `num_shards` shards.
-  /// Shards may be empty when the request has fewer (trace, geometry)
-  /// groups than shards.
+  /// Resolve the request (api::internal::resolve, the same checks and
+  /// errors as Explorer::explore) and partition it into `num_shards`
+  /// shards. The plan keeps the resolved request, so run_shard lowers
+  /// each slice under it without validating or resolving again. Shards
+  /// may be empty when the request has fewer (trace, geometry) groups
+  /// than shards.
   [[nodiscard]] static api::Result<ShardPlan> partition(
       const api::ExplorationRequest& request, std::uint32_t num_shards);
 
@@ -86,14 +93,17 @@ class ShardPlan {
     return fingerprint_;
   }
   [[nodiscard]] std::uint64_t total_cells() const noexcept {
-    return total_cells_;
+    return static_cast<std::uint64_t>(trace_count()) * geometry_count() *
+           strategy_count();
   }
-  [[nodiscard]] std::size_t trace_count() const noexcept { return traces_; }
-  [[nodiscard]] std::size_t geometry_count() const noexcept {
-    return geometries_;
-  }
-  [[nodiscard]] std::size_t strategy_count() const noexcept {
-    return strategies_;
+  [[nodiscard]] std::size_t trace_count() const noexcept;
+  [[nodiscard]] std::size_t geometry_count() const noexcept;
+  [[nodiscard]] std::size_t strategy_count() const noexcept;
+  /// The request this plan was computed from, validated and resolved
+  /// (copies of the plan share it).
+  [[nodiscard]] const api::internal::ResolvedRequest& resolved()
+      const noexcept {
+    return *resolved_;
   }
 
   /// Slices of one shard, ascending by trace index. `shard_index` is
@@ -115,11 +125,10 @@ class ShardPlan {
   }
 
  private:
+  ShardPlan() = default;  // plans come from partition()
+
   Fingerprint fingerprint_;
-  std::uint64_t total_cells_ = 0;
-  std::size_t traces_ = 0;
-  std::size_t geometries_ = 0;
-  std::size_t strategies_ = 0;
+  std::shared_ptr<const api::internal::ResolvedRequest> resolved_;
   std::vector<std::vector<TraceSlice>> shards_;
   std::vector<double> costs_;
 };
@@ -128,5 +137,11 @@ class ShardPlan {
 /// exposed for tooling that only needs identity, not a partition).
 [[nodiscard]] api::Result<Fingerprint> fingerprint_request(
     const api::ExplorationRequest& request);
+
+/// The same fingerprint from the request's resolved form, for callers
+/// that run what they fingerprint (the serving daemon's memo key).
+[[nodiscard]] Fingerprint fingerprint_request(
+    const api::ExplorationRequest& request,
+    const api::internal::ResolvedRequest& resolved);
 
 }  // namespace xoridx::shard

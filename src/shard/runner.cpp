@@ -15,7 +15,6 @@ namespace xoridx::shard {
 
 namespace {
 
-using api::ExplorationRequest;
 using api::Result;
 using api::Status;
 using api::StatusCode;
@@ -109,14 +108,6 @@ api::Result<Report> run_shard(const api::ExplorationRequest& request,
       continue;
     }
 
-    ExplorationRequest sub;
-    sub.traces = {request.traces[slice.trace]};
-    for (const std::size_t g : slice.geometries)
-      sub.geometries.push_back(request.geometries[g]);
-    sub.strategies = request.strategies;
-    sub.hashed_bits = request.hashed_bits;
-    sub.profile_cache_bytes = request.profile_cache_bytes;
-
     XORIDX_SPAN_NAMED(span, "shard", "trace_slice");
     XORIDX_SPAN_DETAIL(span, request.traces[slice.trace].name());
     if (reporter != nullptr)
@@ -124,12 +115,14 @@ api::Result<Report> run_shard(const api::ExplorationRequest& request,
                              "' batch (" + std::to_string(cells.size()) +
                              " cells)");
 
-    // One campaign per slice, so the trace is loaded or streamed once and
-    // its profiles are shared across strategies. run_cells settles every
-    // cell on its own: a failing cell gets its own attributed error
-    // without stopping its siblings.
+    // One campaign per slice, lowered under the plan's resolved request,
+    // so the trace is loaded or streamed once and its profiles are shared
+    // across strategies. run_cells settles every cell on its own: a
+    // failing cell gets its own attributed error without stopping its
+    // siblings.
     Result<std::unique_ptr<engine::Campaign>> built =
-        api::internal::build_campaign(sub);
+        api::internal::build_campaign(request, plan.resolved(),
+                                      {&slice.trace, 1}, slice.geometries);
     if (!built.ok()) {
       for (const std::uint64_t index : cells) {
         record_error(index, cell_error_from(built.status()));

@@ -1,8 +1,10 @@
 // Shard execution: run the cells one shard owns and collect a Report.
 //
-// A shard runs each of its slices as one campaign (api::internal::
-// build_campaign, then Campaign::run_cells), so the trace is loaded or
-// streamed once and the ProfileCache is shared across its strategies.
+// A shard runs each of its slices as one campaign, built from the plan's
+// resolved request (api::internal::build_campaign, then
+// Campaign::run_cells): nothing is validated or resolved again, the
+// trace is loaded or streamed once and the ProfileCache is shared across
+// its strategies.
 // run_cells settles every cell on its own, so a failing cell is recorded
 // as its own CellError and its siblings still run; a cancelled run keeps
 // the rows of the cells that finished and marks the rest cancelled. Cell

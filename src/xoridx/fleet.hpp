@@ -5,13 +5,13 @@
 // The driver behind `xoridx fleet`, importable as a library so tests,
 // benches and cluster frontends can run it in-process:
 //
-//   dispatch_fleet / FleetOptions  partition a request with ShardPlan,
-//                                  launch one worker per shard, watch
-//                                  heartbeats, retry/requeue shards
-//                                  whose reports never arrive or fail
-//                                  validation, and merge incrementally
-//                                  into a report whose CSV is
-//                                  byte-identical to the unsharded run
+//   dispatch_fleet / FleetOptions  run a ShardPlan: launch one worker
+//                                  per shard, watch heartbeats,
+//                                  retry/requeue shards whose reports
+//                                  never arrive or fail validation, and
+//                                  merge incrementally into a report
+//                                  whose CSV is byte-identical to the
+//                                  unsharded run
 //   Launcher / ExecLauncher /      how workers are started: local
 //   SshLauncher                    fork/exec now, ssh behind the same
 //                                  interface (shared filesystem)

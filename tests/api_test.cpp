@@ -1,13 +1,15 @@
 // Public-API tests: Status/Result, the strategy grammar, TraceRef
-// resolution, Explorer error paths (missing file, corrupt header,
-// unknown strategy, bad geometry, mid-sweep cell failures) and
-// identity between the facade and the engine it lowers onto.
+// resolution (and the trace opens each way to run a request costs),
+// Explorer error paths (missing file, corrupt header, unknown strategy,
+// bad geometry, mid-sweep cell failures) and identity between the
+// facade and the engine it lowers onto.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <span>
 #include <sstream>
 #include <string>
@@ -21,6 +23,8 @@
 #include "tracestore/format.hpp"
 #include "tracestore/writer.hpp"
 #include "xoridx/api.hpp"
+#include "xoridx/serve.hpp"
+#include "xoridx/shard.hpp"
 
 namespace xoridx::api {
 namespace {
@@ -304,8 +308,9 @@ TEST(TraceRefTest, CustomSourceRoundTrips) {
 // -------------------------------------------------- trace resolution
 
 // Every kind of ref over the same content resolves to the same id and
-// length: identity() without loading anything, lower() as the entry a
-// campaign runs (exactly one of an in-memory trace and an open factory).
+// length: identity() without loading anything, lower() under it as the
+// entry a campaign runs (exactly one of an in-memory trace and an open
+// factory).
 TEST(TraceResolution, EveryKindResolvesToTheContentId) {
   const auto shared = std::make_shared<const trace::Trace>(small_trace());
   const tracestore::TraceId expected = tracestore::trace_id_of(*shared);
@@ -329,7 +334,7 @@ TEST(TraceResolution, EveryKindResolvesToTheContentId) {
     EXPECT_EQ(identity->id, expected) << ref.name();
     EXPECT_EQ(identity->accesses, shared->size()) << ref.name();
 
-    const Result<engine::TraceEntry> entry = ref.lower();
+    const Result<engine::TraceEntry> entry = ref.lower(*identity);
     ASSERT_TRUE(entry.ok()) << entry.status().to_string();
     EXPECT_EQ(entry->name, ref.name());
     EXPECT_EQ(entry->id, expected) << ref.name();
@@ -355,7 +360,7 @@ TEST(TraceResolution, EveryKindResolvesToTheContentId) {
     const Result<TraceRef::Identity> identity = ref.identity();
     ASSERT_TRUE(identity.ok()) << identity.status().to_string();
     EXPECT_EQ(identity->id, stamped) << ref.name();
-    const Result<engine::TraceEntry> entry = ref.lower();
+    const Result<engine::TraceEntry> entry = ref.lower(*identity);
     ASSERT_TRUE(entry.ok()) << entry.status().to_string();
     EXPECT_EQ(entry->id, stamped) << ref.name();
     EXPECT_EQ(entry->accesses, shared->size()) << ref.name();
@@ -378,25 +383,32 @@ TEST(TraceResolution, ErrorsNameTheTraceFromBothCalls) {
     return std::unique_ptr<tracestore::TraceSource>();
   };
 
+  // lower() reads no header and opens no source, so only the refs it
+  // checks or loads fail there too.
   struct Case {
     TraceRef ref;
     StatusCode code;
+    bool lower_fails;
   };
   for (const Case& c :
-       {Case{TraceRef::file("missing-file", absent), StatusCode::not_found},
+       {Case{TraceRef::file("missing-file", absent), StatusCode::not_found,
+             true},
         Case{TraceRef::streaming("missing-stream", absent),
-             StatusCode::not_found},
+             StatusCode::not_found, true},
         Case{TraceRef::memory("detached", nullptr),
-             StatusCode::invalid_argument},
+             StatusCode::invalid_argument, true},
         Case{TraceRef::source("null-factory", nullptr),
-             StatusCode::invalid_argument},
+             StatusCode::invalid_argument, true},
         Case{TraceRef::source("null-source", null_source),
-             StatusCode::io_error},
-        Case{TraceRef::file("corrupt-file", corrupt), StatusCode::io_error},
+             StatusCode::io_error, false},
+        Case{TraceRef::file("corrupt-file", corrupt), StatusCode::io_error,
+             true},
         Case{TraceRef::streaming("corrupt-stream", corrupt),
-             StatusCode::io_error}}) {
-    for (const Status& status :
-         {c.ref.identity().status(), c.ref.lower().status()}) {
+             StatusCode::io_error, false}}) {
+    std::vector<Status> statuses = {c.ref.identity().status()};
+    if (c.lower_fails)
+      statuses.push_back(c.ref.lower(TraceRef::Identity{}).status());
+    for (const Status& status : statuses) {
       EXPECT_EQ(status.code(), c.code) << status.to_string();
       EXPECT_EQ(status.trace(), c.ref.name()) << status.to_string();
     }
@@ -460,6 +472,106 @@ TEST(TraceResolution, ExploreOpensACustomSourceOnceToResolveIt) {
       EXPECT_EQ(counts.passes, resolve_passes + (cancelled ? 0 : 1))
           << "with_id=" << with_id << " cancelled=" << cancelled;
     }
+  }
+}
+
+/// A custom-source ref over `t` whose opens and passes land in `counts`.
+TraceRef counted_source(std::string name,
+                        std::shared_ptr<const trace::Trace> t,
+                        SourceCounts& counts, bool with_id) {
+  const tracestore::TraceId id =
+      with_id ? tracestore::trace_id_of(*t) : tracestore::TraceId{};
+  return TraceRef::source(
+      std::move(name),
+      [&counts, t] {
+        ++counts.opens;
+        return std::make_unique<CountingSource>(t, counts);
+      },
+      id);
+}
+
+/// Run `request` as one serve::Service request and wait for its end.
+Status serve_once(ExplorationRequest request) {
+  // Declared before the service, so its drivers are joined before the
+  // promise the callbacks touch goes away.
+  std::promise<Status> finished;
+  std::future<Status> result = finished.get_future();
+  serve::Service service({.max_inflight = 1, .engine_threads = 1});
+  serve::RequestEvents events;
+  events.on_done = [&finished](const serve::RequestSummary&) {
+    finished.set_value({});
+  };
+  events.on_error = [&finished](const Status& status) {
+    finished.set_value(status);
+  };
+  if (Status admitted =
+          service.submit("counted", std::move(request), std::move(events));
+      !admitted.ok())
+    return admitted;
+  return result.get();
+}
+
+// Every way to run a request resolves each trace once and hands the
+// identity on: explore, the unsharded shard run and a served request each
+// open a custom source once to resolve it (scanning it only without an
+// id) and once for the "base" cell's pass.
+TEST(TraceResolution, EveryRunPathResolvesACustomSourceOnce) {
+  const auto shared = std::make_shared<const trace::Trace>(small_trace());
+  const std::vector<std::pair<const char*, Status (*)(ExplorationRequest)>>
+      paths = {
+          {"explore",
+           [](ExplorationRequest r) { return Explorer::explore(r).status(); }},
+          {"run_campaign",
+           [](ExplorationRequest r) {
+             return shard::run_campaign(r).status();
+           }},
+          {"serve", serve_once}};
+  for (const auto& [path, run] : paths) {
+    for (const bool with_id : {false, true}) {
+      SourceCounts counts;
+      ExplorationRequest request;
+      request.traces.push_back(
+          counted_source("counted", shared, counts, with_id));
+      request.geometries = {GeometrySpec(1024, 4)};
+      request.strategies = {parse_strategy("base").value()};
+
+      const Status status = run(request);
+      EXPECT_TRUE(status.ok()) << path << ": " << status.to_string();
+      EXPECT_EQ(counts.opens, 2) << path << " with_id=" << with_id;
+      EXPECT_EQ(counts.passes, with_id ? 1 : 2)
+          << path << " with_id=" << with_id;
+    }
+  }
+}
+
+// The partition resolves every trace once; a shard then opens only the
+// traces it runs, under the plan's identities: once more each for the
+// "base" cell, and never to resolve again.
+TEST(TraceResolution, AShardOpensOnlyTheTracesItRuns) {
+  const auto shared = std::make_shared<const trace::Trace>(small_trace());
+  SourceCounts counts[2];
+  ExplorationRequest request;
+  for (int t = 0; t < 2; ++t)
+    request.traces.push_back(counted_source(
+        "counted" + std::to_string(t), shared, counts[t], false));
+  request.geometries = {GeometrySpec(1024, 4)};
+  request.strategies = {parse_strategy("base").value()};
+
+  const Result<shard::ShardPlan> plan = shard::ShardPlan::partition(request, 2);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  for (const SourceCounts& c : counts) {
+    EXPECT_EQ(c.opens, 1);
+    EXPECT_EQ(c.passes, 1);
+  }
+  ASSERT_EQ(plan->slices(1).size(), 1u);
+  const std::size_t ran = plan->slices(1).front().trace;
+
+  const Result<shard::Report> report = shard::run_shard(request, *plan, 1);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report->error_count(), 0u);
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(counts[t].opens, t == ran ? 2 : 1) << "trace " << t;
+    EXPECT_EQ(counts[t].passes, t == ran ? 2 : 1) << "trace " << t;
   }
 }
 

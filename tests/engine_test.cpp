@@ -138,11 +138,12 @@ TEST(ThreadPool, DefaultThreadsAtLeastOne) {
 
 TEST(ProfileCache, BuildsOncePerKey) {
   const trace::Trace t = trace::stride_trace(0, 4096, 256);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const CacheGeometry geom(1024, 4);
   ProfileCache cache;
 
-  const auto p1 = cache.get_or_build(t, geom, 12);
-  const auto p2 = cache.get_or_build(t, geom, 12);
+  const auto p1 = cache.get_or_build(id, t, geom, 12);
+  const auto p2 = cache.get_or_build(id, t, geom, 12);
   EXPECT_EQ(p1.get(), p2.get());  // same built object, not a rebuild
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
@@ -151,10 +152,11 @@ TEST(ProfileCache, BuildsOncePerKey) {
 
 TEST(ProfileCache, DistinctKeysBuildSeparately) {
   const trace::Trace t = trace::stride_trace(0, 4096, 256);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   ProfileCache cache;
-  const auto a = cache.get_or_build(t, CacheGeometry(1024, 4), 12);
-  const auto b = cache.get_or_build(t, CacheGeometry(4096, 4), 12);
-  const auto c = cache.get_or_build(t, CacheGeometry(1024, 4), 10);
+  const auto a = cache.get_or_build(id, t, CacheGeometry(1024, 4), 12);
+  const auto b = cache.get_or_build(id, t, CacheGeometry(4096, 4), 12);
+  const auto c = cache.get_or_build(id, t, CacheGeometry(1024, 4), 10);
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.misses(), 3u);
@@ -163,6 +165,7 @@ TEST(ProfileCache, DistinctKeysBuildSeparately) {
 
 TEST(ProfileCache, ConcurrentRequestsShareOneBuild) {
   const trace::Trace t = trace::stride_trace(0, 4096, 4096);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const CacheGeometry geom(1024, 4);
   ProfileCache cache;
   ThreadPool pool(8);
@@ -170,7 +173,7 @@ TEST(ProfileCache, ConcurrentRequestsShareOneBuild) {
   TaskGroup group(&pool);
   for (int i = 0; i < 32; ++i)
     group.run([&] {
-      if (cache.get_or_build(t, geom, 12) != nullptr)
+      if (cache.get_or_build(id, t, geom, 12) != nullptr)
         ok.fetch_add(1, std::memory_order_relaxed);
     });
   group.wait();
@@ -181,12 +184,12 @@ TEST(ProfileCache, ConcurrentRequestsShareOneBuild) {
 
 TEST(ProfileCache, ReleaseDropsTheEntryAndItsBytes) {
   const trace::Trace t = trace::stride_trace(0, 4096, 256);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const CacheGeometry geom(1024, 4);
   ProfileCache cache;
-  const auto kept = cache.get_or_build(t, geom, 12);
-  const auto other = cache.get_or_build(t, CacheGeometry(4096, 4), 12);
+  const auto kept = cache.get_or_build(id, t, geom, 12);
+  const auto other = cache.get_or_build(id, t, CacheGeometry(4096, 4), 12);
   const std::size_t all_bytes = cache.bytes();
-  const tracestore::TraceId id = tracestore::trace_id_of(t);
 
   cache.release(id, geom, 12);
   EXPECT_EQ(cache.size(), 1u);
@@ -195,7 +198,7 @@ TEST(ProfileCache, ReleaseDropsTheEntryAndItsBytes) {
   cache.release(id, geom, 12);          // no entry left: a no-op
   EXPECT_EQ(cache.size(), 1u);
 
-  const auto rebuilt = cache.get_or_build(t, geom, 12);
+  const auto rebuilt = cache.get_or_build(id, t, geom, 12);
   EXPECT_NE(rebuilt.get(), kept.get());
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.hits(), 0u);
@@ -501,11 +504,12 @@ TEST(Campaign, WorkerFailureNamesTheCell) {
           .string();
   tracestore::save_trace_v1(path, trace::stride_trace(0, 4096, 64));
 
+  const api::TraceRef vanishing = api::TraceRef::streaming("vanishing", path);
   for (const unsigned threads : {1u, 4u}) {
     SweepSpec spec;
     spec.add_trace("healthy", trace::stride_trace(0, 4096, 64));
     spec.traces.push_back(
-        api::TraceRef::streaming("vanishing", path).lower().value());
+        vanishing.lower(vanishing.identity().value()).value());
     spec.geometries = {CacheGeometry(1024, 4)};
     spec.configs = {
         FunctionConfig::baseline("base"),

@@ -64,6 +64,11 @@ api::ExplorationRequest fleet_request() {
   return request;
 }
 
+/// The plan the dispatcher runs: fleet_request() in `shards` shards.
+shard::ShardPlan fleet_plan(std::uint32_t shards = 3) {
+  return shard::ShardPlan::partition(fleet_request(), shards).value();
+}
+
 /// A different campaign (different geometry set) — its reports carry a
 /// different fingerprint and must be rejected by the dispatcher.
 api::ExplorationRequest foreign_request() {
@@ -92,7 +97,6 @@ std::vector<std::string> worker_argv(const std::string& mode,
 FleetOptions base_options(Launcher& launcher, const std::string& work_dir,
                           const std::string& mode) {
   FleetOptions options;
-  options.num_shards = 3;
   options.max_attempts = 3;
   options.poll_interval_s = 0.01;
   options.work_dir = work_dir;
@@ -216,7 +220,7 @@ TEST(FleetDispatch, MatchesUnshardedRunExactly) {
   const std::string dir = temp_dir("xoridx_fleet_ok");
   const FleetOptions options = base_options(launcher, dir, "ok");
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_EQ(result.value().launches, 3u);
   EXPECT_EQ(result.value().retries, 0u);
@@ -234,7 +238,7 @@ TEST(FleetDispatch, KilledWorkerIsRequeuedAndMergeStaysByteIdentical) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.inject_kill_shard = 2;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_EQ(result.value().retries, 1u);
   EXPECT_EQ(result.value().launches, 4u);
@@ -247,7 +251,7 @@ TEST(FleetDispatch, GarbageReportIsRejectedAndRetried) {
   // — the load/checksum failure, not the exit status, drives the retry.
   const FleetOptions options = base_options(launcher, dir, "garbage_once");
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_EQ(result.value().retries, 3u);
 }
@@ -260,7 +264,7 @@ TEST(FleetDispatch, WrongCampaignReportIsRejectedAndRetried) {
   // time catches it the moment it lands.
   const FleetOptions options = base_options(launcher, dir, "foreign_once");
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_GE(result.value().retries, 1u);
 }
@@ -274,7 +278,7 @@ TEST(FleetDispatch, SilentWorkerIsKilledByHeartbeatWatchdog) {
   options.worker_argv = worker_argv("silent_once", dir);
   options.heartbeat_timeout_s = 1.0;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_GE(result.value().retries, 1u);
 }
@@ -285,7 +289,7 @@ TEST(FleetDispatch, ExhaustedRetriesFailTheCampaign) {
   FleetOptions options = base_options(launcher, dir, "fail_always");
   options.max_attempts = 2;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("failed after 2 attempts"),
             std::string::npos)
@@ -301,18 +305,17 @@ TEST(FleetDispatch, CancellationKillsWorkersAndReturnsCancelled) {
   FleetOptions options = base_options(launcher, dir, "sleep_always");
   options.cancel = cancel.token();
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), api::StatusCode::cancelled);
 }
 
 TEST(FleetDispatch, RejectsMissingLauncherAndWorkDir) {
   FleetOptions options;
-  options.num_shards = 2;
-  EXPECT_FALSE(dispatch_fleet(fleet_request(), options).ok());
+  EXPECT_FALSE(dispatch_fleet(fleet_plan(2), options).ok());
   ExecLauncher launcher;
   options.launcher = &launcher;
-  EXPECT_FALSE(dispatch_fleet(fleet_request(), options).ok());
+  EXPECT_FALSE(dispatch_fleet(fleet_plan(2), options).ok());
 }
 
 // The ssh backend end-to-end against a fake ssh: a shell script that
@@ -333,10 +336,9 @@ TEST(FleetDispatch, SshLauncherRoundTripsThroughFakeSsh) {
                                    std::filesystem::perms::others_read);
   SshLauncher launcher(
       {.host = "fake-host", .ssh_binary = fake_ssh});
-  FleetOptions options = base_options(launcher, dir, "ok");
-  options.num_shards = 2;
+  const FleetOptions options = base_options(launcher, dir, "ok");
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(2), options);
   expect_byte_identical(result);
 }
 
@@ -427,7 +429,7 @@ TEST(FleetResume, RefusesWhenNoManifestExists) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("cannot resume fleet campaign"),
             std::string::npos)
@@ -448,7 +450,7 @@ TEST(FleetResume, RefusesFingerprintMismatchByName) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), api::StatusCode::invalid_argument);
   EXPECT_NE(result.status().message().find("different traces"),
@@ -468,10 +470,10 @@ TEST(FleetResume, RefusesShardCountMismatchByName) {
   manifest.total_cells = plan.value().total_cells();
   manifest.attempts = {1, 1, 1, 1};
   ASSERT_TRUE(save_manifest(manifest, manifest_path(dir)).ok());
-  FleetOptions options = base_options(launcher, dir, "ok");  // 3 shards
+  FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(3), options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(
       result.status().message().find("4 shards but this run asks for 3"),
@@ -519,7 +521,7 @@ TEST(FleetResume, RevalidatesLandedReportsAndLaunchesOnlyTheRest) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_EQ(result.value().resumed, 1u);    // shard 2, from disk
   EXPECT_EQ(result.value().launches, 2u);   // shards 1 and 3
@@ -531,11 +533,11 @@ TEST(FleetResume, CompletedCampaignResumesWithZeroLaunches) {
   const std::string dir = temp_dir("xoridx_fleet_resume_done");
   FleetOptions options = base_options(launcher, dir, "ok");
   const api::Result<FleetResult> first =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_TRUE(first.ok()) << first.status().to_string();
   options.resume = true;
   const api::Result<FleetResult> again =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(again);
   EXPECT_EQ(again.value().resumed, 3u);
   EXPECT_EQ(again.value().launches, 0u);
@@ -556,7 +558,7 @@ TEST(FleetResume, ExhaustedManifestBudgetRefusesToRelaunch) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("already consumed 3 attempts"),
             std::string::npos)
@@ -599,7 +601,7 @@ TEST(FleetResume, KilledDriverResumesByteIdenticalWithoutRerunningShards) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.resume = true;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   expect_byte_identical(result);
   EXPECT_EQ(result.value().resumed, 2u);   // shards 1 and 2, from disk
   EXPECT_EQ(result.value().launches, 1u);  // only shard 3 runs again
@@ -615,7 +617,7 @@ TEST(FleetPreflight, WorkDirCollidingWithAFileFailsFast) {
   FleetOptions options = base_options(launcher, dir, "ok");
   options.work_dir = blocker;
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find(blocker), std::string::npos)
       << result.status().to_string();
@@ -628,7 +630,7 @@ TEST(FleetPreflight, InjectedReadOnlyVolumeFailsBeforeAnyLaunch) {
   ASSERT_TRUE(fail::configure("fleet.preflight=error(EROFS)").ok());
   FleetOptions options = base_options(launcher, dir, "ok");
   const api::Result<FleetResult> result =
-      dispatch_fleet(fleet_request(), options);
+      dispatch_fleet(fleet_plan(), options);
   fail::reset();
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("failed its write preflight"),
@@ -723,7 +725,7 @@ int run_fleet_driver(int argc, char** argv) {
   options.worker_argv =
       fleet::worker_argv("sleep_always", work_dir, /*only_shard=*/3);
   const api::Result<fleet::FleetResult> result =
-      fleet::dispatch_fleet(fleet::fleet_request(), options);
+      fleet::dispatch_fleet(fleet::fleet_plan(), options);
   return result.ok() ? 0 : 70;
 }
 

@@ -3,6 +3,8 @@
 // many random instances and dimension combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
@@ -280,6 +282,73 @@ TEST_P(ProfileSeedSweep, SearchResultEstimateIsRealizedByTheFunction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileSeedSweep,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+/// Blocks built from a few n-bit low patterns, each under a few tags
+/// above bit n: two blocks that differ only above the hashed bits
+/// collide under every function and are counted in misses(0).
+trace::Trace above_hashed_bits_trace(int n, std::mt19937_64& rng) {
+  std::vector<Word> lows(1 + rng() % 6);
+  for (Word& low : lows) low = rng() & gf2::mask_of(n);
+  const std::uint64_t tags = 2 + rng() % 3;
+  trace::Trace t;
+  for (int i = 0; i < 1500; ++i) {
+    const Word block = lows[rng() % lows.size()] | (rng() % tags) << n;
+    t.append(block * 4, trace::AccessKind::read);
+  }
+  return t;
+}
+
+// Eq. 4 bounds exact misses: a profiled reference (reuse distance within
+// the cache's capacity) that misses in a direct-mapped cache under H had
+// an intervening block in its set, and Figure 1 counted that pair under
+// a vector of N(H); every other miss is compulsory or capacity-filtered.
+// So misses(H) <= compulsory + capacity-filtered + Eq. 4, for XOR,
+// permutation and bit-select functions alike, and equality is reached.
+TEST(Eq4Bound, BoundsExactDirectMappedMisses) {
+  std::mt19937_64 rng(0xe4b0);
+  std::uint64_t cases = 0;
+  std::uint64_t tight = 0;
+  for (int k = 0; k < 80; ++k) {
+    const int n = 8 + k % 5;
+    const trace::Trace t =
+        k % 2 == 0 ? trace::random_trace(0, 64 + rng() % 512, 4, 1500, rng())
+                   : above_hashed_bits_trace(n, rng);
+    for (const std::uint32_t size : {256u, 1024u}) {
+      const cache::CacheGeometry geom(size, 4);
+      const int m = geom.index_bits();
+      if (m >= n) continue;
+      const profile::ConflictProfile p =
+          profile::build_conflict_profile(t, geom, n);
+      const auto check = [&](const hash::IndexFunction& f,
+                             const Subspace& ns) {
+        const std::uint64_t misses =
+            cache::simulate_direct_mapped(t, geom, f).misses;
+        const std::uint64_t bound = p.compulsory_refs +
+                                    p.capacity_filtered_refs +
+                                    p.estimate_misses(ns);
+        EXPECT_LE(misses, bound) << "trace " << k << ", n = " << n << ", "
+                                 << geom.to_string() << ", " << f.describe();
+        ++cases;
+        if (misses == bound) ++tight;
+      };
+      for (int trial = 0; trial < 8; ++trial) {
+        const hash::XorFunction general(Matrix::random_full_rank(n, m, rng));
+        check(general, general.null_space());
+        const hash::PermutationFunction perm(n, m,
+                                             Matrix::random(n - m, m, rng));
+        check(perm, perm.null_space());
+        std::vector<int> positions(static_cast<std::size_t>(n));
+        std::iota(positions.begin(), positions.end(), 0);
+        std::shuffle(positions.begin(), positions.end(), rng);
+        positions.resize(static_cast<std::size_t>(m));
+        const hash::BitSelectFunction select(n, positions);
+        check(select, gf2::null_space(select.to_matrix()));
+      }
+    }
+  }
+  EXPECT_GT(cases, 3000u);
+  EXPECT_GT(tight, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Counting identities

@@ -169,18 +169,19 @@ TEST(CampaignRunCells, RowsMatchCsvSinkByteForByte) {
 TEST(ProfileCacheBudget, EvictsLeastRecentlyUsedWhenOverBudget) {
   engine::ProfileCache cache;
   const trace::Trace t = trace::stride_trace(0, 4096, 2048);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const int bits = 10;  // 2^10-entry tables keep this test tiny
   const CacheGeometry g1(1024, 4);
   const CacheGeometry g2(2048, 4);
 
-  const auto a = cache.get_or_build(t, g1, bits);
+  const auto a = cache.get_or_build(id, t, g1, bits);
   ASSERT_NE(a, nullptr);
   const std::size_t one_profile = cache.bytes();
   ASSERT_GT(one_profile, 0u);
 
   // Budget for one profile: building a second evicts the first.
   cache.set_byte_budget(one_profile);
-  const auto b = cache.get_or_build(t, g2, bits);
+  const auto b = cache.get_or_build(id, t, g2, bits);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -189,7 +190,7 @@ TEST(ProfileCacheBudget, EvictsLeastRecentlyUsedWhenOverBudget) {
   // The evicted key is a fresh miss; the borrowed ProfilePtr `a` stayed
   // valid throughout (shared ownership outlives eviction).
   EXPECT_EQ(cache.misses(), 2u);
-  const auto a2 = cache.get_or_build(t, g1, bits);
+  const auto a2 = cache.get_or_build(id, t, g1, bits);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(a->total_mass(), a2->total_mass());
 }
@@ -197,8 +198,9 @@ TEST(ProfileCacheBudget, EvictsLeastRecentlyUsedWhenOverBudget) {
 TEST(ProfileCacheBudget, ShrinkingBudgetEvictsImmediately) {
   engine::ProfileCache cache;
   const trace::Trace t = trace::stride_trace(0, 4096, 2048);
-  (void)cache.get_or_build(t, CacheGeometry(1024, 4), 10);
-  (void)cache.get_or_build(t, CacheGeometry(2048, 4), 10);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
+  (void)cache.get_or_build(id, t, CacheGeometry(1024, 4), 10);
+  (void)cache.get_or_build(id, t, CacheGeometry(2048, 4), 10);
   ASSERT_EQ(cache.size(), 2u);
   cache.set_byte_budget(1);  // below any profile: keep-last only
   EXPECT_LE(cache.size(), 1u);
@@ -210,6 +212,7 @@ TEST(ProfileCacheBudget, ShrinkingBudgetEvictsImmediately) {
 TEST(ProfileCacheConcurrency, SingleBuildPerKeyUnderHammer) {
   engine::ProfileCache cache;
   const trace::Trace t = trace::stride_trace(0, 4096, 2048);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const CacheGeometry geometry(1024, 4);
   constexpr int threads = 8;
   constexpr int per_thread = 24;
@@ -219,7 +222,7 @@ TEST(ProfileCacheConcurrency, SingleBuildPerKeyUnderHammer) {
   for (int i = 0; i < threads; ++i)
     workers.emplace_back([&] {
       for (int j = 0; j < per_thread; ++j) {
-        const auto p = cache.get_or_build(t, geometry, 12);
+        const auto p = cache.get_or_build(id, t, geometry, 12);
         ASSERT_NE(p, nullptr);
       }
     });
@@ -238,6 +241,7 @@ TEST(ProfileCacheConcurrency, CountersReconcileUnderEvictionPressure) {
   engine::ProfileCache cache;
   cache.set_byte_budget(1);  // evict everything but the just-used entry
   const trace::Trace t = trace::stride_trace(0, 4096, 2048);
+  const tracestore::TraceId id = tracestore::trace_id_of(t);
   const std::vector<CacheGeometry> geometries = {
       CacheGeometry(1024, 4), CacheGeometry(2048, 4), CacheGeometry(4096, 4)};
   constexpr int threads = 8;
@@ -249,7 +253,7 @@ TEST(ProfileCacheConcurrency, CountersReconcileUnderEvictionPressure) {
     workers.emplace_back([&, i] {
       for (int j = 0; j < per_thread; ++j) {
         const auto p = cache.get_or_build(
-            t, geometries[(i + j) % geometries.size()], 10);
+            id, t, geometries[(i + j) % geometries.size()], 10);
         ASSERT_NE(p, nullptr);
         ASSERT_GT(p->references, 0u);
       }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "trace/generators.hpp"
+#include "tracestore/store.hpp"
+#include "tracestore/writer.hpp"
 #include "workloads/workload.hpp"
 #include "xoridx/shard.hpp"
 
@@ -154,6 +157,43 @@ TEST(FingerprintTest, IdentifiesTheRequestStructurally) {
   api::ExplorationRequest rebits = small_request();
   rebits.hashed_bits = 12;
   EXPECT_NE(fp, fingerprint_request(rebits).value());
+}
+
+// Fingerprints are pinned: plan ids, fleet manifests (so --resume work
+// directories keep working) and the serving daemon's memo keys all
+// depend on these bytes. A request names its trace by content, so every
+// kind of ref over the same content under the same name — in memory, a
+// v1 or v2 file, eager or streamed — fingerprints the same.
+TEST(FingerprintTest, PinnedForEveryTraceKind) {
+  const trace::Trace t = trace::random_trace(0x10000, 300, 4, 3000, 5);
+  const std::string v1 = temp_path("xoridx_shard_pinned.v1");
+  const std::string v2 = temp_path("xoridx_shard_pinned.v2");
+  tracestore::save_trace_v1(v1, t);
+  tracestore::save_trace_v2(v2, t);
+
+  const std::string expected = "dfc9920d9fcda201a1051f15d7db1369";
+  for (const api::TraceRef& ref :
+       {api::TraceRef::memory("pinned", t),
+        api::TraceRef::file("pinned", v1),
+        api::TraceRef::streaming("pinned", v1),
+        api::TraceRef::file("pinned", v2),
+        api::TraceRef::streaming("pinned", v2)}) {
+    api::ExplorationRequest request;
+    request.traces = {ref};
+    request.geometries = {api::GeometrySpec(1024, 4),
+                          api::GeometrySpec(4096, 4)};
+    request.strategies =
+        api::parse_strategies("base,perm:2:restarts=1:seed=9,bitselect:exact")
+            .value();
+    EXPECT_EQ(fingerprint_request(request).value().to_string(), expected)
+        << ref.path();
+    EXPECT_EQ(ShardPlan::partition(request, 2).value().fingerprint()
+                  .to_string(),
+              expected)
+        << ref.path();
+  }
+  std::remove(v1.c_str());
+  std::remove(v2.c_str());
 }
 
 // ---------------------------------------------------------------- plan

@@ -408,8 +408,8 @@ TEST(ProfileCacheTraceId, EqualContentTracesShareOneEntry) {
 
   engine::ProfileCache cache;
   const cache::CacheGeometry geom(1024, 4);
-  const auto pa = cache.get_or_build(a, geom, 12);
-  const auto pb = cache.get_or_build(b, geom, 12);
+  const auto pa = cache.get_or_build(trace_id_of(a), a, geom, 12);
+  const auto pb = cache.get_or_build(trace_id_of(b), b, geom, 12);
   EXPECT_EQ(pa.get(), pb.get());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
@@ -423,7 +423,7 @@ TEST(ProfileCacheTraceId, FileBackedTraceSharesWithInMemoryCopy) {
   const cache::CacheGeometry geom(1024, 4);
 
   engine::ProfileCache cache;
-  const auto from_memory = cache.get_or_build(t, geom, 12);
+  const auto from_memory = cache.get_or_build(trace_id_of(t), t, geom, 12);
   MmapTraceReader reader(path);
   const auto from_file = cache.get_or_build(id, reader, geom, 12);
   EXPECT_EQ(from_memory.get(), from_file.get());
