@@ -3,12 +3,15 @@
 
 Usage: serve_busy_smoke.py PORT
 
-Deterministic sequence (no sleeps, no races):
+Sequence (no sleeps):
   1. Client A submits a multi-cell request and waits for its `accepted`
      event — receiving it proves A holds the only in-flight slot.
   2. Client B submits: must be rejected with the typed `busy` error.
   3. A cancels its own request; the stream flushes (remaining cells
      arrive marked cancelled) and its done event reports cancelled > 0.
+     A's request runs full-scale traces: its 60 cells take seconds, far
+     longer than the few round trips before the cancel lands, so some
+     are still pending (small-scale cells could all finish first).
   4. B retries: the slot is free, the request is admitted and completes
      with zero failures — cancellation freed the slot without
      corrupting the service.
@@ -44,7 +47,7 @@ def main():
     port = int(sys.argv[1])
 
     slow = {"cmd": "explore", "id": "slow",
-            "traces": [{"workload": w, "scale": "small"} for w in TABLE2],
+            "traces": [{"workload": w, "scale": "full"} for w in TABLE2],
             "caches": [1024, 4096, 16384],
             "strategies": ["base", "perm"]}
     quick = {"cmd": "explore", "id": "quick",

@@ -1206,7 +1206,8 @@ int cmd_report_info(int argc, char** argv) {
   const shard::Report& r = *loaded;
   if (json) {
     serve::JsonValue out = serve::JsonValue::object();
-    out.set("format", static_cast<std::int64_t>(r.read_format));
+    out.set("format",
+            static_cast<std::int64_t>(shard::report_format_version));
     {
       std::ostringstream v;
       v << r.written_by.major << '.' << r.written_by.minor << '.'
@@ -1270,9 +1271,7 @@ int cmd_report_info(int argc, char** argv) {
     std::printf("%s\n", out.serialize().c_str());
     return 0;
   }
-  std::printf("format          shard report v%u (this build reads v%u-v%u)\n",
-              static_cast<unsigned>(r.read_format),
-              static_cast<unsigned>(shard::min_report_format_version),
+  std::printf("format          shard report v%u (JSON)\n",
               static_cast<unsigned>(shard::report_format_version));
   std::printf("written by      xoridx %d.%d.%d\n", r.written_by.major,
               r.written_by.minor, r.written_by.patch);
@@ -1303,7 +1302,7 @@ int cmd_report_info(int argc, char** argv) {
                   static_cast<unsigned long long>(hist.count), hist.mean(),
                   static_cast<unsigned long long>(hist.max));
   } else {
-    std::printf("observability   (none: v1 file or obs-off worker)\n");
+    std::printf("observability   (none: obs-off worker)\n");
   }
   for (const shard::Cell& cell : r.cells)
     if (!cell.ok())

@@ -1,61 +1,77 @@
 #include "fleet/manifest.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "fail/failpoint.hpp"
 #include "io/atomic_file.hpp"
+#include "io/sealed_json.hpp"
+#include "serve/json.hpp"
 
 namespace xoridx::fleet {
 
 using api::Status;
 using api::StatusCode;
+using serve::JsonValue;
+
+std::string manifest_path(const std::string& work_dir) {
+  return work_dir + "/campaign.manifest";
+}
 
 namespace {
 
-std::uint64_t fnv1a(const char* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+JsonValue encode_json(const Manifest& manifest) {
+  JsonValue out = JsonValue::object();
+  out.set("fleet_manifest",
+          static_cast<std::int64_t>(manifest_format_version));
+  out.set("fingerprint", manifest.fingerprint.to_string());
+  out.set("shards", std::uint64_t{manifest.num_shards});
+  out.set("total_cells", manifest.total_cells);
+  JsonValue attempts = JsonValue::array();
+  for (const std::uint32_t a : manifest.attempts)
+    attempts.push_back(std::uint64_t{a});
+  out.set("attempts", std::move(attempts));
+  return out;
 }
 
-std::string hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
-
-Status corrupt(const std::string& path, const std::string& why) {
-  return Status(StatusCode::io_error,
-                "fleet manifest " + path + " is invalid: " + why);
-}
-
-bool parse_hex_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(text.c_str(), &end, 16);
-  return end != nullptr && *end == '\0' && errno != ERANGE;
-}
-
-bool parse_dec_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && errno != ERANGE;
+/// The lenient read io::decode_sealed_json checks by re-encoding.
+Manifest decode_json(const JsonValue& v) {
+  Manifest manifest;
+  manifest.fingerprint =
+      shard::Fingerprint::parse(v.at("fingerprint").as_string())
+          .value_or(shard::Fingerprint{});
+  manifest.num_shards = static_cast<std::uint32_t>(v.at("shards").as_int());
+  manifest.total_cells =
+      static_cast<std::uint64_t>(v.at("total_cells").as_int());
+  for (const JsonValue& a : v.at("attempts").items())
+    manifest.attempts.push_back(static_cast<std::uint32_t>(a.as_int()));
+  return manifest;
 }
 
 }  // namespace
 
-std::string manifest_path(const std::string& work_dir) {
-  return work_dir + "/campaign.manifest";
+std::string encode_manifest(const Manifest& manifest) {
+  return io::seal_checksum(encode_json(manifest).serialize());
+}
+
+api::Result<Manifest> decode_manifest(std::string_view bytes) {
+  const auto corrupt = [](const std::string& why) {
+    return Status(StatusCode::io_error, "fleet manifest " + why);
+  };
+  if (bytes.starts_with("xoridx-fleet-manifest v1\n"))
+    return corrupt("is the text format v1 of an older xoridx; this build "
+                   "reads v" + std::to_string(manifest_format_version) +
+                   " only, so start the campaign again without --resume");
+  api::Result<Manifest> manifest = io::decode_sealed_json<Manifest>(
+      bytes, "fleet manifest", "fleet_manifest", manifest_format_version,
+      decode_json, encode_json);
+  if (!manifest.ok()) return manifest;
+  if (manifest->num_shards == 0) return corrupt("records zero shards");
+  if (manifest->attempts.size() != manifest->num_shards)
+    return corrupt("attempts list has " +
+                   std::to_string(manifest->attempts.size()) +
+                   " entries for " + std::to_string(manifest->num_shards) +
+                   " shards");
+  return manifest;
 }
 
 Status save_manifest(const Manifest& manifest, const std::string& path) {
@@ -63,113 +79,16 @@ Status save_manifest(const Manifest& manifest, const std::string& path) {
     return Status(StatusCode::io_error,
                   "cannot write fleet manifest " + path + ": " +
                       std::strerror(injected));
-  std::string out;
-  out += "xoridx-fleet-manifest v1\n";
-  out += "fingerprint ";
-  out += hex(manifest.fingerprint.lo);
-  out += " ";
-  out += hex(manifest.fingerprint.hi);
-  out += "\n";
-  out += "shards ";
-  out += std::to_string(manifest.num_shards);
-  out += "\n";
-  out += "total_cells ";
-  out += std::to_string(manifest.total_cells);
-  out += "\n";
-  out += "attempts";
-  for (const std::uint32_t a : manifest.attempts) {
-    out += " ";
-    out += std::to_string(a);
-  }
-  out += "\n";
-  const std::uint64_t checksum = fnv1a(out.data(), out.size());
-  out += "checksum ";
-  out += hex(checksum);
-  out += "\n";
-  return io::write_file_atomic(path, out);
+  return io::write_file_atomic(path, encode_manifest(manifest));
 }
 
 api::Result<Manifest> load_manifest(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Status(StatusCode::not_found,
-                  "fleet manifest not found: " + path);
-  std::string data((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  if (!is.good() && !is.eof())
-    return Status(StatusCode::io_error, "cannot read fleet manifest: " + path);
-
-  // Split off and verify the checksum trailer before believing any field.
-  const std::string trailer_tag = "checksum ";
-  const std::size_t trailer =
-      data.rfind(trailer_tag);
-  if (trailer == std::string::npos ||
-      (trailer != 0 && data[trailer - 1] != '\n'))
-    return corrupt(path, "missing checksum trailer");
-  std::string stored = data.substr(trailer + trailer_tag.size());
-  while (!stored.empty() && (stored.back() == '\n' || stored.back() == '\r'))
-    stored.pop_back();
-  std::uint64_t stored_checksum = 0;
-  if (!parse_hex_u64(stored, stored_checksum))
-    return corrupt(path, "unparseable checksum trailer");
-  if (fnv1a(data.data(), trailer) != stored_checksum)
-    return corrupt(path, "checksum mismatch (torn or corrupted write)");
-
-  std::istringstream lines(data.substr(0, trailer));
-  std::string line;
-  if (!std::getline(lines, line) || line != "xoridx-fleet-manifest v1")
-    return corrupt(path, "bad header line '" + line + "'");
-
-  Manifest manifest;
-  bool saw_fingerprint = false;
-  bool saw_shards = false;
-  bool saw_cells = false;
-  bool saw_attempts = false;
-  while (std::getline(lines, line)) {
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "fingerprint") {
-      std::string lo, hi;
-      fields >> lo >> hi;
-      if (!parse_hex_u64(lo, manifest.fingerprint.lo) ||
-          !parse_hex_u64(hi, manifest.fingerprint.hi))
-        return corrupt(path, "unparseable fingerprint");
-      saw_fingerprint = true;
-    } else if (key == "shards") {
-      std::uint64_t n = 0;
-      std::string text;
-      fields >> text;
-      if (!parse_dec_u64(text, n) || n == 0 || n > 0xffffffffull)
-        return corrupt(path, "unparseable shard count");
-      manifest.num_shards = static_cast<std::uint32_t>(n);
-      saw_shards = true;
-    } else if (key == "total_cells") {
-      std::string text;
-      fields >> text;
-      if (!parse_dec_u64(text, manifest.total_cells))
-        return corrupt(path, "unparseable total_cells");
-      saw_cells = true;
-    } else if (key == "attempts") {
-      std::string text;
-      while (fields >> text) {
-        std::uint64_t a = 0;
-        if (!parse_dec_u64(text, a) || a > 0xffffffffull)
-          return corrupt(path, "unparseable attempt count '" + text + "'");
-        manifest.attempts.push_back(static_cast<std::uint32_t>(a));
-      }
-      saw_attempts = true;
-    } else if (!key.empty()) {
-      return corrupt(path, "unknown field '" + key + "'");
-    }
-  }
-  if (!saw_fingerprint || !saw_shards || !saw_cells || !saw_attempts)
-    return corrupt(path, "missing required fields");
-  if (manifest.attempts.size() != manifest.num_shards)
-    return corrupt(path, "attempts list has " +
-                             std::to_string(manifest.attempts.size()) +
-                             " entries for " +
-                             std::to_string(manifest.num_shards) + " shards");
+  const api::Result<std::string> data = io::read_file(path, "fleet manifest");
+  if (!data.ok()) return data.status();
+  api::Result<Manifest> manifest = decode_manifest(*data);
+  if (!manifest.ok())
+    return Status(manifest.status().code(),
+                  manifest.status().message() + ": " + path);
   return manifest;
 }
 

@@ -8,20 +8,18 @@
 // not a silently wrong merge), restores the per-shard attempt budget,
 // and re-validates landed reports instead of re-running their workers.
 //
-// The format is a line-oriented text file with a whole-file fnv1a
-// checksum trailer, so a torn manifest (should the atomic-write protocol
-// ever be bypassed) is detected rather than trusted:
+// On disk it is one compact JSON document (serve/json) followed by the
+// io/ checksum trailer, so a torn manifest (should the atomic-write
+// protocol ever be bypassed) is detected rather than trusted:
 //
-//   xoridx-fleet-manifest v1
-//   fingerprint <lo-hex> <hi-hex>
-//   shards <n>
-//   total_cells <count>
-//   attempts <a1> <a2> ... <an>
-//   checksum <fnv1a-hex of all preceding bytes>
+//   {"fleet_manifest":2,"fingerprint":"<32 hex>","shards":<n>,
+//    "total_cells":<count>,"attempts":[<a1>,...,<an>]}
+//   checksum <16 hex: fnv1a of all preceding bytes>
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/status.hpp"
@@ -38,6 +36,10 @@ struct Manifest {
   std::vector<std::uint32_t> attempts;
 };
 
+/// On-disk format version; the line-oriented text manifest of older
+/// builds was v1.
+inline constexpr std::uint32_t manifest_format_version = 2;
+
 /// Where the manifest lives inside a fleet work dir.
 [[nodiscard]] std::string manifest_path(const std::string& work_dir);
 
@@ -49,5 +51,10 @@ struct Manifest {
 /// io_error (naming the path and the reason) for a torn, corrupt or
 /// internally inconsistent file.
 [[nodiscard]] api::Result<Manifest> load_manifest(const std::string& path);
+
+/// The bytes save_manifest writes, and their inverse (never throws;
+/// every problem is an io_error naming it).
+[[nodiscard]] std::string encode_manifest(const Manifest& manifest);
+[[nodiscard]] api::Result<Manifest> decode_manifest(std::string_view bytes);
 
 }  // namespace xoridx::fleet

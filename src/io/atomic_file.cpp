@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "fail/failpoint.hpp"
 
@@ -178,6 +180,55 @@ Status write_file_atomic(const std::string& path, std::string_view content) {
   if (Status status = writer.open(); !status.ok()) return status;
   if (Status status = writer.write(content); !status.ok()) return status;
   return writer.commit();
+}
+
+// ------------------------------------------------------ checksum trailer
+
+namespace {
+
+constexpr std::string_view trailer_tag = "\nchecksum ";
+
+/// The trailer line for `covered`, the bytes before the word "checksum".
+std::string checksum_line(std::string_view covered) {
+  std::uint64_t h = fnv1a_basis;
+  for (const char c : covered) h = fnv1a(h, static_cast<unsigned char>(c));
+  char line[32];
+  std::snprintf(line, sizeof(line), "checksum %016llx\n",
+                static_cast<unsigned long long>(h));
+  return line;
+}
+
+}  // namespace
+
+std::string seal_checksum(std::string_view body) {
+  std::string out(body);
+  out.push_back('\n');
+  out += checksum_line(out);
+  return out;
+}
+
+api::Result<std::string_view> open_checksum(std::string_view data) {
+  const std::size_t tag = data.rfind(trailer_tag);
+  if (tag == std::string_view::npos)
+    return Status(StatusCode::io_error, "missing checksum trailer");
+  if (data.substr(tag + 1) != checksum_line(data.substr(0, tag + 1)))
+    return Status(StatusCode::io_error,
+                  "checksum mismatch (torn or corrupted write)");
+  return data.substr(0, tag);
+}
+
+api::Result<std::string> read_file(const std::string& path,
+                                   std::string_view what) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is)
+    return Status(StatusCode::not_found,
+                  std::string(what) + " not found: " + path);
+  std::string data((std::istreambuf_iterator<char>(is)),
+                   std::istreambuf_iterator<char>());
+  if (is.bad())
+    return Status(StatusCode::io_error,
+                  "cannot read " + std::string(what) + ": " + path);
+  return data;
 }
 
 // ------------------------------------------------------------ AtomicOstream

@@ -89,6 +89,30 @@ class AtomicFileWriter {
 [[nodiscard]] api::Status write_file_atomic(const std::string& path,
                                             std::string_view content);
 
+/// 64-bit FNV-1a: the offset basis and one step folding `byte` into `h`.
+/// An integrity checksum, not a cryptographic hash.
+inline constexpr std::uint64_t fnv1a_basis = 14695981039346656037ull;
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::uint64_t h,
+                                            unsigned char byte) noexcept {
+  return (h ^ byte) * 1099511628211ull;
+}
+
+/// Checksummed artifacts (shard reports, the fleet manifest) are a body,
+/// a newline, and one trailer line `checksum <16 hex digits>\n` holding
+/// the FNV-1a of every byte before the word `checksum`. seal_checksum
+/// appends the trailer; open_checksum verifies it and returns the body,
+/// or an io_error saying whether the trailer is missing or wrong, so a
+/// torn or bit-flipped artifact is rejected before any field in it is
+/// believed.
+[[nodiscard]] std::string seal_checksum(std::string_view body);
+[[nodiscard]] api::Result<std::string_view> open_checksum(
+    std::string_view data);
+
+/// The whole file: not_found when it does not exist, io_error when it
+/// cannot be read. Both messages name `what` and the path.
+[[nodiscard]] api::Result<std::string> read_file(const std::string& path,
+                                                 std::string_view what);
+
 /// std::ostream facade over AtomicFileWriter, for the streaming writers
 /// (CSV sinks, JSON exports) that format into an ostream. Failures set
 /// badbit immediately and are latched; commit() reports the first one,

@@ -1,11 +1,10 @@
 #include "obs/export.hpp"
 
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <string_view>
 #include <utility>
 
+#include "io/atomic_file.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
 
@@ -108,21 +107,14 @@ Status merge_chrome_traces(const std::vector<std::string>& input_paths,
   for (std::size_t i = 0; i < input_paths.size(); ++i) {
     const std::string& path = input_paths[i];
     const auto pid = static_cast<std::uint32_t>(i + 1);
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      return Status(StatusCode::not_found, "cannot open trace file: " + path);
-    }
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    if (is.bad()) {
-      return Status(StatusCode::io_error, "cannot read trace file: " + path);
-    }
+    const api::Result<std::string> text = io::read_file(path, "trace file");
+    if (!text.ok()) return text.status();
     const auto malformed = [&path](const std::string& what) {
       return Status(StatusCode::io_error,
                     "not a Chrome trace-event document (" + what + "): " +
                         path);
     };
-    api::Result<serve::JsonValue> doc = serve::parse_json(text);
+    api::Result<serve::JsonValue> doc = serve::parse_json(*text);
     if (!doc.ok()) return malformed(doc.status().message());
     const serve::JsonValue* events = doc->find("traceEvents");
     if (events == nullptr || !events->is_array()) {

@@ -160,6 +160,9 @@ ExhaustiveBitSelectResult optimal_bit_select_estimated(
   hash::BitSelectFunction fn(n, mask_to_positions(best_mask));
   const cache::CacheStats stats =
       cache::simulate_direct_mapped(t, geometry, fn);
+  // The Eq.-4 upper bound, as in optimize_index_with_profile.
+  assert(stats.misses <= profile.compulsory_refs +
+                             profile.capacity_filtered_refs + best_estimate);
   return ExhaustiveBitSelectResult{std::move(fn), stats.misses, candidates};
 }
 

@@ -1,5 +1,6 @@
 #include "search/optimizer.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "hash/xor_function.hpp"
@@ -97,6 +98,11 @@ OptimizationResult optimize_index_with_profile(
                                                      conventional);
   const cache::CacheStats opt =
       cache::simulate_direct_mapped(t, geometry, *result.function);
+  // Eq. 4 plus the misses the profile cannot see bounds the exact misses
+  // of any linear index function from above (Eq4Bound in property_test).
+  assert(opt.misses <= profile.compulsory_refs +
+                           profile.capacity_filtered_refs +
+                           result.estimated_misses);
   finalize(result, base, opt, conventional, options);
   return result;
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_set>
 
 namespace xoridx::serve {
 
@@ -97,13 +98,15 @@ class Parser {
     out = JsonValue::object();
     skip_ws();
     if (eat('}')) return {};
+    // A hash set keeps the duplicate-key check linear in the object size.
+    std::unordered_set<std::string> keys;
     while (true) {
       skip_ws();
       if (pos_ >= text_.size() || text_[pos_] != '"')
         return fail("expected an object key");
       std::string key;
       if (Status st = parse_string(key); !st.ok()) return st;
-      if (out.find(key) != nullptr)
+      if (!keys.insert(key).second)
         return fail("duplicate object key \"" + key + "\"");
       skip_ws();
       if (!eat(':')) return fail("expected ':' after object key");
@@ -284,6 +287,17 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   for (const Member& m : members_)
     if (m.first == key) return &m.second;
   return nullptr;
+}
+
+const JsonValue& JsonValue::at(std::string_view key) const {
+  static const JsonValue null;
+  const JsonValue* v = find(key);
+  return v != nullptr ? *v : null;
+}
+
+const JsonValue& JsonValue::item(std::size_t index) const {
+  static const JsonValue null;
+  return index < items_.size() ? items_[index] : null;
 }
 
 std::string json_quote(std::string_view s) {

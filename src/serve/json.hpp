@@ -1,5 +1,6 @@
 // The repo's one JSON codec: the daemon's wire protocol, `trace-merge`'s
-// reader, and the escaper behind every streamed JSON writer (metrics
+// reader, the body of the durable artifacts (shard reports, the fleet
+// manifest), and the escaper behind every streamed JSON writer (metrics
 // snapshots, Chrome span traces, engine rows, bench reports).
 //
 // The repo deliberately has no third-party dependencies, so this is a
@@ -67,8 +68,12 @@ class JsonValue {
   }
 
   [[nodiscard]] bool as_bool() const noexcept { return bool_; }
+  /// A double is truncated, and one outside the int64 range reads as 0
+  /// (its conversion would be undefined). Non-numbers read as 0.
   [[nodiscard]] std::int64_t as_int() const noexcept {
-    return kind_ == Kind::number ? static_cast<std::int64_t>(num_) : int_;
+    if (kind_ != Kind::number) return int_;
+    return num_ >= -0x1p63 && num_ < 0x1p63 ? static_cast<std::int64_t>(num_)
+                                            : 0;
   }
   [[nodiscard]] double as_double() const noexcept {
     return kind_ == Kind::integer ? static_cast<double>(int_) : num_;
@@ -83,6 +88,10 @@ class JsonValue {
 
   /// Object member by key, or nullptr when absent / not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// Object member by key, or a null value when absent / not an object.
+  [[nodiscard]] const JsonValue& at(std::string_view key) const;
+  /// Array element by position, or a null value when out of range.
+  [[nodiscard]] const JsonValue& item(std::size_t index) const;
 
   void push_back(JsonValue v) { items_.push_back(std::move(v)); }
   /// Append an object member (insertion order is serialization order).

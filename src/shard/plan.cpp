@@ -9,6 +9,7 @@
 
 #include "api/internal.hpp"
 #include "engine/campaign.hpp"
+#include "io/atomic_file.hpp"
 
 namespace xoridx::shard {
 
@@ -48,12 +49,12 @@ class FingerprintHasher {
 
  private:
   void byte(std::uint64_t c) {
-    a_ = (a_ ^ c) * 1099511628211ull;  // FNV-1a
+    a_ = io::fnv1a(a_, static_cast<unsigned char>(c));
     b_ = splitmix64(b_ ^ (c + count_));
     ++count_;
   }
 
-  std::uint64_t a_ = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t a_ = io::fnv1a_basis;
   std::uint64_t b_ = 0x9ae16a3b2f90404full;
   std::uint64_t count_ = 0;
 };
@@ -143,6 +144,18 @@ std::string Fingerprint::to_string() const {
                 static_cast<unsigned long long>(hi),
                 static_cast<unsigned long long>(lo));
   return buf;
+}
+
+std::optional<Fingerprint> Fingerprint::parse(std::string_view hex) {
+  Fingerprint fp;
+  if (hex.size() != 32) return std::nullopt;
+  for (auto [half, out] : {std::pair{hex.substr(0, 16), &fp.hi},
+                           std::pair{hex.substr(16), &fp.lo}}) {
+    const char* end = half.data() + half.size();
+    if (std::from_chars(half.data(), end, *out, 16).ptr != end)
+      return std::nullopt;
+  }
+  return fp;
 }
 
 std::string ShardRef::to_string() const {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +42,11 @@ struct Fingerprint {
   std::uint64_t hi = 0;
 
   [[nodiscard]] bool empty() const noexcept { return lo == 0 && hi == 0; }
+  /// 32 hex digits, `hi` first.
   [[nodiscard]] std::string to_string() const;
+  /// The inverse of to_string; nullopt unless `hex` is exactly 32 hex
+  /// digits.
+  [[nodiscard]] static std::optional<Fingerprint> parse(std::string_view hex);
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "engine/report.hpp"
 #include "fail/failpoint.hpp"
 #include "io/atomic_file.hpp"
+#include "io/sealed_json.hpp"
+#include "serve/json.hpp"
 
 namespace xoridx::shard {
 
@@ -17,255 +19,206 @@ namespace {
 using api::Result;
 using api::Status;
 using api::StatusCode;
+using serve::JsonValue;
 
-constexpr char report_magic[8] = {'X', 'O', 'R', 'I', 'D', 'X', 'R', '1'};
+/// The magic that opened every binary (format v1 and v2) report.
+constexpr std::string_view binary_report_magic = "XORIDXR1";
 
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i)
-    h = (h ^ data[i]) * 1099511628211ull;
-  return h;
+// The decoders below read leniently; io::decode_sealed_json rejects
+// whatever does not re-encode to the same bytes.
+
+std::uint64_t u64(const JsonValue& v) {
+  return static_cast<std::uint64_t>(v.as_int());
 }
 
-// ------------------------------------------------------------- encoding
-// Everything is little-endian by construction (byte shifts, not memcpy),
-// so report files move between hosts.
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+JsonValue u64_array(std::initializer_list<std::uint64_t> values) {
+  JsonValue out = JsonValue::array();
+  for (const std::uint64_t v : values) out.push_back(v);
+  return out;
 }
 
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
+// ---------------------------------------------------------------- cells
+//
+// A row cell carries the JobResult fields; an error cell is told apart by
+// its "error" member, the StatusCode as an integer.
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-/// Bounds-checked little-endian reader; every read fails softly so a
-/// corrupt length field can never walk past the buffer.
-class Cursor {
- public:
-  Cursor(const unsigned char* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] bool u8(std::uint8_t& v) {
-    if (size_ - off_ < 1) return false;
-    v = data_[off_++];
-    return true;
-  }
-  [[nodiscard]] bool u16(std::uint16_t& v) {
-    return integer<std::uint16_t, 2>(v);
-  }
-  [[nodiscard]] bool u32(std::uint32_t& v) {
-    return integer<std::uint32_t, 4>(v);
-  }
-  [[nodiscard]] bool u64(std::uint64_t& v) {
-    return integer<std::uint64_t, 8>(v);
-  }
-  [[nodiscard]] bool str(std::string& s) {
-    std::uint32_t len = 0;
-    if (!u32(len) || size_ - off_ < len) return false;
-    s.assign(reinterpret_cast<const char*>(data_ + off_), len);
-    off_ += len;
-    return true;
-  }
-  [[nodiscard]] std::size_t remaining() const { return size_ - off_; }
-  [[nodiscard]] std::size_t offset() const { return off_; }
-
- private:
-  template <typename T, int Bytes>
-  [[nodiscard]] bool integer(T& v) {
-    if (size_ - off_ < Bytes) return false;
-    std::uint64_t out = 0;
-    for (int i = 0; i < Bytes; ++i)
-      out |= static_cast<std::uint64_t>(data_[off_ + i]) << (8 * i);
-    off_ += Bytes;
-    v = static_cast<T>(out);
-    return true;
-  }
-
-  const unsigned char* data_;
-  std::size_t size_;
-  std::size_t off_ = 0;
-};
-
-void encode_cell(std::string& out, const Cell& cell) {
-  put_u64(out, cell.index);
+JsonValue encode_cell(const Cell& cell) {
+  JsonValue out = JsonValue::object();
+  out.set("index", cell.index);
   if (cell.ok()) {
     const engine::JobResult& r = cell.row();
-    put_u8(out, 0);
-    put_str(out, r.trace_name);
-    put_u32(out, r.geometry.size_bytes);
-    put_u32(out, r.geometry.block_bytes);
-    put_u32(out, r.geometry.associativity);
-    put_str(out, r.label);
-    put_str(out, r.kind);
-    put_u64(out, r.accesses);
-    put_u64(out, r.baseline_misses);
-    put_u64(out, r.misses);
-    put_u64(out, r.estimated_misses);
-    put_u8(out, r.reverted ? 1 : 0);
-    put_u64(out, r.breakdown.accesses);
-    put_u64(out, r.breakdown.misses);
-    put_u64(out, r.breakdown.compulsory);
-    put_u64(out, r.breakdown.capacity);
-    put_u64(out, r.breakdown.conflict);
-    put_str(out, r.function_description);
+    const cache::MissBreakdown& b = r.breakdown;
+    out.set("trace", r.trace_name);
+    out.set("geometry",
+            u64_array({r.geometry.size_bytes, r.geometry.block_bytes,
+                       r.geometry.associativity}));
+    out.set("label", r.label);
+    out.set("kind", r.kind);
+    out.set("accesses", r.accesses);
+    out.set("baseline_misses", r.baseline_misses);
+    out.set("misses", r.misses);
+    out.set("estimated_misses", r.estimated_misses);
+    out.set("reverted", r.reverted);
+    out.set("breakdown", u64_array({b.accesses, b.misses, b.compulsory,
+                                    b.capacity, b.conflict}));
+    out.set("function", r.function_description);
   } else {
     const CellError& e = cell.error();
-    put_u8(out, 1);
-    put_u8(out, static_cast<std::uint8_t>(e.code));
-    put_str(out, e.message);
-    put_str(out, e.trace);
-    put_str(out, e.geometry);
-    put_str(out, e.strategy);
+    out.set("error", static_cast<std::int64_t>(e.code));
+    out.set("message", e.message);
+    out.set("trace", e.trace);
+    out.set("geometry", e.geometry);
+    out.set("strategy", e.strategy);
   }
+  return out;
 }
 
-Status truncated(const Cursor& cursor) {
-  return Status(StatusCode::io_error,
-                "shard report truncated or corrupt near byte " +
-                    std::to_string(cursor.offset()));
+/// Throws std::invalid_argument for an invalid geometry or status code.
+Cell decode_cell(const JsonValue& v) {
+  Cell cell;
+  cell.index = u64(v.at("index"));
+  if (v.find("error") == nullptr) {
+    engine::JobResult r;
+    const JsonValue& g = v.at("geometry");
+    const JsonValue& b = v.at("breakdown");
+    r.trace_name = v.at("trace").as_string();
+    r.geometry = cache::CacheGeometry(
+        static_cast<std::uint32_t>(u64(g.item(0))),
+        static_cast<std::uint32_t>(u64(g.item(1))),
+        static_cast<std::uint32_t>(u64(g.item(2))));
+    r.label = v.at("label").as_string();
+    r.kind = v.at("kind").as_string();
+    r.accesses = u64(v.at("accesses"));
+    r.baseline_misses = u64(v.at("baseline_misses"));
+    r.misses = u64(v.at("misses"));
+    r.estimated_misses = u64(v.at("estimated_misses"));
+    r.reverted = v.at("reverted").as_bool();
+    r.breakdown = {u64(b.item(0)), u64(b.item(1)), u64(b.item(2)),
+                   u64(b.item(3)), u64(b.item(4))};
+    r.function_description = v.at("function").as_string();
+    cell.outcome = std::move(r);
+  } else {
+    CellError e;
+    const std::uint64_t code = u64(v.at("error"));
+    if (code > static_cast<std::uint64_t>(StatusCode::busy))
+      throw std::invalid_argument("a cell carries unknown status code " +
+                                  v.at("error").serialize());
+    e.code = static_cast<StatusCode>(code);
+    e.message = v.at("message").as_string();
+    e.trace = v.at("trace").as_string();
+    e.geometry = v.at("geometry").as_string();
+    e.strategy = v.at("strategy").as_string();
+    cell.outcome = std::move(e);
+  }
+  return cell;
 }
 
-// --------------------------------------------- obs section (format v2)
+// ---------------------------------------------------------- obs section
 //
-// Layout after the cells, before the checksum: u8 presence flag, then
-// wall_ns, peak_rss_bytes, and the snapshot as three length-prefixed
-// (name, payload) tables. Gauges are stored bit-cast to u64.
+// The snapshot's three tables become objects keyed by metric name (the
+// parser rejects duplicate keys), a histogram an array of count, sum,
+// max and its buckets.
 
-void encode_obs(std::string& out, const ObsSection& obs) {
-  put_u64(out, obs.wall_ns);
-  put_u64(out, obs.peak_rss_bytes);
-  put_u32(out, static_cast<std::uint32_t>(obs.snapshot.counters.size()));
-  for (const auto& [name, value] : obs.snapshot.counters) {
-    put_str(out, name);
-    put_u64(out, value);
-  }
-  put_u32(out, static_cast<std::uint32_t>(obs.snapshot.gauges.size()));
-  for (const auto& [name, value] : obs.snapshot.gauges) {
-    put_str(out, name);
-    put_u64(out, static_cast<std::uint64_t>(value));
-  }
-  put_u32(out, static_cast<std::uint32_t>(obs.snapshot.histograms.size()));
+JsonValue encode_obs(const ObsSection& obs) {
+  JsonValue counters = JsonValue::object();
+  for (const auto& [name, value] : obs.snapshot.counters)
+    counters.set(name, value);
+  JsonValue gauges = JsonValue::object();
+  for (const auto& [name, value] : obs.snapshot.gauges) gauges.set(name, value);
+  JsonValue histograms = JsonValue::object();
   for (const auto& [name, hist] : obs.snapshot.histograms) {
-    put_str(out, name);
-    put_u64(out, hist.count);
-    put_u64(out, hist.sum);
-    put_u64(out, hist.max);
-    for (const std::uint64_t bucket : hist.buckets) put_u64(out, bucket);
+    JsonValue h = u64_array({hist.count, hist.sum, hist.max});
+    for (const std::uint64_t bucket : hist.buckets) h.push_back(bucket);
+    histograms.set(name, std::move(h));
   }
+  JsonValue out = JsonValue::object();
+  out.set("wall_ns", obs.wall_ns);
+  out.set("peak_rss_bytes", obs.peak_rss_bytes);
+  out.set("counters", std::move(counters));
+  out.set("gauges", std::move(gauges));
+  out.set("histograms", std::move(histograms));
+  return out;
 }
 
-Result<ObsSection> decode_obs(Cursor& cursor) {
+ObsSection decode_obs(const JsonValue& v) {
   ObsSection obs;
-  std::uint32_t counter_count = 0;
-  if (!cursor.u64(obs.wall_ns) || !cursor.u64(obs.peak_rss_bytes) ||
-      !cursor.u32(counter_count))
-    return truncated(cursor);
-  // Minimum entry sizes bound crafted counts (see the cell_count guard).
-  if (counter_count > cursor.remaining() / 12) return truncated(cursor);
-  for (std::uint32_t i = 0; i < counter_count; ++i) {
-    auto& [name, value] = obs.snapshot.counters.emplace_back();
-    if (!cursor.str(name) || !cursor.u64(value)) return truncated(cursor);
+  obs::Snapshot& snap = obs.snapshot;
+  obs.wall_ns = u64(v.at("wall_ns"));
+  obs.peak_rss_bytes = u64(v.at("peak_rss_bytes"));
+  for (const auto& [name, value] : v.at("counters").members())
+    snap.counters.emplace_back(name, u64(value));
+  for (const auto& [name, value] : v.at("gauges").members())
+    snap.gauges.emplace_back(name, value.as_int());
+  for (const auto& [name, value] : v.at("histograms").members()) {
+    obs::HistogramSnapshot& h =
+        snap.histograms.emplace_back(name, obs::HistogramSnapshot{}).second;
+    h.count = u64(value.item(0));
+    h.sum = u64(value.item(1));
+    h.max = u64(value.item(2));
+    for (std::size_t i = 0; i < h.buckets.size(); ++i)
+      h.buckets[i] = u64(value.item(3 + i));
   }
-  std::uint32_t gauge_count = 0;
-  if (!cursor.u32(gauge_count)) return truncated(cursor);
-  if (gauge_count > cursor.remaining() / 12) return truncated(cursor);
-  for (std::uint32_t i = 0; i < gauge_count; ++i) {
-    auto& [name, value] = obs.snapshot.gauges.emplace_back();
-    std::uint64_t raw = 0;
-    if (!cursor.str(name) || !cursor.u64(raw)) return truncated(cursor);
-    value = static_cast<std::int64_t>(raw);
-  }
-  std::uint32_t hist_count = 0;
-  if (!cursor.u32(hist_count)) return truncated(cursor);
-  if (hist_count > cursor.remaining() / (4 + 8 * (3 + 32)))
-    return truncated(cursor);
-  for (std::uint32_t i = 0; i < hist_count; ++i) {
-    auto& [name, hist] = obs.snapshot.histograms.emplace_back();
-    if (!cursor.str(name) || !cursor.u64(hist.count) ||
-        !cursor.u64(hist.sum) || !cursor.u64(hist.max))
-      return truncated(cursor);
-    for (std::uint64_t& bucket : hist.buckets)
-      if (!cursor.u64(bucket)) return truncated(cursor);
-  }
-  // Snapshot::aggregate merges name-sorted vectors; re-sort rather than
-  // trust a hand-crafted file's ordering.
+  // Snapshot::aggregate merges name-sorted vectors. Sorting here makes a
+  // file with unsorted names fail the canonical re-encoding.
   const auto by_name = [](const auto& a, const auto& b) {
     return a.first < b.first;
   };
-  std::sort(obs.snapshot.counters.begin(), obs.snapshot.counters.end(),
-            by_name);
-  std::sort(obs.snapshot.gauges.begin(), obs.snapshot.gauges.end(), by_name);
-  std::sort(obs.snapshot.histograms.begin(), obs.snapshot.histograms.end(),
-            by_name);
+  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
+  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
+  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return obs;
 }
 
-Result<Cell> decode_cell(Cursor& cursor) {
-  Cell cell;
-  std::uint8_t tag = 0;
-  if (!cursor.u64(cell.index) || !cursor.u8(tag))
-    return truncated(cursor);
-  if (tag == 0) {
-    engine::JobResult r;
-    std::uint32_t size = 0;
-    std::uint32_t block = 0;
-    std::uint32_t assoc = 0;
-    std::uint8_t reverted = 0;
-    if (!cursor.str(r.trace_name) || !cursor.u32(size) ||
-        !cursor.u32(block) || !cursor.u32(assoc) || !cursor.str(r.label) ||
-        !cursor.str(r.kind) || !cursor.u64(r.accesses) ||
-        !cursor.u64(r.baseline_misses) || !cursor.u64(r.misses) ||
-        !cursor.u64(r.estimated_misses) || !cursor.u8(reverted) ||
-        !cursor.u64(r.breakdown.accesses) || !cursor.u64(r.breakdown.misses) ||
-        !cursor.u64(r.breakdown.compulsory) ||
-        !cursor.u64(r.breakdown.capacity) ||
-        !cursor.u64(r.breakdown.conflict) ||
-        !cursor.str(r.function_description))
-      return truncated(cursor);
-    try {
-      r.geometry = cache::CacheGeometry(size, block, assoc);
-    } catch (const std::exception& e) {
-      return Status(StatusCode::io_error,
-                    std::string("shard report cell carries an invalid "
-                                "geometry: ") +
-                        e.what());
-    }
-    r.reverted = reverted != 0;
-    cell.outcome = std::move(r);
-  } else if (tag == 1) {
-    CellError e;
-    std::uint8_t code = 0;
-    if (!cursor.u8(code) || !cursor.str(e.message) || !cursor.str(e.trace) ||
-        !cursor.str(e.geometry) || !cursor.str(e.strategy))
-      return truncated(cursor);
-    if (code > static_cast<std::uint8_t>(StatusCode::busy))
-      return Status(StatusCode::io_error,
-                    "shard report cell carries unknown status code " +
-                        std::to_string(code));
-    e.code = static_cast<StatusCode>(code);
-    cell.outcome = std::move(e);
-  } else {
-    return Status(StatusCode::io_error,
-                  "shard report cell has unknown tag " + std::to_string(tag));
-  }
-  return cell;
+JsonValue encode_json(const Report& report) {
+  JsonValue out = JsonValue::object();
+  out.set("shard_report", static_cast<std::int64_t>(report_format_version));
+  out.set("written_by",
+          u64_array({static_cast<std::uint64_t>(report.written_by.major),
+                     static_cast<std::uint64_t>(report.written_by.minor),
+                     static_cast<std::uint64_t>(report.written_by.patch)}));
+  out.set("fingerprint", report.fingerprint.to_string());
+  out.set("shard_index", std::uint64_t{report.shard_index});
+  out.set("num_shards", std::uint64_t{report.num_shards});
+  out.set("total_cells", report.total_cells);
+  out.set("trace_count", std::uint64_t{report.trace_count});
+  out.set("geometry_count", std::uint64_t{report.geometry_count});
+  out.set("strategy_count", std::uint64_t{report.strategy_count});
+  JsonValue ranges = JsonValue::array();
+  for (const CellRange& r : report.ranges)
+    ranges.push_back(u64_array({r.begin, r.end}));
+  out.set("ranges", std::move(ranges));
+  JsonValue cells = JsonValue::array();
+  for (const Cell& cell : report.cells) cells.push_back(encode_cell(cell));
+  out.set("cells", std::move(cells));
+  out.set("obs", report.obs.has_value() ? encode_obs(*report.obs)
+                                        : JsonValue());
+  return out;
+}
+
+/// The lenient read of a v3 document; throws std::invalid_argument where
+/// decode_cell does.
+Report decode_json(const JsonValue& v) {
+  Report report;
+  const JsonValue& version = v.at("written_by");
+  report.written_by = {static_cast<int>(version.item(0).as_int()),
+                       static_cast<int>(version.item(1).as_int()),
+                       static_cast<int>(version.item(2).as_int())};
+  report.fingerprint = Fingerprint::parse(v.at("fingerprint").as_string())
+                           .value_or(Fingerprint{});
+  report.shard_index = static_cast<std::uint32_t>(u64(v.at("shard_index")));
+  report.num_shards = static_cast<std::uint32_t>(u64(v.at("num_shards")));
+  report.total_cells = u64(v.at("total_cells"));
+  report.trace_count = static_cast<std::uint32_t>(u64(v.at("trace_count")));
+  report.geometry_count =
+      static_cast<std::uint32_t>(u64(v.at("geometry_count")));
+  report.strategy_count =
+      static_cast<std::uint32_t>(u64(v.at("strategy_count")));
+  for (const JsonValue& r : v.at("ranges").items())
+    report.ranges.push_back({u64(r.item(0)), u64(r.item(1))});
+  for (const JsonValue& cell : v.at("cells").items())
+    report.cells.push_back(decode_cell(cell));
+  if (!v.at("obs").is_null()) report.obs = decode_obs(v.at("obs"));
+  return report;
 }
 
 /// Structural invariants shared by load and merge: ranges sorted and
@@ -336,33 +289,26 @@ void Report::write_csv(std::ostream& os) const {
   sink.end();
 }
 
-api::Status save_report(const Report& report, const std::string& path) {
-  std::string out;
-  out.append(report_magic, sizeof(report_magic));
-  put_u16(out, report_format_version);
-  put_u16(out, static_cast<std::uint16_t>(report.written_by.major));
-  put_u16(out, static_cast<std::uint16_t>(report.written_by.minor));
-  put_u16(out, static_cast<std::uint16_t>(report.written_by.patch));
-  put_u64(out, report.fingerprint.lo);
-  put_u64(out, report.fingerprint.hi);
-  put_u32(out, report.shard_index);
-  put_u32(out, report.num_shards);
-  put_u64(out, report.total_cells);
-  put_u32(out, report.trace_count);
-  put_u32(out, report.geometry_count);
-  put_u32(out, report.strategy_count);
-  put_u32(out, static_cast<std::uint32_t>(report.ranges.size()));
-  for (const CellRange& r : report.ranges) {
-    put_u64(out, r.begin);
-    put_u64(out, r.end);
-  }
-  put_u64(out, static_cast<std::uint64_t>(report.cells.size()));
-  for (const Cell& cell : report.cells) encode_cell(out, cell);
-  put_u8(out, report.obs.has_value() ? 1 : 0);
-  if (report.obs.has_value()) encode_obs(out, *report.obs);
-  put_u64(out, fnv1a(reinterpret_cast<const unsigned char*>(out.data()),
-                     out.size()));
+std::string encode_report(const Report& report) {
+  return io::seal_checksum(encode_json(report).serialize());
+}
 
+api::Result<Report> decode_report(std::string_view bytes) {
+  if (bytes.starts_with(binary_report_magic))
+    return Status(StatusCode::io_error,
+                  "shard report is a binary report from an older xoridx "
+                  "(format v1 or v2); this build reads format v" +
+                      std::to_string(report_format_version) +
+                      " only, so re-run the shard");
+  Result<Report> report = io::decode_sealed_json<Report>(
+      bytes, "shard report", "shard_report", report_format_version,
+      decode_json, encode_json);
+  if (!report.ok()) return report;
+  if (Status status = check_structure(*report); !status.ok()) return status;
+  return report;
+}
+
+api::Status save_report(const Report& report, const std::string& path) {
   // Atomic write: the dispatcher treats the report file's existence as
   // the worker's verdict, so a crashed or ENOSPC'd worker must leave no
   // file at all rather than a torn one that burns a retry on rejection.
@@ -370,113 +316,16 @@ api::Status save_report(const Report& report, const std::string& path) {
     return Status(StatusCode::io_error,
                   "cannot write report file " + path + ": " +
                       std::strerror(injected));
-  return io::write_file_atomic(path, out);
+  return io::write_file_atomic(path, encode_report(report));
 }
 
 api::Result<Report> load_report(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    return Status(StatusCode::not_found, "report file not found: " + path);
-  std::string data((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  if (!is.good() && !is.eof())
-    return Status(StatusCode::io_error, "cannot read report file: " + path);
-
-  // Header through checksum trailer is the minimum well-formed file.
-  if (data.size() < sizeof(report_magic) + 2 + 8)
-    return Status(StatusCode::io_error,
-                  "report file too short to be a shard report: " + path);
-  if (std::memcmp(data.data(), report_magic, sizeof(report_magic)) != 0)
-    return Status(StatusCode::io_error,
-                  "not a shard report file (bad magic): " + path);
-
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  const std::uint64_t stored_checksum =
-      [&] {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-          v |= static_cast<std::uint64_t>(bytes[data.size() - 8 + i])
-               << (8 * i);
-        return v;
-      }();
-  Cursor cursor(bytes, data.size() - 8);
-
-  Report report;
-  std::uint16_t format = 0;
-  std::uint16_t major = 0;
-  std::uint16_t minor = 0;
-  std::uint16_t patch = 0;
-  // Skip the magic we already verified.
-  {
-    std::uint64_t ignored = 0;
-    if (!cursor.u64(ignored)) return truncated(cursor);
-  }
-  if (!cursor.u16(format)) return truncated(cursor);
-  if (format < min_report_format_version || format > report_format_version)
-    return Status(StatusCode::io_error,
-                  "shard report format v" + std::to_string(format) +
-                      " unsupported (this build reads v" +
-                      std::to_string(min_report_format_version) + "-v" +
-                      std::to_string(report_format_version) + "): " + path);
-  if (fnv1a(bytes, data.size() - 8) != stored_checksum)
-    return Status(StatusCode::io_error,
-                  "shard report checksum mismatch (truncated or corrupt): " +
-                      path);
-  if (!cursor.u16(major) || !cursor.u16(minor) || !cursor.u16(patch) ||
-      !cursor.u64(report.fingerprint.lo) ||
-      !cursor.u64(report.fingerprint.hi) ||
-      !cursor.u32(report.shard_index) || !cursor.u32(report.num_shards) ||
-      !cursor.u64(report.total_cells) || !cursor.u32(report.trace_count) ||
-      !cursor.u32(report.geometry_count) ||
-      !cursor.u32(report.strategy_count))
-    return truncated(cursor);
-  report.written_by = {major, minor, patch};
-  std::uint32_t range_count = 0;
-  if (!cursor.u32(range_count)) return truncated(cursor);
-  report.ranges.reserve(std::min<std::uint32_t>(range_count, 1u << 20));
-  for (std::uint32_t i = 0; i < range_count; ++i) {
-    CellRange r;
-    if (!cursor.u64(r.begin) || !cursor.u64(r.end)) return truncated(cursor);
-    report.ranges.push_back(r);
-  }
-  std::uint64_t cell_count = 0;
-  if (!cursor.u64(cell_count)) return truncated(cursor);
-  // Each cell occupies well over 10 bytes; reject counts the remaining
-  // bytes cannot hold, and let the vector grow with the cells actually
-  // parsed — a corrupt count must never drive a large preallocation
-  // (reserve on a crafted count could throw bad_alloc out of a function
-  // documented never to throw).
-  if (cell_count > cursor.remaining() / 10)
-    return Status(StatusCode::io_error,
-                  "shard report declares " + std::to_string(cell_count) +
-                      " cells but only " +
-                      std::to_string(cursor.remaining()) +
-                      " bytes remain: " + path);
-  for (std::uint64_t i = 0; i < cell_count; ++i) {
-    Result<Cell> cell = decode_cell(cursor);
-    if (!cell.ok()) return cell.status();
-    report.cells.push_back(std::move(*cell));
-  }
-  report.read_format = format;
-  if (format >= 2) {
-    std::uint8_t has_obs = 0;
-    if (!cursor.u8(has_obs)) return truncated(cursor);
-    if (has_obs > 1)
-      return Status(StatusCode::io_error,
-                    "shard report obs flag has unknown value " +
-                        std::to_string(has_obs) + ": " + path);
-    if (has_obs == 1) {
-      Result<ObsSection> obs = decode_obs(cursor);
-      if (!obs.ok()) return obs.status();
-      report.obs = std::move(*obs);
-    }
-  }
-  if (cursor.remaining() != 0)
-    return Status(StatusCode::io_error,
-                  "shard report has " + std::to_string(cursor.remaining()) +
-                      " trailing bytes: " + path);
-  if (Status status = check_structure(report); !status.ok())
-    return Status(status.code(), status.message() + ": " + path);
+  const Result<std::string> data = io::read_file(path, "report file");
+  if (!data.ok()) return data.status();
+  Result<Report> report = decode_report(*data);
+  if (!report.ok())
+    return Status(report.status().code(),
+                  report.status().message() + ": " + path);
   return report;
 }
 
@@ -549,9 +398,9 @@ api::Status IncrementalMerger::add(Report report) {
   ranges_.insert(ranges_.end(), report.ranges.begin(), report.ranges.end());
   for (Cell& cell : report.cells) cells_.push_back(std::move(cell));
   // Fleet observability: fold the sections that exist. A shard without
-  // one — a v1-format file or an obs-off worker — merges fine and just
-  // contributes nothing. Sum/max/union are commutative, so the result is
-  // independent of landing order.
+  // one (an obs-off worker) merges fine and just contributes nothing.
+  // Sum/max/union are commutative, so the result is independent of
+  // landing order.
   if (report.obs.has_value()) {
     if (!obs_.has_value()) {
       obs_ = std::move(*report.obs);

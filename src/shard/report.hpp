@@ -4,11 +4,11 @@
 // merged report is just the 1/1 shard): which request it belongs to
 // (fingerprint + grid dimensions), which flat cell ranges it covers, and
 // one Cell per covered cell — either the engine's JobResult row or the
-// CampaignError-style failure that cell produced. Serialization is
-// versioned (format magic + version, plus the XORIDX_VERSION that wrote
-// the file), little-endian, and ends in a whole-file checksum, so
-// truncated or bit-flipped shard files are rejected with a Status
-// instead of being merged.
+// CampaignError-style failure that cell produced. On disk a report is
+// one compact JSON document (serve/json, the repo's one JSON codec)
+// carrying its format version and the XORIDX_VERSION that wrote it,
+// followed by the io/ checksum trailer, so truncated or bit-flipped
+// shard files are rejected with a Status instead of being merged.
 //
 // merge_reports reassembles shard outputs into the unsharded report:
 // same fingerprint, same grid, shard indices exactly 1..N, cell ranges
@@ -20,6 +20,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -31,13 +32,10 @@
 
 namespace xoridx::shard {
 
-/// On-disk format version of report files. v2 appended the optional
-/// observability section; writers emit the current version, readers
-/// accept [min_report_format_version, report_format_version] (a v1 file
-/// simply carries no obs section) and reject anything newer with a
-/// descriptive Status.
-inline constexpr std::uint16_t report_format_version = 2;
-inline constexpr std::uint16_t min_report_format_version = 1;
+/// On-disk format version of report files. v3 is the JSON layout; the
+/// binary v1 and v2 files of older builds, and any other version, are
+/// rejected with a Status that names what was found.
+inline constexpr std::uint16_t report_format_version = 3;
 
 /// A cell that failed: the Status the campaign surfaced for it, with the
 /// failing (trace, geometry, strategy) attribution preserved.
@@ -68,7 +66,7 @@ struct Cell {
   friend bool operator==(const Cell&, const Cell&) = default;
 };
 
-/// Optional observability section (format v2+): the worker process's
+/// Optional observability section: the worker process's
 /// final metrics snapshot plus wall time and peak RSS. Telemetry only —
 /// it never affects cell content or CSV bytes, and Report equality
 /// ignores it. In a merged report it is the fleet aggregate: counters
@@ -94,13 +92,8 @@ struct Report {
   std::uint32_t strategy_count = 0;
   std::vector<CellRange> ranges;  ///< sorted, coalesced, non-overlapping
   std::vector<Cell> cells;        ///< ascending by index, one per covered cell
-  /// Absent for v1 files and workers running with metrics disabled or
-  /// compiled out.
+  /// Absent for workers running with metrics disabled or compiled out.
   std::optional<ObsSection> obs;
-  /// On-disk format this report was loaded from (always the current
-  /// version for in-process reports; save_report writes the current
-  /// version regardless).
-  std::uint16_t read_format = report_format_version;
 
   [[nodiscard]] std::size_t error_count() const;
   /// True when this report covers every cell of its request (a merged
@@ -114,10 +107,9 @@ struct Report {
   /// streams. Error cells produce no row.
   void write_csv(std::ostream& os) const;
 
-  /// Results-only equality: the obs section (and the on-disk format it
-  /// came from) is telemetry *about* a run, not part of the campaign
-  /// outcome — an N-shard merge must compare equal to the unsharded run
-  /// even though their snapshots differ.
+  /// Results-only equality: the obs section is telemetry *about* a run,
+  /// not part of the campaign outcome — an N-shard merge must compare
+  /// equal to the unsharded run even though their snapshots differ.
   friend bool operator==(const Report& a, const Report& b) {
     return a.fingerprint == b.fingerprint && a.written_by == b.written_by &&
            a.shard_index == b.shard_index && a.num_shards == b.num_shards &&
@@ -129,12 +121,17 @@ struct Report {
   }
 };
 
-/// Serialize to/from the versioned binary format. save_report writes
-/// atomically enough for the CI flow (single write, flush, close) and
-/// returns a Status on any I/O failure; load_report never throws and
-/// rejects unknown magic, unsupported format versions, truncation,
-/// checksum mismatches and structurally inconsistent contents with a
-/// Status naming the problem.
+/// The bytes of a report file, and their inverse. decode_report never
+/// throws: a missing or wrong checksum, malformed JSON, a missing,
+/// unknown or mistyped member, an out-of-range geometry or status code,
+/// an unsupported format version and structurally inconsistent contents
+/// are each an io_error naming the problem.
+[[nodiscard]] std::string encode_report(const Report& report);
+[[nodiscard]] api::Result<Report> decode_report(std::string_view bytes);
+
+/// encode_report through the atomic-write protocol (failpoint site:
+/// shard.report.write), and read_file + decode_report. Errors name the
+/// path.
 [[nodiscard]] api::Status save_report(const Report& report,
                                       const std::string& path);
 [[nodiscard]] api::Result<Report> load_report(const std::string& path);
@@ -143,8 +140,8 @@ struct Report {
 /// list, mismatched fingerprints / grids / library versions, duplicate
 /// or missing shard indices, and cell ranges that overlap or leave gaps.
 /// Obs sections are aggregated into the fleet section over the shards
-/// that carry one; shards without one (v1 files, obs-off workers) merge
-/// fine and simply contribute nothing.
+/// that carry one; shards without one (obs-off workers) merge fine and
+/// simply contribute nothing.
 [[nodiscard]] api::Result<Report> merge_reports(std::vector<Report> shards);
 
 /// Merge shard reports one at a time, as they land. add() applies every

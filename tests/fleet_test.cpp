@@ -387,9 +387,9 @@ TEST(Manifest, BitFlipAndTruncationAreRejected) {
   {
     // Flip one field; the checksum trailer must catch it.
     std::string flipped = bytes;
-    const std::size_t at = flipped.find("total_cells 8");
+    const std::size_t at = flipped.find("\"total_cells\":8");
     ASSERT_NE(at, std::string::npos);
-    flipped[at + std::strlen("total_cells ")] = '9';
+    flipped[at + std::strlen("\"total_cells\":")] = '9';
     std::ofstream(path, std::ios::binary) << flipped;
     const api::Result<Manifest> loaded = load_manifest(path);
     ASSERT_FALSE(loaded.ok());

@@ -44,3 +44,19 @@ void operator delete(void* p) noexcept {
 }
 
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same pair: under ASan the unreplaced nothrow new is the
+// sanitizer's, and the replaced delete above would then free a block
+// without this file's header.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}

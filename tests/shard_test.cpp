@@ -1,10 +1,10 @@
 // Sharded-campaign tests: the differential harness (merge of N shard
 // runs must be cell-for-cell and CSV-byte identical to the unsharded
 // run, for randomized requests including failing cells), the shard-spec
-// grammar, plan determinism and coverage, the versioned report
-// serialization against corrupt inputs (truncation, bit flips, version
-// skew, duplicate/missing shards), and the seeded-restart determinism
-// sharding relies on.
+// grammar, plan determinism and coverage, the JSON report serialization
+// against corrupt inputs (truncation, bit flips, version skew,
+// duplicate/missing shards), and the seeded-restart determinism sharding
+// relies on. decoder_mutation_test mutates reports far more broadly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "tracestore/store.hpp"
 #include "tracestore/writer.hpp"
 #include "workloads/workload.hpp"
+#include "io/atomic_file.hpp"
 #include "xoridx/shard.hpp"
 
 namespace xoridx::shard {
@@ -30,16 +31,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-// The exact FNV-1a the report trailer uses, for tests that corrupt a
-// file and re-fix its checksum (version skew must be detected by merge,
-// not by the checksum).
-std::uint64_t report_fnv1a(const std::string& data, std::size_t size) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i)
-    h = (h ^ static_cast<unsigned char>(data[i])) * 1099511628211ull;
-  return h;
 }
 
 std::string read_file(const std::string& path) {
@@ -53,11 +44,16 @@ void write_file(const std::string& path, const std::string& data) {
   os.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-void refresh_checksum(std::string& data) {
-  const std::uint64_t checksum = report_fnv1a(data, data.size() - 8);
-  for (int i = 0; i < 8; ++i)
-    data[data.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<char>((checksum >> (8 * i)) & 0xffu);
+/// Replace `from` with `to` in a report file's JSON line and re-seal the
+/// checksum trailer, so only the decoder's or the merge's own checks can
+/// catch the edit.
+std::string edit_json(const std::string& data, const std::string& from,
+                      const std::string& to) {
+  std::string body = data.substr(0, data.rfind("\nchecksum "));
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) body.replace(at, from.size(), to);
+  return io::seal_checksum(body);
 }
 
 api::ExplorationRequest small_request() {
@@ -504,16 +500,18 @@ TEST(CorruptReports, TruncationIsRejectedAtEveryLength) {
   ASSERT_GT(data.size(), 32u);
   // Every strict prefix must fail with a Status — never crash, never
   // return a partial report.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{4}, std::size_t{9}, std::size_t{17},
-        data.size() / 4, data.size() / 2, data.size() - 9,
-        data.size() - 1}) {
-    const std::string trunc_path = temp_path("xoridx_shard_trunc_cut.rpt");
-    write_file(trunc_path, data.substr(0, keep));
-    const api::Result<Report> loaded = load_report(trunc_path);
-    ASSERT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(loaded.status().code(), api::StatusCode::io_error);
+  for (std::size_t keep = 0; keep < data.size(); ++keep) {
+    const api::Result<Report> decoded = decode_report(data.substr(0, keep));
+    ASSERT_FALSE(decoded.ok()) << "kept " << keep << " bytes";
+    EXPECT_EQ(decoded.status().code(), api::StatusCode::io_error);
   }
+  // The same through a file: the error names the path.
+  const std::string trunc_path = temp_path("xoridx_shard_trunc_cut.rpt");
+  write_file(trunc_path, data.substr(0, data.size() / 2));
+  const api::Result<Report> loaded = load_report(trunc_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), api::StatusCode::io_error);
+  EXPECT_NE(loaded.status().message().find(trunc_path), std::string::npos);
 }
 
 TEST(CorruptReports, BitFlipsFailTheChecksum) {
@@ -534,22 +532,27 @@ TEST(CorruptReports, BitFlipsFailTheChecksum) {
   // the merge-level guards, not silently merged — exercised below.
 }
 
-TEST(CorruptReports, WrongMagicAndFormatVersionAreNamed) {
+TEST(CorruptReports, BinaryReportsAndFormatVersionAreNamed) {
   sample_report("magic");
   const std::string path = temp_path("xoridx_shard_corrupt_magic.rpt");
   std::string data = read_file(path);
 
-  std::string bad_magic = data;
-  bad_magic[0] = 'Y';
-  const std::string magic_path = temp_path("xoridx_shard_magic_out.rpt");
-  write_file(magic_path, bad_magic);
-  api::Result<Report> loaded = load_report(magic_path);
+  // A binary report of an older build: its 8-byte magic, a little-endian
+  // format word, then header fields.
+  const std::string binary = std::string("XORIDXR1\x02\x00", 10) +
+                             std::string(64, '\0');
+  const std::string binary_path = temp_path("xoridx_shard_binary_out.rpt");
+  write_file(binary_path, binary);
+  api::Result<Report> loaded = load_report(binary_path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("magic"), std::string::npos);
+  EXPECT_EQ(loaded.status().code(), api::StatusCode::io_error);
+  EXPECT_NE(loaded.status().message().find("binary report from an older"),
+            std::string::npos)
+      << loaded.status().to_string();
+  EXPECT_NE(loaded.status().message().find(binary_path), std::string::npos);
 
-  std::string future = data;
-  future[8] = 9;  // format_version lives right after the 8-byte magic
-  refresh_checksum(future);
+  const std::string future = edit_json(data, "\"shard_report\":3,",
+                                       "\"shard_report\":9,");
   const std::string future_path = temp_path("xoridx_shard_future_out.rpt");
   write_file(future_path, future);
   loaded = load_report(future_path);
@@ -574,10 +577,13 @@ TEST(CorruptReports, MergeRejectsSkewMismatchDuplicatesAndGaps) {
   {
     const std::string path = temp_path("xoridx_shard_skew.rpt");
     ASSERT_TRUE(save_report(shards[1], path).ok());
-    std::string data = read_file(path);
-    data[12] = static_cast<char>(data[12] + 1);  // minor version lsb
-    refresh_checksum(data);
-    write_file(path, data);
+    const api::Version v = api::version();
+    const auto version_json = [&v](int minor) {
+      return "\"written_by\":[" + std::to_string(v.major) + "," +
+             std::to_string(minor) + "," + std::to_string(v.patch) + "]";
+    };
+    write_file(path, edit_json(read_file(path), version_json(v.minor),
+                               version_json(v.minor + 1)));
     const api::Result<Report> skewed = load_report(path);
     ASSERT_TRUE(skewed.ok()) << skewed.status().to_string();
     const api::Result<Report> merged =
@@ -614,16 +620,12 @@ TEST(CorruptReports, MergeRejectsSkewMismatchDuplicatesAndGaps) {
             api::StatusCode::invalid_argument);
 
   // A crafted num_shards (here UINT32_MAX, checksum refreshed) must get
-  // a descriptive Status, not a crash or an N-sized allocation. The
-  // field sits at byte 36: magic(8) + format(2) + version(6) +
-  // fingerprint(16) + shard_index(4).
+  // a descriptive Status, not a crash or an N-sized allocation.
   {
     const std::string path = temp_path("xoridx_shard_huge_n.rpt");
     ASSERT_TRUE(save_report(shards[0], path).ok());
-    std::string data = read_file(path);
-    for (std::size_t i = 36; i < 40; ++i) data[i] = '\xff';
-    refresh_checksum(data);
-    write_file(path, data);
+    write_file(path, edit_json(read_file(path), "\"num_shards\":3,",
+                               "\"num_shards\":4294967295,"));
     const api::Result<Report> huge = load_report(path);
     ASSERT_TRUE(huge.ok()) << huge.status().to_string();
     const api::Result<Report> merged = merge_reports({*huge});
@@ -901,43 +903,36 @@ TEST(FleetObservability, DisabledMetricsProduceReportsWithoutSections) {
   EXPECT_FALSE(merged->obs.has_value());
 }
 
-TEST(FleetObservability, V1ReportsLoadAndMergeWithV2) {
+TEST(FleetObservability, SectionlessReportsMergeWithSectionedOnes) {
+  // A fleet may mix obs-off and obs-on workers: the shard without a
+  // section contributes results only, and the fleet section is built
+  // from whichever shards carried one.
   api::ExplorationRequest request = small_request();
   request.geometries = {api::GeometrySpec(1024, 4),
                         api::GeometrySpec(2048, 4)};
   const ShardPlan plan = ShardPlan::partition(request, 2).value();
-  const Report first = run_shard(request, plan, 1).value();
+  obs::set_metrics_enabled(false);
+  const api::Result<Report> first = run_shard(request, plan, 1);
+  obs::set_metrics_enabled(true);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->obs.has_value());
   const Report second = run_shard(request, plan, 2).value();
 
-  // Craft a v1 file by byte surgery on a section-less v2 file: rewrite
-  // the format word, drop the has_obs flag v1 never had, refresh the
-  // checksum. This is exactly what a pre-obs build would have written.
-  Report stripped = first;
-  stripped.obs.reset();
-  const std::string path = temp_path("xoridx_fleet_v1.rpt");
-  ASSERT_TRUE(save_report(stripped, path).ok());
-  std::string data = read_file(path);
-  ASSERT_GT(data.size(), 17u);
-  data[8] = 1;  // format u16 (little-endian) lives right after the magic
-  data.erase(data.size() - 9, 1);  // the v2 has_obs flag, pre-checksum
-  refresh_checksum(data);
-  write_file(path, data);
-
-  const api::Result<Report> v1 = load_report(path);
-  ASSERT_TRUE(v1.ok()) << v1.status().to_string();
-  EXPECT_EQ(v1->read_format, 1u);
-  EXPECT_FALSE(v1->obs.has_value());
-  EXPECT_EQ(*v1, first);  // results-only equality ignores the section
-
-  // Mixed-era fleets merge: results as usual, the fleet section built
-  // from whichever shards carried one.
+  // Both round-trip through disk: a section-less report stays section-less.
   std::vector<Report> mixed;
-  mixed.push_back(*v1);
-  mixed.push_back(second);
+  for (const Report& shard : {*first, second}) {
+    const std::string path = temp_path(
+        "xoridx_fleet_mixed_" + std::to_string(shard.shard_index) + ".rpt");
+    ASSERT_TRUE(save_report(shard, path).ok());
+    Report loaded = load_report(path).value();
+    EXPECT_EQ(loaded, shard);
+    EXPECT_EQ(loaded.obs, shard.obs);
+    mixed.push_back(std::move(loaded));
+  }
   const api::Result<Report> merged = merge_reports(std::move(mixed));
   ASSERT_TRUE(merged.ok()) << merged.status().to_string();
   EXPECT_EQ(merged->cells.size(), merged->total_cells);
-  if (obs::compiled() && obs::metrics_enabled()) {
+  if (obs::compiled()) {
     ASSERT_TRUE(second.obs.has_value());
     ASSERT_TRUE(merged->obs.has_value());
     EXPECT_EQ(merged->obs->snapshot, second.obs->snapshot);
@@ -951,19 +946,16 @@ TEST(FleetObservability, FutureFormatNamesTheSupportedRange) {
   report.obs.reset();
   const std::string path = temp_path("xoridx_fleet_future.rpt");
   ASSERT_TRUE(save_report(report, path).ok());
-  std::string data = read_file(path);
-  data[8] = 3;
-  refresh_checksum(data);
-  write_file(path, data);
+  write_file(path, edit_json(read_file(path), "\"shard_report\":3,",
+                             "\"shard_report\":4,"));
   const api::Result<Report> loaded = load_report(path);
   ASSERT_FALSE(loaded.ok());
-  // "Too new" must be distinguishable from "older format without an obs
-  // section" (which loads fine, above) — and must name what this build
-  // can read so the operator knows which side to upgrade.
+  // "Too new" must be named as such, with what this build can read, so
+  // the operator knows which side to upgrade.
   EXPECT_NE(loaded.status().message().find("unsupported"),
             std::string::npos);
-  EXPECT_NE(loaded.status().message().find("v3"), std::string::npos);
-  EXPECT_NE(loaded.status().message().find("v1-v2"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("v4"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("reads v3"), std::string::npos);
 }
 
 }  // namespace
