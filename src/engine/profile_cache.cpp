@@ -2,17 +2,18 @@
 
 #include <cstdio>
 
+#include "io/fnv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace xoridx::engine {
 
 std::size_t ProfileCache::KeyHash::operator()(const Key& k) const noexcept {
-  // FNV-1a over the key fields.
-  std::uint64_t h = 1469598103934665603ull;
+  // FNV-1a-style, one whole field per step.
+  std::uint64_t h = io::fnv1a_short_basis;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
-    h *= 1099511628211ull;
+    h *= io::fnv1a_prime;
   };
   mix(k.id.lo);
   mix(k.id.hi);

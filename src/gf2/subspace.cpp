@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "io/fnv.hpp"
+
 namespace xoridx::gf2 {
 
 Subspace::Subspace(int ambient_dim) : n_(ambient_dim) {
@@ -115,13 +117,13 @@ std::vector<Word> Subspace::members() const {
 }
 
 std::size_t Subspace::hash() const noexcept {
-  std::size_t h = 1469598103934665603ull;
+  std::size_t h = io::fnv1a_short_basis;
   for (Word b : basis_) {
     h ^= static_cast<std::size_t>(b);
-    h *= 1099511628211ull;
+    h *= io::fnv1a_prime;
   }
   h ^= static_cast<std::size_t>(n_);
-  h *= 1099511628211ull;
+  h *= io::fnv1a_prime;
   return h;
 }
 

@@ -12,6 +12,7 @@
 #include <iterator>
 
 #include "fail/failpoint.hpp"
+#include "io/fnv.hpp"
 
 namespace xoridx::io {
 

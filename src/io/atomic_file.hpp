@@ -89,14 +89,6 @@ class AtomicFileWriter {
 [[nodiscard]] api::Status write_file_atomic(const std::string& path,
                                             std::string_view content);
 
-/// 64-bit FNV-1a: the offset basis and one step folding `byte` into `h`.
-/// An integrity checksum, not a cryptographic hash.
-inline constexpr std::uint64_t fnv1a_basis = 14695981039346656037ull;
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::uint64_t h,
-                                            unsigned char byte) noexcept {
-  return (h ^ byte) * 1099511628211ull;
-}
-
 /// Checksummed artifacts (shard reports, the fleet manifest) are a body,
 /// a newline, and one trailer line `checksum <16 hex digits>\n` holding
 /// the FNV-1a of every byte before the word `checksum`. seal_checksum

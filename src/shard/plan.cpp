@@ -10,6 +10,7 @@
 #include "api/internal.hpp"
 #include "engine/campaign.hpp"
 #include "io/atomic_file.hpp"
+#include "io/fnv.hpp"
 
 namespace xoridx::shard {
 

@@ -7,20 +7,22 @@ namespace xoridx::trace {
 
 TraceStats Trace::stats(int block_offset_bits) const {
   TraceStats s;
-  s.references = accesses_.size();
-  if (accesses_.empty()) return s;
-  s.min_addr = accesses_.front().addr;
-  s.max_addr = accesses_.front().addr;
+  s.references = size();
+  if (empty()) return s;
+  s.min_addr = addresses_.front();
+  s.max_addr = addresses_.front();
   std::unordered_set<std::uint64_t> blocks;
-  for (const Access& a : accesses_) {
-    switch (a.kind) {
+  for (const AccessKind kind : kinds_) {
+    switch (kind) {
       case AccessKind::read: ++s.reads; break;
       case AccessKind::write: ++s.writes; break;
       case AccessKind::fetch: ++s.fetches; break;
     }
-    s.min_addr = std::min(s.min_addr, a.addr);
-    s.max_addr = std::max(s.max_addr, a.addr);
-    blocks.insert(a.addr >> block_offset_bits);
+  }
+  for (const std::uint64_t addr : addresses_) {
+    s.min_addr = std::min(s.min_addr, addr);
+    s.max_addr = std::max(s.max_addr, addr);
+    blocks.insert(addr >> block_offset_bits);
   }
   s.distinct_blocks = blocks.size();
   return s;
@@ -28,8 +30,9 @@ TraceStats Trace::stats(int block_offset_bits) const {
 
 std::vector<std::uint64_t> Trace::block_addresses(int block_offset_bits) const {
   std::vector<std::uint64_t> blocks;
-  blocks.reserve(accesses_.size());
-  for (const Access& a : accesses_) blocks.push_back(a.addr >> block_offset_bits);
+  blocks.reserve(size());
+  for (const std::uint64_t addr : addresses_)
+    blocks.push_back(addr >> block_offset_bits);
   return blocks;
 }
 

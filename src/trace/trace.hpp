@@ -1,7 +1,14 @@
 // Memory access traces and their summary statistics.
+//
+// A Trace stores its accesses as two columns, the byte addresses and the
+// access kinds, so a resident trace costs 9 bytes per access where an
+// array of padded Access records would cost 16. Element access and
+// iteration still hand out Access values.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -24,29 +31,67 @@ struct TraceStats {
 /// both the profiling phase (paper Section 3.1) and cache simulation.
 class Trace {
  public:
+  /// Iterates the trace in order, yielding each Access by value.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Access;
+    using difference_type = std::ptrdiff_t;
+    using reference = Access;
+
+    Iterator() = default;
+    Iterator(const Trace* trace, std::size_t i) : trace_(trace), i_(i) {}
+
+    Access operator*() const { return (*trace_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++i_;
+      return old;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const Trace* trace_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
   Trace() = default;
-  explicit Trace(std::vector<Access> accesses)
-      : accesses_(std::move(accesses)) {}
 
-  void append(Access a) { accesses_.push_back(a); }
+  void append(Access a) { append(a.addr, a.kind); }
   void append(std::uint64_t addr, AccessKind kind) {
-    accesses_.push_back({addr, kind});
+    addresses_.push_back(addr);
+    kinds_.push_back(kind);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return accesses_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return accesses_.empty(); }
-  [[nodiscard]] const Access& operator[](std::size_t i) const {
-    return accesses_[i];
+  [[nodiscard]] std::size_t size() const noexcept { return addresses_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return addresses_.empty(); }
+  [[nodiscard]] Access operator[](std::size_t i) const {
+    return {addresses_[i], kinds_[i]};
   }
-  [[nodiscard]] std::span<const Access> accesses() const noexcept {
-    return accesses_;
+  [[nodiscard]] std::span<const std::uint64_t> addresses() const noexcept {
+    return addresses_;
+  }
+  [[nodiscard]] std::span<const AccessKind> kinds() const noexcept {
+    return kinds_;
   }
 
-  [[nodiscard]] auto begin() const noexcept { return accesses_.begin(); }
-  [[nodiscard]] auto end() const noexcept { return accesses_.end(); }
+  [[nodiscard]] Iterator begin() const noexcept { return {this, 0}; }
+  [[nodiscard]] Iterator end() const noexcept { return {this, size()}; }
 
-  void reserve(std::size_t n) { accesses_.reserve(n); }
-  void clear() { accesses_.clear(); }
+  void reserve(std::size_t n) {
+    addresses_.reserve(n);
+    kinds_.reserve(n);
+  }
+  void clear() {
+    addresses_.clear();
+    kinds_.clear();
+  }
 
   /// Statistics at a given block size (block_offset_bits = log2 of the
   /// block size in bytes; the paper uses 4-byte blocks, i.e. 2).
@@ -59,7 +104,8 @@ class Trace {
   friend bool operator==(const Trace&, const Trace&) = default;
 
  private:
-  std::vector<Access> accesses_;
+  std::vector<std::uint64_t> addresses_;
+  std::vector<AccessKind> kinds_;  ///< kinds_[i] belongs to addresses_[i]
 };
 
 /// Keep only references of the given kinds (e.g. the data side of a

@@ -13,10 +13,9 @@ std::string TraceId::to_string() const {
 }
 
 void TraceIdHasher::update(std::uint64_t addr, trace::AccessKind kind) {
-  constexpr std::uint64_t fnv_prime = 1099511628211ull;
   for (int i = 0; i < 8; ++i)
-    a_ = (a_ ^ ((addr >> (8 * i)) & 0xff)) * fnv_prime;
-  a_ = (a_ ^ static_cast<std::uint64_t>(kind)) * fnv_prime;
+    a_ = io::fnv1a(a_, static_cast<unsigned char>(addr >> (8 * i)));
+  a_ = io::fnv1a(a_, static_cast<unsigned char>(kind));
 
   // Second stream: splitmix64 of the access keyed by its position, so
   // reorderings that FNV-1a alone might alias still change the digest.

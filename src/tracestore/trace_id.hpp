@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "io/fnv.hpp"
 #include "trace/access.hpp"
 #include "tracestore/trace_source.hpp"
 
@@ -40,7 +41,7 @@ class TraceIdHasher {
   [[nodiscard]] TraceId digest() const;
 
  private:
-  std::uint64_t a_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  std::uint64_t a_ = io::fnv1a_basis;
   std::uint64_t b_ = 0x9ae16a3b2f90404full;
   std::uint64_t count_ = 0;
 };

@@ -3,13 +3,15 @@
 //
 // TraceSource is the seam between trace storage and the consumers: a
 // consumer repeatedly fills a batch buffer and never learns whether the
-// bytes came from a v1 file, an mmap'd v2 chunk decoder or a remote fetch.
-// TraceInput is what every single-pass consumer (profiling, cache
-// simulation, the optimizer, the exhaustive bit-select entry points, the
-// content hash) takes: an in-memory Trace or a TraceSource, both converting
-// implicitly, so each consumer has one signature and one body.
+// accesses came from an in-memory Trace's address and kind columns, a v1
+// file, an mmap'd v2 chunk decoder or a remote fetch. TraceInput is what
+// every single-pass consumer (profiling, cache simulation, the optimizer,
+// the exhaustive bit-select entry points, the content hash) takes: an
+// in-memory Trace or a TraceSource, both converting implicitly, so each
+// consumer has one signature and one body.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -19,6 +21,9 @@
 #include "trace/trace.hpp"
 
 namespace xoridx::tracestore {
+
+/// Accesses per batch of every batch loop below.
+inline constexpr std::size_t kBatch = 4096;
 
 class TraceSource {
  public:
@@ -35,7 +40,8 @@ class TraceSource {
   [[nodiscard]] virtual std::uint64_t size() const = 0;
 };
 
-/// Adapter over an in-memory Trace; optionally shares ownership.
+/// Adapter over an in-memory Trace, filling each batch from its address
+/// and kind columns; optionally shares ownership.
 class MemorySource final : public TraceSource {
  public:
   explicit MemorySource(const trace::Trace& t) : trace_(&t) {}
@@ -43,9 +49,10 @@ class MemorySource final : public TraceSource {
       : owned_(std::move(t)), trace_(owned_.get()) {}
 
   std::size_t next_batch(std::span<trace::Access> out) override {
-    const std::span<const trace::Access> all = trace_->accesses();
-    const std::size_t n = std::min(out.size(), all.size() - pos_);
-    for (std::size_t i = 0; i < n; ++i) out[i] = all[pos_ + i];
+    const std::size_t n = std::min(out.size(), trace_->size() - pos_);
+    const std::uint64_t* addr = trace_->addresses().data() + pos_;
+    const trace::AccessKind* kind = trace_->kinds().data() + pos_;
+    for (std::size_t i = 0; i < n; ++i) out[i] = {addr[i], kind[i]};
     pos_ += n;
     return n;
   }
@@ -60,24 +67,41 @@ class MemorySource final : public TraceSource {
   std::size_t pos_ = 0;
 };
 
+/// Drive `f(std::span<const trace::Access>)` over consecutive batches of
+/// at most kBatch accesses, from the source's current position to its
+/// end. The batch buffer is the only decoded state this adds.
+template <typename F>
+void for_each_batch(TraceSource& source, F&& f) {
+  std::vector<trace::Access> batch(kBatch);
+  while (const std::size_t got = source.next_batch(batch))
+    f(std::span<const trace::Access>(batch.data(), got));
+}
+
+/// Drive `fn(const Access&)` over every access of the source from its
+/// current position, batch by batch.
+template <typename F>
+void for_each_access(TraceSource& source, F&& fn) {
+  for_each_batch(source, [&fn](std::span<const trace::Access> batch) {
+    for (const trace::Access& a : batch) fn(a);
+  });
+}
+
 /// Non-owning view of a trace for one or more single-pass consumers. It
 /// borrows its argument for the duration of the call that receives it.
-/// An in-memory Trace is handed to the consumer as one zero-copy span over
-/// its own accesses; a TraceSource is reset before each pass and then
-/// pulled in batches of kBatch accesses, so decoded state stays bounded by
-/// the batch no matter how long the trace is.
+/// Each pass starts at the first access and arrives in batches of kBatch
+/// accesses, from either arm: an in-memory Trace fills them from its
+/// columns, a TraceSource is reset and pulled. Decoded state stays bounded
+/// by the batch no matter how long the trace is.
 class TraceInput {
  public:
-  static constexpr std::size_t kBatch = 4096;
-
   TraceInput(const trace::Trace& t) noexcept  // NOLINT
-      : memory_(t.accesses()) {}
+      : memory_(&t) {}
   TraceInput(TraceSource& source) noexcept  // NOLINT
       : source_(&source) {}
 
   /// Total accesses in the trace.
   [[nodiscard]] std::uint64_t size() const {
-    return source_ != nullptr ? source_->size() : memory_.size();
+    return source_ != nullptr ? source_->size() : memory_->size();
   }
 
   /// One pass: call `f(std::span<const trace::Access>)` for consecutive
@@ -85,33 +109,18 @@ class TraceInput {
   template <typename F>
   void for_each_batch(F&& f) const {
     if (source_ == nullptr) {
-      f(memory_);
+      MemorySource memory(*memory_);
+      tracestore::for_each_batch(memory, f);
       return;
     }
     source_->reset();
-    std::vector<trace::Access> batch(kBatch);
-    while (const std::size_t got = source_->next_batch(batch))
-      f(std::span<const trace::Access>(batch.data(), got));
+    tracestore::for_each_batch(*source_, f);
   }
 
  private:
-  std::span<const trace::Access> memory_;
+  const trace::Trace* memory_ = nullptr;
   TraceSource* source_ = nullptr;
 };
-
-/// Drive `fn(const Access&)` over every access of the source from its
-/// current position, batch by batch. The batch buffer is the only decoded
-/// state this helper adds.
-template <typename F>
-void for_each_access(TraceSource& source, F&& fn,
-                     std::size_t batch_capacity = 4096) {
-  std::vector<trace::Access> buf(batch_capacity);
-  for (;;) {
-    const std::size_t got = source.next_batch(buf);
-    if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) fn(buf[i]);
-  }
-}
 
 /// Materialize the remainder of a source into a Trace (eager fallback).
 [[nodiscard]] inline trace::Trace drain_to_trace(TraceSource& source) {

@@ -1,16 +1,17 @@
-// FNV-1a checksum helpers for workload golden tests.
+// FNV-1a checksum helpers for workload golden tests. Each kernel's
+// checksum starts from io::fnv1a_short_basis.
 #pragma once
 
 #include <cstdint>
 
+#include "io/fnv.hpp"
+
 namespace xoridx::workloads {
 
-inline constexpr std::uint64_t fnv_offset = 1469598103934665603ull;
-inline constexpr std::uint64_t fnv_prime = 1099511628211ull;
-
+/// One FNV-1a step over the low byte of `byte`.
 [[nodiscard]] constexpr std::uint64_t fnv1a(std::uint64_t h,
                                             std::uint64_t byte) noexcept {
-  return (h ^ (byte & 0xffu)) * fnv_prime;
+  return io::fnv1a(h, static_cast<unsigned char>(byte));
 }
 
 [[nodiscard]] constexpr std::uint64_t fnv1a_word(std::uint64_t h,

@@ -267,7 +267,7 @@ std::uint64_t run_jpeg_enc(TraceContext& ctx, int width, int height) {
                                   page_alignment);
   TracedArray<std::int8_t> stream(ctx, 1024, page_alignment);
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   std::size_t out = 0;
   auto flush = [&] {
     for (std::size_t i = 0; i < out; ++i)
@@ -328,7 +328,7 @@ std::uint64_t run_jpeg_dec(TraceContext& ctx, int width, int height) {
     return stream.read(offset);
   };
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int by = 0; by < height; by += 8) {
     jpeg_decode_strip(fetch, dct, quant, zigzag, workspace, strip, width);
     // "Write" the decoded strip out.
@@ -405,7 +405,7 @@ std::uint64_t run_lame(TraceContext& ctx, int granules) {
 
   Lcg rng(0x1a3eu);
   std::size_t ring_pos = 0;
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int g = 0; g < granules; ++g) {
     // Shift in 32 fresh samples (multi-tone + dither).
     for (int i = 0; i < 32; ++i) {
@@ -472,7 +472,7 @@ std::uint64_t run_mpeg2_dec(TraceContext& ctx, int width, int height,
                       scene_pixel(x, y, width, height));
 
   Lcg rng(0x3e62u);
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int f = 0; f < frames; ++f) {
     for (int mby = 0; mby < height; mby += 16) {
       for (int mbx = 0; mbx < width; mbx += 16) {

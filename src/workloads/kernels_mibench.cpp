@@ -58,7 +58,7 @@ std::uint64_t run_dijkstra(TraceContext& ctx, int nodes, int sources) {
     }
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int s = 0; s < sources; ++s) {
     const auto src = static_cast<std::size_t>(s) % v;
     for (std::size_t i = 0; i < v; ++i) {
@@ -117,7 +117,7 @@ std::uint64_t run_fft(TraceContext& ctx, int log2n, int rounds) {
     wi.write(k, static_cast<float>(std::sin(angle)));
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   Lcg rng(0xff7u);
   for (int round = 0; round < rounds; ++round) {
     // Fresh deterministic signal: a sum of square waves plus dither.
@@ -256,7 +256,7 @@ std::uint64_t run_susan(TraceContext& ctx, int width, int height) {
     }
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < w * h; ++i)
     checksum = fnv1a(checksum, out.peek(i));
   return checksum;
@@ -441,7 +441,7 @@ std::uint64_t run_rijndael(TraceContext& ctx, int blocks) {
   for (std::size_t i = 0; i < 44; ++i) round_keys.write(i, rk[i]);
 
   Lcg rng(0xae5u);
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t done = 0; done < nblocks; done += chunk_blocks) {
     const std::size_t batch = std::min(chunk_blocks, nblocks - done);
     // "Read" the next file chunk into the reused input buffer.
@@ -630,7 +630,7 @@ std::uint64_t run_adpcm_enc(TraceContext& ctx, int samples) {
   for (std::size_t i = 0; i < adpcm::index_table.size(); ++i)
     indices.write(i, adpcm::index_table[i]);
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   std::int32_t predictor = 0;
   std::int32_t index = 0;
   for (std::size_t done = 0; done < count; done += chunk_samples) {
@@ -714,7 +714,7 @@ std::uint64_t run_adpcm_dec(TraceContext& ctx, int samples) {
   for (std::size_t i = 0; i < adpcm::index_table.size(); ++i)
     indices.write(i, adpcm::index_table[i]);
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   std::int32_t predictor = 0;
   std::int32_t index = 0;
   for (std::size_t done = 0; done < count; done += chunk_samples) {

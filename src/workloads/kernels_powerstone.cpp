@@ -88,7 +88,7 @@ std::uint64_t run_blit(TraceContext& ctx, int width_words, int height,
     }
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < w * h; ++i)
     checksum = fnv1a_word(checksum, dst.peek(i));
   return checksum;
@@ -167,7 +167,7 @@ std::uint64_t run_compress(TraceContext& ctx, int input_bytes) {
   }
   output.write(out_count++, static_cast<std::uint16_t>(prefix));
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < out_count; ++i) {
     checksum = fnv1a(checksum, output.peek(i) & 0xffu);
     checksum = fnv1a(checksum, (output.peek(i) >> 8) & 0xffu);
@@ -498,7 +498,7 @@ std::uint64_t run_des(TraceContext& ctx, int blocks) {
     output.write(2 * b + 1, static_cast<std::uint32_t>(cipher));
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < nblocks * 2; ++i)
     checksum = fnv1a_word(checksum, output.peek(i));
   return checksum;
@@ -531,7 +531,7 @@ std::uint64_t run_engine(TraceContext& ctx, int samples) {
   }
   Lcg rng(0xe6c1u);
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int i = 0; i < samples; ++i) {
     // Slowly varying rpm/load with jitter, like a drive cycle.
     const std::int32_t rpm =
@@ -592,7 +592,7 @@ std::uint64_t run_fir(TraceContext& ctx, int taps, int samples) {
   }
 
   Lcg rng(0xf17u);
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   std::size_t head = 0;
   for (std::size_t done = 0; done < count; done += chunk_samples) {
     const std::size_t batch = std::min(chunk_samples, count - done);
@@ -679,7 +679,7 @@ std::uint64_t run_g3fax(TraceContext& ctx, int line_bits, int lines) {
     }
   }
 
-  std::uint64_t checksum = fnv1a_word(fnv_offset, bits_consumed);
+  std::uint64_t checksum = fnv1a_word(io::fnv1a_short_basis, bits_consumed);
   for (std::size_t i = 0; i < page.size(); ++i)
     checksum = fnv1a(checksum, page.peek(i));
   return checksum;
@@ -732,7 +732,7 @@ std::uint64_t run_pocsag(TraceContext& ctx, int batches) {
     }
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int b = 0; b < batches; ++b) {
     for (int w = 0; w < 16; ++w) {
       std::uint32_t cw = input.read(static_cast<std::size_t>(b * 16 + w));
@@ -781,7 +781,7 @@ std::uint64_t run_qurt(TraceContext& ctx, int equations) {
     return x;
   };
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (int i = 0; i < equations; ++i) {
     const std::int64_t a = coeff_a.read(static_cast<std::size_t>(i));
     const std::int64_t b = coeff_b.read(static_cast<std::size_t>(i));
@@ -874,7 +874,7 @@ std::uint64_t run_ucbqsort(TraceContext& ctx, int elements) {
     if (i < hi) stack.push_back({i, hi});
   }
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < count; ++i)
     checksum = fnv1a_word(checksum, static_cast<std::uint64_t>(
                                         static_cast<std::uint32_t>(
@@ -969,7 +969,7 @@ std::uint64_t run_v42(TraceContext& ctx, int input_bytes) {
   }
   output.write(out_count++, static_cast<std::uint16_t>(node));
 
-  std::uint64_t checksum = fnv_offset;
+  std::uint64_t checksum = io::fnv1a_short_basis;
   for (std::size_t i = 0; i < out_count; ++i) {
     checksum = fnv1a(checksum, output.peek(i) & 0xffu);
     checksum = fnv1a(checksum, (output.peek(i) >> 8) & 0xffu);

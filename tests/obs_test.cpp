@@ -382,8 +382,8 @@ TEST(Instrumentation, SimulateCountersCountPassesAndSimulatedAccesses) {
   // accesses it simulated before each reached the running best, over the
   // blocks left once back-to-back repeats are dropped.
   std::vector<std::uint64_t> blocks;
-  for (const trace::Access& a : t.accesses()) {
-    const std::uint64_t block = a.addr >> geom.offset_bits();
+  for (const std::uint64_t addr : t.addresses()) {
+    const std::uint64_t block = addr >> geom.offset_bits();
     if (blocks.empty() || blocks.back() != block) blocks.push_back(block);
   }
   const int n = 12;

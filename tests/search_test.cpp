@@ -544,8 +544,8 @@ std::vector<std::uint64_t> workload_blocks(std::string_view name,
   const workloads::Workload w =
       workloads::make_workload(name, workloads::Scale::small);
   std::vector<std::uint64_t> blocks;
-  for (const trace::Access& a : w.data.accesses()) {
-    const std::uint64_t block = a.addr >> geom.offset_bits();
+  for (const std::uint64_t addr : w.data.addresses()) {
+    const std::uint64_t block = addr >> geom.offset_bits();
     if (blocks.empty() || blocks.back() != block) blocks.push_back(block);
   }
   return blocks;

@@ -1,14 +1,18 @@
-// Trace container, I/O and generator tests.
+// Trace container, I/O and generator tests, and the heap cost of the
+// trace's column layout.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "heap_counter.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
 #include "tracestore/store.hpp"
+#include "tracestore/trace_source.hpp"
 
 namespace xoridx::trace {
 namespace {
@@ -17,15 +21,51 @@ TEST(Trace, AppendAndIterate) {
   Trace t;
   t.append(0x100, AccessKind::read);
   t.append({0x104, AccessKind::write});
-  ASSERT_EQ(t.size(), 2u);
+  for (std::uint64_t i = 2; i < 10; ++i)
+    t.append(0x100 + 4 * i, static_cast<AccessKind>(i % 3));
+  ASSERT_EQ(t.size(), 10u);
   EXPECT_EQ(t[0].addr, 0x100u);
   EXPECT_EQ(t[1].kind, AccessKind::write);
-  std::size_t count = 0;
+  // Element access, iteration and the two columns agree, in order.
+  ASSERT_EQ(t.addresses().size(), t.size());
+  ASSERT_EQ(t.kinds().size(), t.size());
+  std::size_t i = 0;
   for (const Access& a : t) {
-    (void)a;
-    ++count;
+    EXPECT_EQ(a, t[i]);
+    EXPECT_EQ(a.addr, t.addresses()[i]);
+    EXPECT_EQ(a.kind, t.kinds()[i]);
+    EXPECT_EQ(a.addr, 0x100 + 4 * i);
+    EXPECT_EQ(a.kind, static_cast<AccessKind>(i % 3));
+    ++i;
   }
-  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(i, t.size());
+  const std::vector<Access> copied(t.begin(), t.end());
+  ASSERT_EQ(copied.size(), t.size());
+  EXPECT_EQ(copied.back(), t[9]);
+}
+
+TEST(Trace, EqualityComparesAddressesAndKinds) {
+  Trace a;
+  a.append(0x100, AccessKind::read);
+  a.append(0x104, AccessKind::write);
+  Trace b = a;
+  EXPECT_EQ(a, b);
+
+  Trace other_kind;
+  other_kind.append(0x100, AccessKind::read);
+  other_kind.append(0x104, AccessKind::fetch);
+  EXPECT_NE(a, other_kind);
+
+  Trace other_addr;
+  other_addr.append(0x100, AccessKind::read);
+  other_addr.append(0x108, AccessKind::write);
+  EXPECT_NE(a, other_addr);
+
+  b.append(0x108, AccessKind::read);
+  EXPECT_NE(a, b);  // a is a prefix of b
+  b.clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b, Trace{});
 }
 
 TEST(Trace, StatsCountKindsAndFootprint) {
@@ -65,6 +105,52 @@ TEST(Trace, FilterKinds) {
   const Trace inst = filter_kinds(t, false, false, true);
   EXPECT_EQ(inst.size(), 1u);
   EXPECT_EQ(inst[0].kind, AccessKind::fetch);
+  EXPECT_EQ(inst[0].addr, 8u);
+  // Kept references stay in order with their own addresses and kinds.
+  EXPECT_EQ(data[0], (Access{0, AccessKind::read}));
+  EXPECT_EQ(data[1], (Access{4, AccessKind::write}));
+  EXPECT_EQ(filter_kinds(t, true, true, true), t);
+  EXPECT_TRUE(filter_kinds(t, false, false, false).empty());
+}
+
+// A resident trace is an address column and a kind column: 9 bytes per
+// access, where an array of Access records (16 bytes each with padding)
+// would cost 16.
+TEST(TraceMemory, ReservedTraceCostsNineBytesPerAccess) {
+  constexpr std::size_t n = 1'000'000;
+  constexpr std::size_t slack = 4096;
+  const std::size_t before = heap::reset_peak();
+  Trace t;
+  t.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    t.append(4 * i, static_cast<AccessKind>(i % 3));
+  ASSERT_EQ(t.size(), n);
+  EXPECT_LE(heap::peak() - before, 9 * n + slack);
+}
+
+// One pass of an in-memory trace copies it through one batch buffer, so
+// the pass allocates O(batch) whatever the trace's length.
+TEST(TraceMemory, InMemoryPassAllocatesOneBatch) {
+  constexpr std::size_t n = 1'000'000;
+  Trace t;
+  t.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    t.append(4 * i, static_cast<AccessKind>(i % 3));
+  const tracestore::TraceInput input(t);
+
+  const std::size_t before = heap::reset_peak();
+  std::uint64_t seen = 0;
+  std::uint64_t sum = 0;
+  input.for_each_batch([&](std::span<const Access> batch) {
+    EXPECT_LE(batch.size(), tracestore::kBatch);
+    seen += batch.size();
+    for (const Access& a : batch) sum += a.addr;
+  });
+  EXPECT_EQ(seen, n);
+  EXPECT_EQ(sum, 4 * (n * (n - 1) / 2));
+  (void)tracestore::trace_id_of(input);
+  EXPECT_LE(heap::peak() - before,
+            tracestore::kBatch * sizeof(Access) + 4096);
 }
 
 std::string temp_path(const char* name) {

@@ -315,6 +315,68 @@ TEST(TraceStore, StreamingProfileIdenticalToInMemory) {
   std::remove(path.c_str());
 }
 
+// Every arm of a TraceInput gives the same results at lengths on and
+// around the batch size: an in-memory trace's columns, a MemorySource over
+// them, and a v2 file (chunks of 1000, which straddle the batches) loaded
+// eagerly or streamed as --mmap does.
+TEST(TraceStore, EveryInputArmGivesIdenticalResults) {
+  const cache::CacheGeometry geom(256, 4);
+  const hash::XorFunction fn =
+      hash::XorFunction::conventional(12, geom.index_bits());
+  struct Results {
+    TraceId id;
+    profile::ConflictProfile profile;
+    cache::CacheStats direct;
+    cache::MissBreakdown classes;
+  };
+  const auto run = [&](TraceInput input) {
+    return Results{trace_id_of(input),
+                   profile::build_conflict_profile(input, geom, 12),
+                   cache::simulate_direct_mapped(input, geom, fn),
+                   cache::classify_misses(input, geom, fn)};
+  };
+  const std::string path = temp_path("xoridx_input_arms.v2");
+  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u, 4097u}) {
+    SCOPED_TRACE(n);
+    const trace::Trace t = make_trace(n, n + 7);
+    if (n > 100) {
+      const trace::TraceStats stats = t.stats(2);
+      ASSERT_GT(stats.reads, 0u);
+      ASSERT_GT(stats.writes, 0u);
+      ASSERT_GT(stats.fetches, 0u);
+    }
+    save_trace_v2(path, t, 1000);
+    const trace::Trace eager = load_trace_any(path);
+    ASSERT_EQ(eager, t);
+    MemorySource memory(t);
+    const std::unique_ptr<TraceSource> mmap = open_trace_source(path);
+
+    const Results want = run(t);
+    EXPECT_EQ(want.direct.accesses, n);
+    EXPECT_EQ(want.classes.accesses, n);
+    for (Results got : {run(memory), run(eager), run(*mmap)}) {
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.profile, want.profile);
+      EXPECT_EQ(got.direct.accesses, want.direct.accesses);
+      EXPECT_EQ(got.direct.misses, want.direct.misses);
+      EXPECT_EQ(got.classes, want.classes);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStore, InMemoryTraceArrivesInBatches) {
+  const trace::Trace t = make_trace(2 * kBatch + 1);
+  std::vector<std::size_t> sizes;
+  trace::Trace back;
+  TraceInput(t).for_each_batch([&](std::span<const trace::Access> batch) {
+    sizes.push_back(batch.size());
+    for (const trace::Access& a : batch) back.append(a);
+  });
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kBatch, kBatch, 1}));
+  EXPECT_EQ(back, t);
+}
+
 TEST(TraceStore, StreamingSimulationIdenticalToInMemory) {
   const std::string path = temp_path("xoridx_stream_sim.v2");
   const trace::Trace t = make_trace(20000);
