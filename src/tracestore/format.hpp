@@ -38,9 +38,9 @@ inline constexpr std::size_t v1_record_bytes = 9;   ///< uint64 addr + kind
 inline constexpr std::size_t v2_header_bytes = 64;
 inline constexpr std::size_t v2_chunk_header_bytes = 28;
 
-/// Default maximum accesses per chunk. 64Ki accesses decode to 1 MB of
-/// Access structs — small enough that double buffering stays cache- and
-/// memory-friendly, large enough to amortize per-chunk overhead.
+/// Default maximum accesses per chunk: large enough to amortize the
+/// per-chunk header and index entry. Readers decode a chunk straight into
+/// the caller's batch, so the capacity bounds no buffer.
 inline constexpr std::uint32_t default_chunk_capacity = 1u << 16;
 
 // Field offsets inside the v2 file header.

@@ -1,27 +1,21 @@
 #include "tracestore/reader.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define XORIDX_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "obs/metrics.hpp"
 
 namespace xoridx::tracestore {
 
 // ---------------------------------------------------------------- MappedFile
 
 MappedFile::MappedFile(const std::string& path) : path_(path) {
-#if XORIDX_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw std::runtime_error("cannot open " + path);
   struct stat st{};
@@ -31,49 +25,29 @@ MappedFile::MappedFile(const std::string& path) : path_(path) {
   }
   size_ = static_cast<std::size_t>(st.st_size);
   if (size_ > 0) {
-    map_ = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map_ == MAP_FAILED) {
+    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map == MAP_FAILED) {
       ::close(fd);
       throw std::runtime_error("cannot mmap " + path);
     }
-    data_ = static_cast<const unsigned char*>(map_);
+    data_ = static_cast<const unsigned char*>(map);
   }
   ::close(fd);
-#else
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  is.seekg(0, std::ios::end);
-  fallback_.resize(static_cast<std::size_t>(is.tellg()));
-  is.seekg(0);
-  is.read(reinterpret_cast<char*>(fallback_.data()),
-          static_cast<std::streamsize>(fallback_.size()));
-  if (!is) throw std::runtime_error("cannot read " + path);
-  data_ = fallback_.data();
-  size_ = fallback_.size();
-#endif
 }
 
 MappedFile::~MappedFile() {
-#if XORIDX_HAVE_MMAP
-  if (map_ != nullptr) ::munmap(map_, size_);
-#endif
+  if (data_ != nullptr)
+    ::munmap(const_cast<unsigned char*>(data_), size_);
 }
 
 // ----------------------------------------------------------- MmapTraceReader
 
-MmapTraceReader::MmapTraceReader(const std::string& path, bool prefetch)
-    : MmapTraceReader(std::make_shared<const MappedFile>(path), prefetch) {}
+MmapTraceReader::MmapTraceReader(const std::string& path)
+    : MmapTraceReader(std::make_shared<const MappedFile>(path)) {}
 
-MmapTraceReader::MmapTraceReader(std::shared_ptr<const MappedFile> file,
-                                 bool prefetch)
-    : file_(std::move(file)), prefetch_enabled_(prefetch) {
+MmapTraceReader::MmapTraceReader(std::shared_ptr<const MappedFile> file)
+    : file_(std::move(file)) {
   validate_and_load_header();
-}
-
-MmapTraceReader::~MmapTraceReader() {
-  // A std::async future joins on destruction; be explicit anyway so the
-  // decode task never outlives the mapping.
-  if (inflight_.valid()) inflight_.wait();
 }
 
 void MmapTraceReader::validate_and_load_header() {
@@ -121,9 +95,10 @@ std::uint64_t MmapTraceReader::chunk_offset(std::uint64_t idx) const {
       load_le64(file_->data() + v2_off_index_offset);
   const std::uint64_t off = load_le64(file_->data() + index_offset + 8 * idx);
   // Offsets stored in the index are untrusted input too: every consumer
-  // (decode and the prefetch header peek) must stay inside the mapping.
-  // Subtraction form so a near-UINT64_MAX offset cannot wrap the check
-  // (file size >= v2_header_bytes > chunk header was validated at open).
+  // (the open-time count check and entering a chunk) must stay inside the
+  // mapping. Subtraction form so a near-UINT64_MAX offset cannot wrap the
+  // check (file size >= v2_header_bytes > chunk header was validated at
+  // open).
   if (off < v2_header_bytes ||
       off > file_->size() - v2_chunk_header_bytes)
     throw std::runtime_error("v2 trace chunk offset out of bounds: " +
@@ -131,115 +106,77 @@ std::uint64_t MmapTraceReader::chunk_offset(std::uint64_t idx) const {
   return off;
 }
 
-std::vector<trace::Access> MmapTraceReader::decode_chunk(
-    std::uint64_t idx) const {
-  const unsigned char* base = file_->data();
-  const std::size_t bytes = file_->size();
+/// Point the cursor at the first access of chunk `idx`, after checking the
+/// chunk header against the capacity and the mapping.
+void MmapTraceReader::enter_chunk(std::uint64_t idx) {
   const std::uint64_t off = chunk_offset(idx);  // bounds-checked
-  const ChunkHeader h = decode_chunk_header(base + off);
+  const ChunkHeader h = decode_chunk_header(file_->data() + off);
   if (h.count == 0 || h.count > info_.chunk_capacity)
     throw std::runtime_error("v2 trace chunk count corrupt: " +
                              file_->path());
   const std::uint64_t payload_off = off + v2_chunk_header_bytes;
-  if (payload_off + h.payload_bytes > bytes ||
+  if (payload_off + h.payload_bytes > file_->size() ||
       h.payload_bytes < h.count)  // at least the kind byte per access
     throw std::runtime_error("v2 trace chunk payload out of bounds: " +
                              file_->path());
-
-  std::vector<trace::Access> out;
-  out.reserve(h.count);
-  const unsigned char* p = base + payload_off;
+  payload_ = file_->data() + payload_off;
   // Kinds trail the address payload, one raw byte per access.
-  const unsigned char* addr_end = p + h.payload_bytes - h.count;
-  const unsigned char* kinds = addr_end;
-  std::uint64_t prev = 0;
-  for (std::uint32_t i = 0; i < h.count; ++i) {
-    const std::uint64_t addr =
-        prev + static_cast<std::uint64_t>(
-                   zigzag_decode(get_varint(p, addr_end)));
-    prev = addr;
-    if (addr < h.min_addr || addr > h.max_addr)
-      throw std::runtime_error("v2 trace address outside chunk bounds: " +
-                               file_->path());
-    const unsigned char kind = kinds[i];
-    if (kind > 2)
-      throw std::runtime_error("v2 trace has bad access kind: " +
-                               file_->path());
-    out.push_back({addr, static_cast<trace::AccessKind>(kind)});
-  }
-  if (p != addr_end)
-    throw std::runtime_error("v2 trace chunk payload length mismatch: " +
-                             file_->path());
+  addr_end_ = payload_ + h.payload_bytes - h.count;
+  kinds_ = addr_end_;
+  prev_ = 0;
+  left_ = h.count;
+  min_addr_ = h.min_addr;
+  max_addr_ = h.max_addr;
   XORIDX_OBS_COUNT("tracestore.chunks_decoded", 1);
   XORIDX_OBS_COUNT("tracestore.accesses_decoded", h.count);
-  return out;
-}
-
-void MmapTraceReader::note_resident(std::size_t resident) {
-  peak_decoded_ = std::max<std::uint64_t>(peak_decoded_, resident);
-}
-
-/// Swap the next decoded chunk into front_, preferring the prefetched one,
-/// and start prefetching its successor.
-void MmapTraceReader::advance_front() {
-  front_.clear();
-  front_pos_ = 0;
-  if (inflight_.valid()) {
-#if XORIDX_OBS_ENABLED
-    // A prefetch that is not done when the consumer needs it is a stall:
-    // compute is outrunning decode. The stall duration is the wait.
-    if (inflight_.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-      XORIDX_OBS_COUNT("tracestore.prefetch_stalls", 1);
-      const std::uint64_t stall_start = obs::now_ns();
-      front_ = inflight_.get();
-      XORIDX_OBS_HIST("tracestore.prefetch_stall_ns",
-                      obs::now_ns() - stall_start);
-    } else {
-      front_ = inflight_.get();
-    }
-#else
-    front_ = inflight_.get();
-#endif
-    inflight_count_ = 0;
-  } else if (next_chunk_ < info_.chunks) {
-    front_ = decode_chunk(next_chunk_++);
-  } else {
-    return;  // end of trace
-  }
-  if (prefetch_enabled_ && next_chunk_ < info_.chunks) {
-    const std::uint64_t idx = next_chunk_++;
-    inflight_count_ = decode_chunk_header(
-                          file_->data() + chunk_offset(idx)).count;
-    inflight_ = std::async(std::launch::async,
-                           [this, idx] { return decode_chunk(idx); });
-  }
-  note_resident(front_.size() + inflight_count_);
 }
 
 std::size_t MmapTraceReader::next_batch(std::span<trace::Access> out) {
   std::size_t written = 0;
   while (written < out.size()) {
-    if (front_pos_ == front_.size()) {
-      advance_front();
-      if (front_.empty()) break;
+    if (left_ == 0) {
+      if (next_chunk_ == info_.chunks) break;
+      enter_chunk(next_chunk_++);
     }
-    const std::size_t n =
-        std::min(out.size() - written, front_.size() - front_pos_);
-    std::copy_n(front_.begin() + static_cast<std::ptrdiff_t>(front_pos_), n,
-                out.begin() + static_cast<std::ptrdiff_t>(written));
-    front_pos_ += n;
+    const std::size_t n = std::min<std::size_t>(out.size() - written, left_);
+    // Locals, so the stores into `out` cannot force the cursor's fields
+    // to be reloaded on every access.
+    const unsigned char* p = payload_;
+    const unsigned char* const addr_end = addr_end_;
+    const unsigned char* const kinds = kinds_;
+    const std::uint64_t lo = min_addr_;
+    const std::uint64_t hi = max_addr_;
+    std::uint64_t prev = prev_;
+    trace::Access* const dst = out.data() + written;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t addr =
+          prev + static_cast<std::uint64_t>(
+                     zigzag_decode(get_varint(p, addr_end)));
+      prev = addr;
+      if (addr < lo || addr > hi)
+        throw std::runtime_error("v2 trace address outside chunk bounds: " +
+                                 file_->path());
+      const unsigned char kind = kinds[i];
+      if (kind > 2)
+        throw std::runtime_error("v2 trace has bad access kind: " +
+                                 file_->path());
+      dst[i] = {addr, static_cast<trace::AccessKind>(kind)};
+    }
+    payload_ = p;
+    prev_ = prev;
+    kinds_ += n;
+    left_ -= static_cast<std::uint32_t>(n);
     written += n;
+    if (left_ == 0 && payload_ != addr_end_)
+      throw std::runtime_error("v2 trace chunk payload length mismatch: " +
+                               file_->path());
   }
   return written;
 }
 
 void MmapTraceReader::reset() {
-  if (inflight_.valid()) inflight_.get();
-  inflight_count_ = 0;
-  front_.clear();
-  front_pos_ = 0;
   next_chunk_ = 0;
+  left_ = 0;
 }
 
 // -------------------------------------------------------------- V1FileSource

@@ -1,22 +1,16 @@
 // mmap-backed trace readers.
 //
-// MmapTraceReader streams a v2 file: the mapping itself is demand-paged by
-// the OS, and the reader decodes exactly one chunk at a time into an
-// Access buffer while a background task decodes the next chunk into a
-// second buffer (double buffering). Peak decoded state is therefore
-// bounded by two chunks regardless of trace length — the bound the
-// tracestore tests assert via peak_decoded_accesses().
+// Both readers decode straight into the caller's batch, in the caller's
+// thread, with no buffer of their own: the mapping is demand-paged by the
+// OS, so a pass holds the batch and nothing that grows with the trace.
 //
-// V1FileSource streams the fixed-record v1 format from a mapping with no
-// intermediate buffer at all (records are parsed straight into the
-// caller's batch).
+// MmapTraceReader streams a v2 file through a cursor over the chunk it is
+// in; V1FileSource streams the fixed-record v1 format.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "tracestore/format.hpp"
 #include "tracestore/trace_id.hpp"
@@ -24,8 +18,7 @@
 
 namespace xoridx::tracestore {
 
-/// Read-only file mapping (POSIX mmap; falls back to reading the whole
-/// file into memory on platforms without mmap).
+/// Read-only POSIX file mapping.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path);
@@ -42,8 +35,6 @@ class MappedFile {
   std::string path_;
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
-  void* map_ = nullptr;                   // non-null when mmap'd
-  std::vector<unsigned char> fallback_;   // used when mmap is unavailable
 };
 
 struct TraceFileInfo {
@@ -55,15 +46,14 @@ struct TraceFileInfo {
   TraceId id;  ///< v2: from the header; v1: computed by a streaming scan
 };
 
-/// Streaming decoder over a v2 mapping with double-buffered async
-/// prefetch of the next chunk. Not thread-safe; each consumer opens its
-/// own reader (mappings of one file share physical pages).
+/// Streaming decoder over a v2 mapping. The header and the chunk index are
+/// checked at open; each chunk is checked as the cursor enters it and each
+/// access as it is decoded. Not thread-safe; each consumer opens its own
+/// reader (mappings of one file share physical pages).
 class MmapTraceReader final : public TraceSource {
  public:
-  explicit MmapTraceReader(const std::string& path, bool prefetch = true);
-  explicit MmapTraceReader(std::shared_ptr<const MappedFile> file,
-                           bool prefetch = true);
-  ~MmapTraceReader() override;
+  explicit MmapTraceReader(const std::string& path);
+  explicit MmapTraceReader(std::shared_ptr<const MappedFile> file);
 
   std::size_t next_batch(std::span<trace::Access> out) override;
   void reset() override;
@@ -73,30 +63,23 @@ class MmapTraceReader final : public TraceSource {
 
   [[nodiscard]] const TraceFileInfo& info() const noexcept { return info_; }
 
-  /// Largest number of decoded accesses resident at once (current buffer
-  /// plus any chunk being prefetched) — the observable O(chunk) bound.
-  [[nodiscard]] std::uint64_t peak_decoded_accesses() const noexcept {
-    return peak_decoded_;
-  }
-
  private:
   void validate_and_load_header();
   [[nodiscard]] std::uint64_t chunk_offset(std::uint64_t idx) const;
-  [[nodiscard]] std::vector<trace::Access> decode_chunk(
-      std::uint64_t idx) const;
-  void advance_front();
-  void note_resident(std::size_t resident);
+  void enter_chunk(std::uint64_t idx);
 
   std::shared_ptr<const MappedFile> file_;
   TraceFileInfo info_;
-  bool prefetch_enabled_;
 
-  std::vector<trace::Access> front_;  ///< decoded current chunk
-  std::size_t front_pos_ = 0;
-  std::uint64_t next_chunk_ = 0;  ///< next chunk not yet decoded/in flight
-  std::future<std::vector<trace::Access>> inflight_;
-  std::uint32_t inflight_count_ = 0;  ///< accesses in the in-flight chunk
-  std::uint64_t peak_decoded_ = 0;
+  // Cursor over the current chunk.
+  std::uint64_t next_chunk_ = 0;            ///< next chunk to enter
+  const unsigned char* payload_ = nullptr;  ///< next address varint
+  const unsigned char* kinds_ = nullptr;    ///< next kind byte
+  const unsigned char* addr_end_ = nullptr; ///< end of the address varints
+  std::uint64_t prev_ = 0;                  ///< previous address (delta base)
+  std::uint32_t left_ = 0;                  ///< accesses left in the chunk
+  std::uint64_t min_addr_ = 0;
+  std::uint64_t max_addr_ = 0;
 };
 
 /// Streaming reader over the fixed-record v1 format.

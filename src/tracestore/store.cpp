@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <span>
 #include <stdexcept>
 #include <system_error>
@@ -19,6 +18,23 @@ namespace {
 /// message.
 void check(const api::Status& status) {
   if (!status.ok()) throw std::runtime_error(std::string(status.message()));
+}
+
+/// A trace file mapped once, with the format its magic names.
+struct MappedTrace {
+  std::shared_ptr<const MappedFile> file;
+  TraceFormat format;
+};
+
+MappedTrace map_trace(const std::string& path) {
+  auto file = std::make_shared<const MappedFile>(path);
+  if (file->size() >= v1_magic.size()) {
+    if (std::memcmp(file->data(), v1_magic.data(), v1_magic.size()) == 0)
+      return {std::move(file), TraceFormat::v1};
+    if (std::memcmp(file->data(), v2_magic.data(), v2_magic.size()) == 0)
+      return {std::move(file), TraceFormat::v2};
+  }
+  throw std::runtime_error("not a trace file (bad magic): " + path);
 }
 
 }  // namespace
@@ -52,24 +68,15 @@ TraceId save_trace_v1(const std::string& path, TraceInput t) {
 }
 
 TraceFormat detect_trace_format(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  std::array<char, 8> got{};
-  is.read(got.data(), static_cast<std::streamsize>(got.size()));
-  if (is) {
-    if (std::memcmp(got.data(), v1_magic.data(), v1_magic.size()) == 0)
-      return TraceFormat::v1;
-    if (std::memcmp(got.data(), v2_magic.data(), v2_magic.size()) == 0)
-      return TraceFormat::v2;
-  }
-  throw std::runtime_error("not a trace file (bad magic): " + path);
+  return map_trace(path).format;
 }
 
 TraceFileInfo trace_file_info(const std::string& path) {
-  const TraceFormat format = detect_trace_format(path);
-  if (format == TraceFormat::v2) return MmapTraceReader(path).info();
+  MappedTrace mapped = map_trace(path);
+  if (mapped.format == TraceFormat::v2)
+    return MmapTraceReader(std::move(mapped.file)).info();
 
-  V1FileSource source(path);
+  V1FileSource source(std::move(mapped.file));
   TraceFileInfo info;
   info.version = 1;
   info.accesses = source.size();
@@ -79,11 +86,12 @@ TraceFileInfo trace_file_info(const std::string& path) {
 }
 
 std::unique_ptr<TraceSource> open_trace_source(const std::string& path) {
-  switch (detect_trace_format(path)) {
+  MappedTrace mapped = map_trace(path);
+  switch (mapped.format) {
     case TraceFormat::v1:
-      return std::make_unique<V1FileSource>(path);
+      return std::make_unique<V1FileSource>(std::move(mapped.file));
     case TraceFormat::v2:
-      return std::make_unique<MmapTraceReader>(path);
+      return std::make_unique<MmapTraceReader>(std::move(mapped.file));
   }
   throw std::logic_error("unreachable");
 }

@@ -2,8 +2,10 @@
 // streaming open, eager load and format conversion.
 //
 // Everything here works for both on-disk formats — v1 (fixed 9-byte
-// records, see format.hpp) and v2 (chunk-compressed, writer/reader) —
-// and all streaming paths keep resident memory O(chunk).
+// records, see format.hpp) and v2 (chunk-compressed, writer/reader). Each
+// call maps the file once and reads the magic from that mapping, and
+// every streaming path holds one batch of decoded accesses, never a chunk
+// or the trace.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,7 @@ enum class TraceFormat { v1, v2 };
 [[nodiscard]] TraceFormat detect_trace_format(const std::string& path);
 
 /// Header-level metadata. For v2 the TraceId comes straight from the file
-/// header; for v1 it is computed by a streaming scan (O(chunk) memory).
+/// header; for v1 it is computed by a streaming scan (one batch resident).
 [[nodiscard]] TraceFileInfo trace_file_info(const std::string& path);
 
 /// Open a file of either format as a streaming TraceSource.

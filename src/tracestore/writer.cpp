@@ -71,7 +71,7 @@ void TraceWriter::flush_chunk() {
 
   scratch_.clear();
   // Addresses: zigzag varint deltas, base 0 at every chunk boundary so
-  // chunks decode independently (required for prefetch and seeking).
+  // chunks decode independently (a reader can enter any chunk by itself).
   std::uint64_t prev = 0;
   for (const trace::Access& a : pending_) {
     put_varint(scratch_, zigzag_encode(static_cast<std::int64_t>(a.addr - prev)));

@@ -1,17 +1,22 @@
-// Deterministic mutation test for the decoders of the durable artifacts:
-// shard reports and the fleet manifest. Each seed is a real artifact; the
-// mutations are every truncation, a bit flip at every byte (with and
-// without a re-sealed checksum), splices, and, at every node
-// of the JSON document, type swaps, negative and oversized numbers, and
-// missing, duplicated and unknown members. Every mutant must decode to an
-// io_error or to a value that passes the decoder's structural checks,
-// must never crash, and must allocate at most a fixed multiple of its
-// size.
+// Deterministic mutation test for the decoders of untrusted bytes: shard
+// reports, the fleet manifest and v1/v2 trace files. Each seed is a real
+// artifact. Reports and the manifest take every truncation, a bit flip at
+// every byte (with and without a re-sealed checksum), splices, and, at
+// every node of the JSON document, type swaps, negative and oversized
+// numbers, and missing, duplicated and unknown members; every mutant must
+// decode to an io_error or to a value that passes the decoder's
+// structural checks. Trace files take every truncation and a bit flip at
+// every byte; opening and reading each mutant must throw
+// std::runtime_error or deliver exactly the accesses it declares. No
+// mutant may crash or allocate more than a fixed multiple of its size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,6 +26,8 @@
 #include "io/atomic_file.hpp"
 #include "serve/json.hpp"
 #include "trace/generators.hpp"
+#include "tracestore/store.hpp"
+#include "tracestore/writer.hpp"
 #include "xoridx/fleet.hpp"
 #include "xoridx/obs.hpp"
 #include "xoridx/shard.hpp"
@@ -308,6 +315,105 @@ TEST(ManifestMutation, ShardCountsTheFileCannotHoldAreRejected) {
              "zero shards");
   EXPECT_EQ(tally.accepted, 0u);
   EXPECT_EQ(tally.rejected, 2u);
+}
+
+// ---------------------------------------------------------- trace files
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// n accesses with deltas of both signs, far jumps and all three kinds.
+trace::Trace seed_trace(std::uint64_t n) {
+  trace::Trace t;
+  std::uint64_t addr = 0x4000;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    addr = i % 7 == 3 ? addr * 977 % (std::uint64_t{1} << 40)
+                      : addr + 64 - 40 * (i % 3);
+    t.append(addr, static_cast<trace::AccessKind>(i % 3));
+  }
+  return t;
+}
+
+/// Write `bytes` as a trace file, then open it and run a full pass, and
+/// read its info. Each must throw std::runtime_error or succeed, and a
+/// pass that succeeds must deliver exactly size() accesses. Any other
+/// exception escapes and fails the test.
+void run_trace_mutant(const std::string& bytes, Tally& tally,
+                      const std::string& what) {
+  const std::string path = temp_path("xoridx_trace_mutant.bin");
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const std::size_t before = heap::reset_peak();
+  bool ok = true;
+  try {
+    const std::unique_ptr<tracestore::TraceSource> source =
+        tracestore::open_trace_source(path);
+    std::uint64_t delivered = 0;
+    tracestore::TraceInput(*source).for_each_batch(
+        [&](std::span<const trace::Access> batch) {
+          delivered += batch.size();
+        });
+    EXPECT_EQ(delivered, source->size()) << what;
+  } catch (const std::runtime_error&) {
+    ok = false;
+  }
+  try {
+    (void)tracestore::trace_file_info(path);
+  } catch (const std::runtime_error&) {
+    ok = false;
+  }
+  const std::size_t used = heap::peak() - before;
+  EXPECT_LE(used, heap_bytes_per_input_byte * bytes.size() + heap_slack_bytes)
+      << what;
+  ok ? ++tally.accepted : ++tally.rejected;
+  std::filesystem::remove(path);
+}
+
+/// Every truncation must be rejected; a bit flip at every byte must be
+/// rejected or read cleanly, and both must happen.
+void trace_byte_mutations(const std::string& seed) {
+  Tally truncated;
+  for (std::size_t keep = 0; keep < seed.size(); ++keep)
+    run_trace_mutant(seed.substr(0, keep), truncated,
+                     "truncated to " + std::to_string(keep));
+  EXPECT_EQ(truncated.accepted, 0u) << "a truncated trace file loaded";
+  Tally flipped;
+  for (std::size_t at = 0; at < seed.size(); ++at) {
+    std::string mutant = seed;
+    mutant[at] = static_cast<char>(mutant[at] ^ (1u << (at % 8)));
+    run_trace_mutant(mutant, flipped, "flip at " + std::to_string(at));
+  }
+  EXPECT_GT(flipped.accepted, 0u);
+  EXPECT_GT(flipped.rejected, 0u);
+}
+
+TEST(TraceFileMutation, V2ByteMutationsAreRejectedOrRead) {
+  const std::string path = temp_path("xoridx_trace_mutation_seed.v2");
+  tracestore::save_trace_v2(path, seed_trace(150), 64);
+  ASSERT_EQ(tracestore::trace_file_info(path).chunks, 3u);
+  const std::string seed = read_file(path);
+  std::filesystem::remove(path);
+  Tally tally;
+  run_trace_mutant(seed, tally, "seed");
+  ASSERT_EQ(tally.accepted, 1u);
+  trace_byte_mutations(seed);
+}
+
+TEST(TraceFileMutation, V1ByteMutationsAreRejectedOrRead) {
+  const std::string path = temp_path("xoridx_trace_mutation_seed.v1");
+  tracestore::save_trace_v1(path, seed_trace(40));
+  const std::string seed = read_file(path);
+  std::filesystem::remove(path);
+  Tally tally;
+  run_trace_mutant(seed, tally, "seed");
+  ASSERT_EQ(tally.accepted, 1u);
+  trace_byte_mutations(seed);
 }
 
 }  // namespace

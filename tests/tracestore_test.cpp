@@ -1,17 +1,21 @@
 // Trace store tests: v2 format round-trips, format conversion, streaming
 // identity with the in-memory consumers, TraceId content keying, and the
-// O(chunk) resident-memory bound on a 10M-access trace.
+// heap and thread bounds of a streamed pass (one batch, no new thread).
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cache/simulate.hpp"
+#include "heap_counter.hpp"
 #include "engine/profile_cache.hpp"
 #include "hash/xor_function.hpp"
 #include "profile/conflict_profile.hpp"
@@ -205,8 +209,8 @@ TEST(TraceStore, RejectsCorruptV2Files) {
 
 TEST(TraceStore, RejectsCorruptChunkIndexEntry) {
   // The offsets stored in the chunk index are untrusted too: corrupting
-  // entry [1] must throw when streaming reaches it (including via the
-  // prefetch header peek), not read out of the mapping.
+  // entry [1] must throw at open (the chunk-count cross-check) or when
+  // streaming reaches it, not read out of the mapping.
   const std::string path = temp_path("xoridx_corrupt_entry.v2");
   const trace::Trace t = make_trace(200);
   save_trace_v2(path, t, 64);  // 4 chunks
@@ -317,8 +321,9 @@ TEST(TraceStore, StreamingProfileIdenticalToInMemory) {
 
 // Every arm of a TraceInput gives the same results at lengths on and
 // around the batch size: an in-memory trace's columns, a MemorySource over
-// them, and a v2 file (chunks of 1000, which straddle the batches) loaded
-// eagerly or streamed as --mmap does.
+// them, and a v2 file loaded eagerly or streamed as --mmap does. The chunk
+// capacities put a chunk boundary at every access (1), inside a batch
+// (1000), on every batch boundary (4096 = kBatch) and past one (5000).
 TEST(TraceStore, EveryInputArmGivesIdenticalResults) {
   const cache::CacheGeometry geom(256, 4);
   const hash::XorFunction fn =
@@ -336,7 +341,7 @@ TEST(TraceStore, EveryInputArmGivesIdenticalResults) {
                    cache::classify_misses(input, geom, fn)};
   };
   const std::string path = temp_path("xoridx_input_arms.v2");
-  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u, 4097u}) {
+  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u, 4097u, 12289u}) {
     SCOPED_TRACE(n);
     const trace::Trace t = make_trace(n, n + 7);
     if (n > 100) {
@@ -345,21 +350,24 @@ TEST(TraceStore, EveryInputArmGivesIdenticalResults) {
       ASSERT_GT(stats.writes, 0u);
       ASSERT_GT(stats.fetches, 0u);
     }
-    save_trace_v2(path, t, 1000);
-    const trace::Trace eager = load_trace_any(path);
-    ASSERT_EQ(eager, t);
-    MemorySource memory(t);
-    const std::unique_ptr<TraceSource> mmap = open_trace_source(path);
-
     const Results want = run(t);
     EXPECT_EQ(want.direct.accesses, n);
     EXPECT_EQ(want.classes.accesses, n);
-    for (Results got : {run(memory), run(eager), run(*mmap)}) {
-      EXPECT_EQ(got.id, want.id);
-      EXPECT_EQ(got.profile, want.profile);
-      EXPECT_EQ(got.direct.accesses, want.direct.accesses);
-      EXPECT_EQ(got.direct.misses, want.direct.misses);
-      EXPECT_EQ(got.classes, want.classes);
+    MemorySource memory(t);
+    const Results from_memory = run(memory);
+    for (const std::uint32_t capacity : {1u, 1000u, 4096u, 5000u}) {
+      SCOPED_TRACE(capacity);
+      save_trace_v2(path, t, capacity);
+      const trace::Trace eager = load_trace_any(path);
+      ASSERT_EQ(eager, t);
+      const std::unique_ptr<TraceSource> mmap = open_trace_source(path);
+      for (const Results& got : {from_memory, run(eager), run(*mmap)}) {
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.profile, want.profile);
+        EXPECT_EQ(got.direct.accesses, want.direct.accesses);
+        EXPECT_EQ(got.direct.misses, want.direct.misses);
+        EXPECT_EQ(got.classes, want.classes);
+      }
     }
   }
   std::remove(path.c_str());
@@ -494,7 +502,48 @@ TEST(ProfileCacheTraceId, FileBackedTraceSharesWithInMemoryCopy) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------- O(chunk) residency
+// ------------------------------------------------ bounded streaming
+
+/// Heap a streamed pass may allocate: its batch plus small change.
+constexpr std::size_t kPassHeapBound = kBatch * sizeof(trace::Access) + 4096;
+
+/// Threads of this process, counted with the C directory API so the count
+/// allocates nothing the heap counter sees.
+std::size_t thread_count() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  std::size_t n = 0;
+  while (const dirent* entry = ::readdir(dir))
+    if (entry->d_name[0] != '.') ++n;
+  ::closedir(dir);
+  return n;
+}
+
+TEST(TraceStore, StreamedPassHoldsOneBatchAndStartsNoThread) {
+  const std::string path = temp_path("xoridx_bounded_pass.v2");
+  const trace::Trace t = make_trace(200'000);
+  const TraceId id = save_trace_v2(path, t);  // 64Ki-access chunks
+  const std::unique_ptr<TraceSource> source = open_trace_source(path);
+  ASSERT_GT(t.size(), 3u * default_chunk_capacity);
+
+  // The first pass registers the reader's counters and this thread's
+  // metrics slab; the second is the one measured.
+  ASSERT_EQ(trace_id_of(*source), id);
+  const std::size_t threads_before = thread_count();
+  ASSERT_GT(threads_before, 0u);
+  std::size_t threads_seen = 0;
+  TraceIdHasher hasher;
+  const std::size_t heap_before = heap::reset_peak();
+  TraceInput(*source).for_each_batch(
+      [&](std::span<const trace::Access> batch) {
+        for (const trace::Access& a : batch) hasher.update(a);
+        threads_seen = std::max(threads_seen, thread_count());
+      });
+  EXPECT_LE(heap::peak() - heap_before, kPassHeapBound);
+  EXPECT_EQ(threads_seen, threads_before);
+  EXPECT_EQ(hasher.digest(), id);
+  std::remove(path.c_str());
+}
 
 TEST(TraceStore, TenMillionAccessesStreamWithBoundedBuffers) {
   const std::string path = temp_path("xoridx_10m.v2");
@@ -520,10 +569,11 @@ TEST(TraceStore, TenMillionAccessesStreamWithBoundedBuffers) {
   EXPECT_EQ(p.references, accesses);
   EXPECT_GT(p.profiled_refs + p.capacity_filtered_refs, 0u);
 
-  // The acceptance bound: decoded trace buffers never exceed the double
-  // buffer (current chunk + the one being prefetched).
-  EXPECT_GT(reader.peak_decoded_accesses(), 0u);
-  EXPECT_LE(reader.peak_decoded_accesses(), 2u * chunk);
+  // The acceptance bound: a whole pass over the 10M accesses holds one
+  // batch of decoded accesses, whatever the trace's length.
+  const std::size_t heap_before = heap::reset_peak();
+  EXPECT_EQ(trace_id_of(reader), reader.info().id);
+  EXPECT_LE(heap::peak() - heap_before, kPassHeapBound);
   std::remove(path.c_str());
 }
 
